@@ -375,13 +375,21 @@ def run(spec: WorkloadSpec, config: DeviceConfig | None = None,
     """Format a device, execute the workload, report traffic.
     Returns (fs, report, trace records)."""
     records = build_workload(spec)
+    fs = format_and_mount(config, mode, journal, cache_bytes)
+    report = replay(fs, records, spec=spec, check=check)
+    return fs, report, records
+
+
+def format_and_mount(config: DeviceConfig | None, mode: str, journal: str,
+                     cache_bytes: int | None = None) -> ByteFS:
+    """A freshly formatted device, mounted; `cache_bytes` None keeps the
+    default page-cache size."""
     mssd = make_mssd(config, mode)
     mkfs(mssd)
     kwargs = {} if cache_bytes is None else {"cache_bytes": cache_bytes}
     fs = ByteFS(mssd, mode=mode, journal=journal, **kwargs)
     fs.mount()
-    report = replay(fs, records, spec=spec, check=check)
-    return fs, report, records
+    return fs
 
 
 def replay(fs: ByteFS, records: list[TraceRecord],
@@ -435,7 +443,14 @@ class CrashVerdict:
 
 class DurabilityOracle:
     """Tracks what must survive a crash: every completed namespace
-    operation, and file data up to its last fsync."""
+    operation, and file data up to its last fsync.
+
+    Page-cache eviction may write unsynced data back early, together with
+    the file size, so a file may be as long as its last fsync or as long as
+    its latest write or anything between, and each byte may hold its synced
+    or its latest value; past the synced end, the synced value is a hole's
+    zero.
+    """
 
     def __init__(self):
         self.dirs: set[str] = set()
@@ -473,22 +488,27 @@ class DurabilityOracle:
         for path in sorted(self.dirs | self.files):
             if not fs.exists(path):
                 verdict.missing.append(path)
-        for path, expect in sorted(self.synced.items()):
+        for path, synced in sorted(self.synced.items()):
             if path not in self.files:
                 continue
             try:
                 inode = fs.lookup(path)
             except FsError:
                 continue  # already reported missing
-            if inode.size != len(expect):
-                verdict.corrupt.append(f"{path} size {inode.size} != "
-                                       f"{len(expect)}")
+            latest = self.pending[path]
+            size = inode.size
+            if not len(synced) <= size <= len(latest):
+                verdict.corrupt.append(f"{path} size {size} not in "
+                                       f"[{len(synced)}, {len(latest)}]")
                 continue
-            if expect:
+            if size:
                 fd = fs.open(path)
-                got = fs.read(fd, 0, len(expect))
+                got = fs.read(fd, 0, size)
                 fs.close(fd)
-                if got != expect:
+                new = bytes(latest[:size])
+                old = synced.ljust(size, b"\0")  # a hole past the synced end
+                if got != new and any(g != a and g != b
+                                      for g, a, b in zip(got, new, old)):
                     verdict.corrupt.append(f"{path} content mismatch")
         seen = self.dirs | self.files
         verdict.unexpected = [p for p in _walk_paths(fs)
@@ -511,22 +531,21 @@ def _walk_paths(fs: ByteFS, root: str = "/") -> list[str]:
 
 def crash_run(spec: WorkloadSpec, crash_at: int,
               config: DeviceConfig | None = None, mode: str = "full",
-              journal: str = "ordered") -> CrashVerdict:
+              journal: str = "ordered",
+              cache_bytes: int | None = None) -> CrashVerdict:
     """Execute the workload, crash after ``crash_at`` operations, recover,
     and verify the durability oracle plus fsck."""
     records = build_workload(spec)
     crash_at = min(crash_at, len(records))
-    mssd = make_mssd(config, mode)
-    mkfs(mssd)
-    fs = ByteFS(mssd, mode=mode, journal=journal)
-    fs.mount()
+    fs = format_and_mount(config, mode, journal, cache_bytes)
     oracle = DurabilityOracle()
     fds: dict[str, int] = {}
     for rec in records[:crash_at]:
         apply_record(fs, rec, fds)
         oracle.apply(rec)
-    clone = crash_clone(mssd)
-    recovered, _report = recover_fs(clone, mode=mode, journal=journal)
+    recovered, _report = recover_fs(crash_clone(fs.mssd), mode=mode,
+                                    journal=journal,
+                                    cache_bytes=fs.cache_bytes)
     verdict = oracle.check(recovered)
     verdict.crash_at = crash_at
     return verdict

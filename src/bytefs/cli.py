@@ -11,7 +11,7 @@ import sys
 from . import bench, image
 from .bench import WorkloadSpec
 from .errors import ByteFSError
-from .fs import ByteFS, recover_fs
+from .fs import recover_fs
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -100,11 +100,9 @@ def cmd_run(args) -> int:
 def cmd_replay(args) -> int:
     config, fs_opts, _workload = _load_options(args)
     records = bench.read_trace(args.trace)
-    mode = fs_opts.get("mode", "full")
-    mssd = bench.make_mssd(config, mode)
-    bench.mkfs(mssd)
-    fs = ByteFS(mssd, mode=mode, journal=fs_opts.get("journal", "ordered"))
-    fs.mount()
+    fs = bench.format_and_mount(config, fs_opts.get("mode", "full"),
+                                fs_opts.get("journal", "ordered"),
+                                fs_opts.get("cache_bytes"))
     report = bench.replay(fs, records)
     print(report.table())
     _write_out(args, report.emit())
@@ -116,7 +114,8 @@ def cmd_crash(args) -> int:
     spec = _spec(workload)
     verdict = bench.crash_run(spec, args.crash_at, config,
                               mode=fs_opts.get("mode", "full"),
-                              journal=fs_opts.get("journal", "ordered"))
+                              journal=fs_opts.get("journal", "ordered"),
+                              cache_bytes=fs_opts.get("cache_bytes"))
     print(f"crash after {verdict.crash_at} ops: "
           f"{'PASS' if verdict.ok else 'FAIL'}")
     for label, items in (("missing", verdict.missing),

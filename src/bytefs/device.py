@@ -143,29 +143,23 @@ class TrafficCounters:
 
 
 class FtlMap:
-    """Page-level logical-to-physical mapping with a free list.
+    """Page-level logical-to-physical mapping.
 
-    Free physical pages are tracked as a high-water mark plus a recycle
-    stack so the full free list is never materialized for large devices.
+    Physical pages are handed out from a high-water mark, so no free list
+    is materialized for large devices.
     """
 
     def __init__(self, phys_page_count: int):
         self.phys_page_count = phys_page_count
         self.lpa_to_ppa: dict[int, int] = {}
         self._next_unused = 0
-        self._recycled: list[int] = []
 
     def allocate_ppa(self) -> int:
-        if self._recycled:
-            return self._recycled.pop()
         if self._next_unused >= self.phys_page_count:
             raise SpaceExhausted("no free physical pages")
         ppa = self._next_unused
         self._next_unused += 1
         return ppa
-
-    def free_ppa(self, ppa: int) -> None:
-        self._recycled.append(ppa)
 
 
 class FlashDevice:

@@ -2,9 +2,12 @@
 
 Layout: magic, format version (u32 LE), a DeviceConfig block, then
 sections each prefixed by a 16-byte header {section id u32, length u64,
-crc32 u32}.  Sections: flash pages, FTL map, log region, log sidecar
-index, TxLog, clock.  Used for crash-injection snapshots: host state
-(TxTable, caches) is deliberately not part of the image.
+crc32 u32}.  Sections: flash pages, FTL map, log region (generation id,
+entry count, 64B payload slots), log sidecar (the write log's sidecar
+array, `writelog.SIDECAR_DTYPE` rows), TxLog (txids, then their commit
+stamps), clock.  The log sections are copies of the write log's own
+arrays.  Used for crash-injection snapshots: host state (TxTable, caches)
+is deliberately not part of the image.
 """
 
 from __future__ import annotations
@@ -16,13 +19,13 @@ import zlib
 
 import numpy as np
 
-from .device import CATEGORIES, DeviceConfig
+from .device import CACHELINE, DeviceConfig
 from .errors import InvalidArgument, RecoveryFailed
 from .mssd import Mssd
-from .writelog import SlotRec
+from .writelog import SIDECAR_DTYPE, LogGeneration
 
 MAGIC = b"BFSM"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 SEC_FLASH = 1
 SEC_FTL = 2
@@ -33,15 +36,6 @@ SEC_CLOCK = 6
 
 _CONFIG_FMT = "<QIIIIIIQIId"
 _SECTION_HDR_FMT = "<IQI"
-
-_SIDEC_DTYPE = np.dtype([
-    ("lpa", "<u4"), ("block_offset", "u1"), ("length", "u1"),
-    ("flags", "u1"), ("category", "u1"), ("txid", "<u4"),
-    ("gen", "<u4"), ("seq", "<u8"),
-])
-
-_CAT_ID = {c: i for i, c in enumerate(CATEGORIES)}
-
 
 def _pack_config(cfg: DeviceConfig) -> bytes:
     return struct.pack(
@@ -95,26 +89,17 @@ def save(mssd: Mssd, target) -> None:
     for lpa in sorted(ftl.lpa_to_ppa):
         buf.write(struct.pack("<QQ", lpa, ftl.lpa_to_ppa[lpa]))
     buf.write(struct.pack("<Q", ftl._next_unused))
-    buf.write(struct.pack("<Q", len(ftl._recycled)))
-    for ppa in ftl._recycled:
-        buf.write(struct.pack("<Q", ppa))
     _write_section(out, SEC_FTL, buf.getvalue())
 
     gen = mssd.writelog.active_gen
-    used = gen.tail_slots * 64
-    payload = struct.pack("<IQ", gen.gen_id, gen.tail_slots) + bytes(gen.buf[:used])
-    _write_section(out, SEC_LOG_REGION, payload)
+    _write_section(out, SEC_LOG_REGION,
+                   struct.pack("<IQ", gen.gen_id, gen.tail_slots) + gen.buf)
+    _write_section(out, SEC_LOG_INDEX, gen.entries.tobytes())
 
-    recs = np.zeros(len(gen.slots), dtype=_SIDEC_DTYPE)
-    for i, rec in enumerate(gen.slots):
-        recs[i] = (rec.lpa, rec.block_offset, rec.length, rec.flags,
-                   _CAT_ID[rec.category], rec.txid, rec.gen, rec.seq)
-    _write_section(out, SEC_LOG_INDEX, recs.tobytes())
-
-    txlog = mssd.txlog
-    payload = struct.pack("<Q", len(txlog.entries))
-    payload += b"".join(struct.pack("<I", t) for t in txlog.entries)
-    _write_section(out, SEC_TXLOG, payload)
+    stamps = mssd.txlog.stamps
+    _write_section(out, SEC_TXLOG, struct.pack("<Q", len(stamps))
+                   + np.array(list(stamps), dtype="<u4").tobytes()
+                   + np.array(list(stamps.values()), dtype="<u8").tobytes())
 
     _write_section(out, SEC_CLOCK,
                    struct.pack("<QQ", dev.clock.now_ns, mssd._stamp))
@@ -173,45 +158,33 @@ def load(source, *, log_enabled: bool = True, shadow_oracle: bool = False,
         off += 16
         dev.ftl.lpa_to_ppa[lpa] = ppa
     (dev.ftl._next_unused,) = struct.unpack_from("<Q", payload, off)
-    off += 8
-    (count,) = struct.unpack_from("<Q", payload, off)
-    off += 8
-    dev.ftl._recycled = [
-        struct.unpack_from("<Q", payload, off + 8 * i)[0] for i in range(count)
-    ]
 
     payload = _read_section(f, SEC_LOG_REGION)
     gen_id, tail_slots = struct.unpack_from("<IQ", payload, 0)
-    gen = mssd.writelog.active_gen
-    gen.gen_id = gen_id
-    gen.tail_slots = tail_slots
-    gen.buf[:tail_slots * 64] = payload[12:12 + tail_slots * 64]
-
-    payload = _read_section(f, SEC_LOG_INDEX)
-    recs = np.frombuffer(payload, dtype=_SIDEC_DTYPE)
-    max_txid = 0
-    for r in recs:
-        rec = SlotRec(int(r["gen"]), len(gen.slots), int(r["lpa"]),
-                      int(r["block_offset"]), int(r["length"]), int(r["flags"]),
-                      int(r["txid"]), int(r["seq"]),
-                      CATEGORIES[int(r["category"])])
-        gen.slots.append(rec)
-        mssd.writelog.index.insert(rec)
-        max_txid = max(max_txid, rec.txid)
-        mssd._stamp = max(mssd._stamp, rec.seq)
+    buf = bytearray(payload[12:])
+    side = np.frombuffer(_read_section(f, SEC_LOG_INDEX),
+                         dtype=SIDECAR_DTYPE).copy()
+    if len(side) != tail_slots or len(buf) != tail_slots * CACHELINE \
+            or tail_slots > cfg.log_region_bytes // CACHELINE:
+        raise RecoveryFailed("log region and sidecar disagree",
+                             section_id=SEC_LOG_INDEX)
+    mssd.writelog.install(LogGeneration(gen_id, cfg.log_region_bytes,
+                                        buf, side))
 
     payload = _read_section(f, SEC_TXLOG)
     (count,) = struct.unpack_from("<Q", payload, 0)
-    for i in range(count):
-        (txid,) = struct.unpack_from("<I", payload, 8 + 4 * i)
-        mssd.txlog.append(txid, mssd.next_stamp())
-        max_txid = max(max_txid, txid)
+    txids = np.frombuffer(payload, dtype="<u4", count=count, offset=8)
+    stamps = np.frombuffer(payload, dtype="<u8", count=count,
+                           offset=8 + 4 * count)
+    for txid, stamp in zip(txids.tolist(), stamps.tolist()):
+        mssd.txlog.append(txid, stamp)
 
     payload = _read_section(f, SEC_CLOCK)
     now_ns, stamp = struct.unpack("<QQ", payload)
     dev.clock.now_ns = now_ns
-    mssd._stamp = max(mssd._stamp, stamp)
-    mssd.txmgr.next_txid = max_txid + 1
+    mssd._stamp = stamp
+    mssd.txmgr.next_txid = max(int(side["txid"].max(initial=0)),
+                               int(txids.max(initial=0))) + 1
     return mssd
 
 

@@ -170,12 +170,7 @@ class Mssd:
 
     def reset_log(self) -> None:
         """Drop the log region and its index (end of recovery)."""
-        from .writelog import LogGeneration, LogIndex
-        gen_id = self.writelog.active_gen.gen_id + 1
-        self.writelog.active_gen = LogGeneration(gen_id,
-                                                 self.config.log_region_bytes)
-        self.writelog.index = LogIndex(self.config.page_size)
-        self.writelog.dead_slots = 0
+        self.writelog.new_generation()
 
     def utilization(self) -> float:
         return self.writelog.utilization()

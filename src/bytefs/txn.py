@@ -1,9 +1,10 @@
 """Transaction identity, commit ordering, and post-crash recovery.
 
 The TxTable lives host-side and does not survive a crash; the TxLog is a
-firmware append-only list of 4-byte committed transaction ids and does.
-Recovery scans the whole log region, discards entries whose transaction
-never reached the TxLog, and flushes the rest in commit order.
+firmware append-only list of 4-byte committed transaction ids and does,
+together with the stamp each commit drew.  Recovery scans the whole log
+region, discards entries whose transaction never reached the TxLog, and
+flushes the rest with the routine cleaning uses, in the same commit order.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 
 from .device import CACHELINE
 from .errors import InvalidArgument, SpaceExhausted, StateError, TxAborted
-from .writelog import FLAG_COMMITTED_AT_WRITE, FLAG_INVALID
 
 ACTIVE = "active"
 COMMITTED = "committed"
@@ -22,32 +22,33 @@ ABORTED = "aborted"
 
 
 class TxLog:
-    """Append-only buffer of committed TxIds (4 bytes each)."""
+    """Append-only buffer of committed TxIds (4 bytes each).
+
+    Each entry keeps the stamp its commit drew, which orders it against
+    other commits and against non-transactional writes.
+    """
 
     def __init__(self, capacity_bytes: int):
         self.capacity_entries = capacity_bytes // 4
-        self.entries: list[int] = []
-        self.committed_set: set[int] = set()
-        # in-memory commit stamps; reconstructed from entry order at recovery
-        self.commit_stamps: dict[int, int] = {}
+        self.stamps: dict[int, int] = {}  # txid -> commit stamp, in order
+
+    @property
+    def entries(self) -> list[int]:
+        return list(self.stamps)
 
     @property
     def full(self) -> bool:
-        return len(self.entries) >= self.capacity_entries
+        return len(self.stamps) >= self.capacity_entries
 
     def append(self, txid: int, stamp: int) -> None:
         if self.full:
             raise SpaceExhausted("TxLog full")
-        if txid in self.committed_set:
+        if txid in self.stamps:
             raise StateError(f"tx {txid} already committed")
-        self.entries.append(txid)
-        self.committed_set.add(txid)
-        self.commit_stamps[txid] = stamp
+        self.stamps[txid] = stamp
 
     def clear(self) -> None:
-        self.entries.clear()
-        self.committed_set.clear()
-        self.commit_stamps.clear()
+        self.stamps.clear()
 
 
 @dataclass
@@ -169,172 +170,17 @@ class TxManager:
 
 def recover(mssd) -> RecoveryReport:
     """Full log-region scan after a crash: discard uncommitted entries,
-    flush committed ones to flash in TxLog commit order, then clear the
-    log region and TxLog.  Exclusive; no concurrent foreground traffic.
+    flush committed ones to flash in commit order, then clear the log
+    region and TxLog.  Exclusive; no concurrent foreground traffic.
     """
-    report = RecoveryReport()
     start_ns = mssd.device.clock.now_ns
-    txlog = mssd.txlog
     log = mssd.writelog
-    cfg = mssd.config
-    gen = log.active_gen
-
-    if gen.bulk is not None:
-        _recover_bulk(mssd, gen, report)
-        mssd.reset_log()
-        txlog.clear()
-        report.elapsed_sim_ns = mssd.device.clock.now_ns - start_ns
-        return report
-
-    # Position in the TxLog orders committed transactions; entries
-    # committed at write time sort before any transactional commit with a
-    # later append sequence (ties impossible: seq is unique).
-    commit_index = {txid: i for i, txid in enumerate(txlog.entries)}
-
-    # kept entries per (lpa, cacheline), overlaid in key order: a newer
-    # short entry only partially covers its cacheline
-    chains: dict[int, dict[int, list]] = {}
-    for rec in gen.slots:
-        report.entries_scanned += 1
-        if rec.flags & FLAG_INVALID:
-            report.entries_discarded += 1
-            continue
-        if rec.flags & FLAG_COMMITTED_AT_WRITE:
-            key = (-1, rec.seq)
-        elif rec.txid in commit_index:
-            key = (commit_index[rec.txid], rec.seq)
-        else:
-            report.entries_discarded += 1
-            continue
-        report.entries_flushed += 1
-        chains.setdefault(rec.lpa, {}).setdefault(
-            rec.block_offset, []).append((key, rec))
-
-    cl_per_page = cfg.cachelines_per_page
-    pending = []
-    for lpa, page_chains in chains.items():
-        for entries in page_chains.values():
-            entries.sort(key=lambda e: e[0])
-        partial = len(page_chains) < cl_per_page or any(
-            max(rec.length for _, rec in entries) < CACHELINE
-            for entries in page_chains.values()
-        )
-        if partial:
-            page = bytearray(mssd.device.read_lpa(lpa, "untagged"))
-        else:
-            page = bytearray(cfg.page_size)
-        order = max(entries[-1][0] for entries in page_chains.values())
-        for off, entries in page_chains.items():
-            start = off * CACHELINE
-            for _, rec in entries:
-                page[start:start + rec.length] = gen.payload(rec)
-        pending.append((order, lpa, bytes(page)))
-
-    pending.sort(key=lambda t: t[0])
-    batch_pages = max(1, cfg.write_buffer_bytes // cfg.page_size)
-    for i in range(0, len(pending), batch_pages):
-        batch = pending[i:i + batch_pages]
-        mssd.device.write_pages([
-            (mssd.device.ftl_translate(lpa), page, "untagged")
-            for _, lpa, page in batch
-        ])
-
+    keep, key = log.commit_order(mssd.txlog)
+    log.merge_and_flush(keep, key)
     mssd.reset_log()
-    txlog.clear()
-    report.elapsed_sim_ns = mssd.device.clock.now_ns - start_ns
-    return report
-
-
-def _recover_bulk(mssd, gen, report: RecoveryReport) -> None:
-    """Vectorized scan for bulk-loaded sidecar arrays (same semantics as
-    the object path, sized for logs with millions of entries)."""
-    import numpy as np
-
-    cfg = mssd.config
-    cl_per_page = cfg.cachelines_per_page
-    arr = gen.bulk
-    n = len(arr)
-    report.entries_scanned = n
-    if n == 0:
-        return
-
-    committed_at_write = (arr["flags"] & FLAG_COMMITTED_AT_WRITE) != 0
-    entries = np.asarray(mssd.txlog.entries, dtype=np.uint32)
-    if entries.size:
-        tx_order = np.argsort(entries, kind="stable")
-        sorted_tx = entries[tx_order]
-        pos = np.clip(np.searchsorted(sorted_tx, arr["txid"]), 0,
-                      entries.size - 1)
-        in_txlog = sorted_tx[pos] == arr["txid"]
-        commit_idx = np.where(in_txlog, tx_order[pos], 0).astype(np.int64)
-    else:
-        in_txlog = np.zeros(n, dtype=bool)
-        commit_idx = np.zeros(n, dtype=np.int64)
-
-    keep = (committed_at_write | in_txlog) & \
-        ((arr["flags"] & FLAG_INVALID) == 0)
-    report.entries_flushed = int(keep.sum())
-    report.entries_discarded = n - report.entries_flushed
-    idx = np.nonzero(keep)[0]
-    if idx.size == 0:
-        return
-
-    lpa = arr["lpa"][idx].astype(np.int64)
-    off = arr["block_offset"][idx].astype(np.int64)
-    seq = arr["seq"][idx].astype(np.int64)
-    ckey = np.where(committed_at_write[idx], -1, commit_idx[idx])
-    if int(seq.max()) >= 1 << 44:
-        raise InvalidArgument("sequence numbers too large for bulk recovery")
-    # scalar composite of the (commit index, append seq) ordering key
-    composite = (ckey + 1) * (1 << 44) + seq
-
-    cell = lpa * cl_per_page + off
-    order = np.lexsort((seq, ckey, cell))
-    cell_s = cell[order]
-    last = np.nonzero(np.r_[cell_s[1:] != cell_s[:-1], True])[0]
-    group_start = np.r_[0, last[:-1] + 1]
-    win = order[last]                     # newest entry per touched cacheline
-    win_slots = idx[win]                  # payload slot index
-    win_lpa, win_off = lpa[win], off[win]
-    win_key = composite[win]
-    win_len = arr["length"][win_slots].astype(np.int64)
-    len_s = arr["length"][idx][order].astype(np.int64)
-    coverage = np.maximum.reduceat(len_s, group_start)  # chain-max per cell
-
-    page_starts = np.nonzero(np.r_[True, win_lpa[1:] != win_lpa[:-1]])[0]
-    page_lpas = win_lpa[page_starts]
-    counts = np.diff(np.r_[page_starts, win.size])
-    npages = page_lpas.size
-    page_of_winner = np.repeat(np.arange(npages), counts)
-    page_key = np.maximum.reduceat(win_key, page_starts)
-
-    out = np.zeros((npages, cl_per_page, CACHELINE), dtype=np.uint8)
-    full = (counts == cl_per_page) & (
-        np.minimum.reduceat(coverage, page_starts) == CACHELINE)
-    for p in np.nonzero(~full)[0]:        # partial pages merge flash content
-        base = mssd.device.read_lpa(int(page_lpas[p]), "untagged")
-        out[p] = np.frombuffer(base, dtype=np.uint8).reshape(cl_per_page,
-                                                             CACHELINE)
-    buf_view = np.frombuffer(gen.buf, dtype=np.uint8)[:gen.tail_slots *
-                                                      CACHELINE]
-    buf_view = buf_view.reshape(gen.tail_slots, CACHELINE)
-    whole = win_len == CACHELINE
-    out[page_of_winner[whole], win_off[whole]] = buf_view[win_slots[whole]]
-    for j in np.nonzero(~whole)[0]:
-        # newest entry is short: overlay its whole chain in key order
-        for e in order[group_start[j]:last[j] + 1]:
-            slot = int(idx[e])
-            length = int(arr["length"][slot])
-            out[page_of_winner[j], win_off[j], :length] = \
-                buf_view[slot, :length]
-
-    flush_order = np.argsort(page_key, kind="stable")
-    batch_pages = max(1, cfg.write_buffer_bytes // cfg.page_size)
-    flat = out.reshape(npages, cfg.page_size)
-    for i in range(0, npages, batch_pages):
-        batch = flush_order[i:i + batch_pages]
-        mssd.device.write_pages([
-            (mssd.device.ftl_translate(int(page_lpas[p])),
-             flat[p].tobytes(), "untagged")
-            for p in batch
-        ])
+    mssd.txlog.clear()
+    flushed = int(keep.sum())
+    return RecoveryReport(
+        entries_scanned=keep.size, entries_discarded=keep.size - flushed,
+        entries_flushed=flushed,
+        elapsed_sim_ns=mssd.device.clock.now_ns - start_ns)

@@ -333,8 +333,9 @@ def test_criterion_09_clean_commit_order_and_migration():
           and page[192:256] == bytes(64))          # aborted dropped
     ok &= rep.entries_migrated == 1
     node = mssd.writelog.index.node(0)
+    txids = mssd.writelog.active_gen.entries["txid"]
     ok &= node is not None and sorted(node.chains) == [2] \
-        and [r.txid for r in node.chains[2]] == [tc]
+        and [txids[s] for s in node.chains[2]] == [tc]
     mssd.tx_commit(tc)
     mssd.clean()
     ok &= mssd.device.read_lpa(0, "untagged")[128:192] == b"\xd1" * 64
@@ -343,14 +344,14 @@ def test_criterion_09_clean_commit_order_and_migration():
 
 def test_criterion_10_full_log_recovery_under_5s():
     desc = "recovery of a fully utilized 256 MiB log in under 5s wall"
-    from bytefs.image import _SIDEC_DTYPE
+    from bytefs.writelog import SIDECAR_DTYPE, LogGeneration
 
     cfg = DeviceConfig()                     # 256 MiB log region
     mssd = Mssd(cfg, auto_clean=False)
     n = cfg.log_region_bytes // CACHELINE    # 4,194,304 slots
     cl_per_page = cfg.cachelines_per_page
 
-    recs = np.zeros(n, dtype=_SIDEC_DTYPE)
+    recs = np.zeros(n, dtype=SIDECAR_DTYPE)
     recs["lpa"] = np.arange(n) // cl_per_page
     recs["block_offset"] = np.arange(n) % cl_per_page
     recs["length"] = CACHELINE
@@ -367,7 +368,8 @@ def test_criterion_10_full_log_recovery_under_5s():
     payload = np.random.default_rng(0).integers(
         0, 256, size=n * CACHELINE, dtype=np.uint8).tobytes()
 
-    mssd.writelog.bulk_load(payload, recs)
+    mssd.writelog.install(LogGeneration(0, cfg.log_region_bytes,
+                                        bytearray(payload), recs))
     mssd.txlog.append(7, mssd.next_stamp())
 
     t0 = time.perf_counter()

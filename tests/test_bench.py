@@ -2,8 +2,9 @@ import pytest
 
 from bytefs import bench, cli, image
 from bytefs.bench import TraceRecord, WorkloadSpec
+from bytefs.device import DeviceConfig, KiB, MiB
 from bytefs.errors import InvalidArgument
-from bytefs.fs import MODES
+from bytefs.fs import MODES, recover_fs
 
 from conftest import small_config
 
@@ -97,6 +98,35 @@ def test_crash_run_emit_lines():
     assert lines["crash.at"] == "40"
 
 
+def test_crash_run_accepts_unsynced_data_written_back_by_eviction():
+    # a 64 KiB page cache evicts unsynced file data, with its size, before
+    # the crash; that is not a loss of synced data
+    verdict = bench.crash_run(WorkloadSpec("fileserver", seed=1, ops=150),
+                              150, DeviceConfig(capacity_bytes=32 * MiB),
+                              cache_bytes=64 * KiB)
+    assert verdict.ok, (verdict.missing, verdict.corrupt,
+                        verdict.unexpected, verdict.fsck_problems)
+
+
+def test_durability_oracle_reports_lost_synced_byte():
+    records = bench.build_workload(small_spec("varmail", seed=1, ops=200))
+    fs = bench.format_and_mount(small_config(), "full", "ordered")
+    oracle = bench.DurabilityOracle()
+    fds: dict[str, int] = {}
+    for rec in records:
+        bench.apply_record(fs, rec, fds)
+        oracle.apply(rec)
+    recovered, _report = recover_fs(image.crash_clone(fs.mssd))
+    assert oracle.check(recovered).ok
+    path, synced = next(
+        (p, d) for p, d in sorted(oracle.synced.items())
+        if d and p in oracle.files and oracle.pending[p][0] == d[0])
+    fd = recovered.open(path)
+    recovered.write(fd, 0, bytes([synced[0] ^ 0xFF]))
+    recovered.close(fd)
+    assert oracle.check(recovered).corrupt == [f"{path} content mismatch"]
+
+
 # ---------------------------------------------------------------------------
 # sweeps and reports
 
@@ -187,6 +217,23 @@ def test_cli_run_and_replay(tmp_path, cfg_file, capsys):
     rc = cli.main(["replay", out + ".trace", "--config", cfg_file,
                    "--mode", "full"])
     assert rc == 0
+
+
+def test_cli_replay_honours_cache_bytes(tmp_path):
+    cfg = tmp_path / "small_cache.conf"
+    cfg.write_text("capacity_bytes = 8MiB\ncache_bytes = 64KiB\nops = 2000\n")
+    out = str(tmp_path / "run.txt")
+    assert cli.main(["run", "--config", str(cfg), "--profile", "kvstore",
+                     "--seed", "1", "--out", out]) == 0
+    replayed = str(tmp_path / "replay.txt")
+    assert cli.main(["replay", out + ".trace", "--config", str(cfg),
+                     "--out", replayed]) == 0
+
+    def simulated(path):
+        return [line for line in open(path).read().splitlines()
+                if line.startswith(("run.sim_ns", "traffic."))]
+
+    assert simulated(replayed) == simulated(out)
 
 
 def test_cli_crash(cfg_file, capsys):

@@ -5,6 +5,7 @@ import pytest
 from bytefs.errors import SpaceExhausted, StateError, TxAborted
 from bytefs.image import crash_clone
 from bytefs.mssd import Mssd
+from bytefs.writelog import FLAG_COMMITTED_AT_WRITE, FLAG_INVALID
 
 from conftest import small_config
 
@@ -198,45 +199,111 @@ def test_random_crash_points_match_committed_prefix_oracle():
             assert page[i * 64:(i + 1) * 64] == expect
 
 
-def test_bulk_recovery_matches_object_path():
-    import numpy as np
+def _reference_recovery(crashed) -> tuple[dict[int, bytes], int]:
+    """Recovered pages, and the number of entries replayed, from replaying
+    the committed entries of a crashed device one at a time, in commit
+    order, onto its flash pages."""
+    dev = crashed.device
+    pages = {lpa: bytearray(dev.pages.get(ppa, bytes(4096)))
+             for lpa, ppa in dev.ftl.lpa_to_ppa.items()}
+    stamps = crashed.txlog.stamps
+    gen = crashed.writelog.active_gen
+    replay = []
+    for slot, row in enumerate(gen.entries.tolist()):
+        lpa, off, length, flags, _cat, txid, seq = row
+        if flags & FLAG_INVALID:
+            continue
+        if flags & FLAG_COMMITTED_AT_WRITE:
+            key = seq
+        elif txid in stamps:
+            key = stamps[txid]
+        else:
+            continue
+        replay.append((key, seq, lpa, off, gen.buf[slot * 64:slot * 64 + length]))
+    for _key, _seq, lpa, off, data in sorted(replay):
+        page = pages.setdefault(lpa, bytearray(4096))
+        page[off * 64:off * 64 + len(data)] = data
+    return {lpa: bytes(page) for lpa, page in pages.items()}, len(replay)
 
-    from bytefs.errors import TxAborted
-    from bytefs.image import _CAT_ID, _SIDEC_DTYPE
 
+def test_recovery_matches_reference_merge():
     import random
+
     rng = random.Random(1)
     mssd = Mssd(small_config(), auto_clean=False)
     mssd.txmgr.lock_timeout_s = 0.01
-    for _ in range(60):
-        addr = rng.randrange(0, 512) * 64
-        data = bytes([rng.randrange(1, 255)]) * rng.choice((32, 64))
-        if rng.random() < 0.4:
+    writers = {}  # cacheline -> kinds of writes since its page's last block write
+    for _ in range(300):
+        addr = rng.randrange(0, 256) * 64   # four pages: many collisions
+        data = bytes([rng.randrange(1, 255)]) * rng.choice((13, 32, 64))
+        r = rng.random()
+        if r < 0.01:
+            lpa = addr // 4096
+            mssd.block_write(lpa, bytes([rng.randrange(256)]) * 4096)
+            for cl in range(lpa * 64, lpa * 64 + 64):
+                writers.pop(cl * 64, None)
+            continue
+        if r < 0.4:
             mssd.byte_write(addr, data)
-        else:
-            t = mssd.tx_begin()
-            try:
-                mssd.tx_write(t, addr, data)
-            except TxAborted:
-                continue
-            if rng.random() < 0.7:
-                mssd.tx_commit(t)
+            writers.setdefault(addr, set()).add("plain")
+            continue
+        t = mssd.tx_begin()
+        try:
+            mssd.tx_write(t, addr, data)
+        except TxAborted:
+            continue
+        r = rng.random()
+        if r < 0.75:
+            mssd.tx_commit(t)
+            writers.setdefault(addr, set()).add("tx")
+        elif r < 0.9:
+            mssd.tx_abort(t)
+    # the mix interleaves tx and non-tx writes on the same cachelines
+    assert sum(kinds == {"plain", "tx"} for kinds in writers.values()) > 10
 
-    obj = crash_clone(mssd)
-    bulk = crash_clone(mssd)
-    report_obj = obj.recover()
+    after = crash_clone(mssd)
+    want, flushed = _reference_recovery(crash_clone(mssd))
+    report = after.recover()
+    assert report.entries_scanned == mssd.writelog.active_gen.tail_slots
+    assert report.entries_flushed == flushed
+    assert report.entries_discarded == report.entries_scanned - flushed
+    for lpa in range(4):
+        assert after.device.read_lpa(lpa) == want.get(lpa, bytes(4096))
 
-    gen = bulk.writelog.active_gen
-    recs = np.zeros(len(gen.slots), dtype=_SIDEC_DTYPE)
-    for i, r in enumerate(gen.slots):
-        recs[i] = (r.lpa, r.block_offset, r.length, r.flags,
-                   _CAT_ID[r.category], r.txid, r.gen, r.seq)
-    bulk.writelog.bulk_load(bytes(gen.buf[:gen.tail_slots * 64]), recs)
-    report_bulk = bulk.recover()
 
-    assert (report_obj.entries_scanned, report_obj.entries_flushed,
-            report_obj.entries_discarded) == \
-           (report_bulk.entries_scanned, report_bulk.entries_flushed,
-            report_bulk.entries_discarded)
-    for lpa in range(64):
-        assert obj.block_read(lpa) == bulk.block_read(lpa)
+def test_recover_orders_plain_write_after_earlier_commit():
+    mssd = Mssd(small_config(), auto_clean=False)
+    t = mssd.tx_begin()
+    mssd.tx_write(t, 0, b"\x01" * 64)
+    mssd.tx_commit(t)
+    mssd.byte_write(0, b"\x02" * 64)
+    assert mssd.byte_read(0, 64) == b"\x02" * 64
+    after = crash_clone(mssd)
+    after.recover()
+    assert after.byte_read(0, 64) == b"\x02" * 64
+
+
+def test_power_cut_inside_clean_keeps_committed_pages():
+    class PowerCut(Exception):
+        pass
+
+    mssd = Mssd(small_config(write_buffer_bytes=4096), auto_clean=False)
+    for lpa in range(4):
+        mssd.byte_write(lpa * 4096, bytes([lpa + 1]) * 64)
+    clone = crash_clone(mssd)
+    write_pages = clone.device.write_pages
+    batches = []
+
+    def cut_after_first_batch(requests):
+        batches.append(requests)
+        if len(batches) > 1:
+            raise PowerCut
+        write_pages(requests)
+
+    clone.device.write_pages = cut_after_first_batch
+    with pytest.raises(PowerCut):
+        clone.clean()
+    after = crash_clone(clone)
+    after.recover()
+    for lpa in range(4):
+        assert after.byte_read(lpa * 4096, 64) == bytes([lpa + 1]) * 64

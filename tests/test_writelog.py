@@ -20,7 +20,7 @@ def test_one_byte_write_consumes_full_slot_with_length_one(mssd):
     mssd.byte_write(0, b"\x42")
     gen = mssd.writelog.active_gen
     assert gen.tail_slots == 1
-    assert gen.slots[0].length == 1
+    assert gen.entries["length"][0] == 1
 
 
 def test_two_cacheline_writes_visible_through_block_read(mssd):
@@ -211,7 +211,7 @@ def test_clean_after_clean_leaves_only_uncommitted(mssd_noauto):
     mssd.clean()
     gen = mssd.writelog.active_gen
     assert gen.tail_slots == 1
-    assert gen.slots[0].txid == txid
+    assert gen.entries["txid"][0] == txid
 
 
 def test_commit_order_wins_at_flush(mssd_noauto):
