@@ -16,8 +16,11 @@ cache hits produce zero device traffic.
 
 from __future__ import annotations
 
+import re
 import struct
 import threading
+
+import numpy as np
 
 from .device import CACHELINE, DeviceConfig, GiB
 from .errors import (
@@ -41,6 +44,32 @@ WRITEBACK_BYTE_NUM = 1           # byte path iff dirty/total < 1/8
 WRITEBACK_BYTE_DEN = 8
 
 DEFAULT_CACHE_BYTES = 8 * GiB
+
+_NOT_FULL = re.compile(rb"[^\xff]")
+
+
+def _first_clear(bitmap: bytearray, lo: int, hi: int) -> int | None:
+    """Index of the lowest clear bit in [lo, hi) of `bitmap`, or None.
+    Bytes with all eight bits set are skipped by the regex engine."""
+    if lo >= hi:
+        return None
+    pos = lo // 8
+    free = ~bitmap[pos] & (0xff << (lo % 8)) & 0xff
+    if not free:
+        match = _NOT_FULL.search(bitmap, pos + 1, (hi + 7) // 8)
+        if match is None:
+            return None
+        pos = match.start()
+        free = ~bitmap[pos] & 0xff
+    idx = pos * 8 + (free & -free).bit_length() - 1
+    return idx if idx < hi else None
+
+
+def _set_bits(bitmap: bytearray, lo: int, hi: int) -> list[int]:
+    """Indices of the set bits in [lo, hi) of `bitmap`, ascending."""
+    bits = np.unpackbits(np.frombuffer(bitmap, dtype=np.uint8),
+                         count=hi, bitorder="little")
+    return (np.flatnonzero(bits[lo:]) + lo).tolist()
 
 
 def make_mssd(config: DeviceConfig | None = None, mode: str = "full",
@@ -287,27 +316,30 @@ class ByteFS:
         self._meta_write(addr, data, "bitmap")
 
     def _alloc_ino(self) -> int:
-        for ino in range(ROOT_INO + 1, self.sb.inode_count):
-            if not self._bit(self._ibmp, ino):
-                self._set_bit(self._ibmp, ino, True)
-                self._persist_bitmap_group("inode", ino)
-                return ino
-        raise SpaceExhausted("no free inodes")
+        ino = _first_clear(self._ibmp, ROOT_INO + 1, self.sb.inode_count)
+        if ino is None:
+            raise SpaceExhausted("no free inodes")
+        self._set_bit(self._ibmp, ino, True)
+        self._persist_bitmap_group("inode", ino)
+        return ino
 
     def _free_ino(self, ino: int) -> None:
         self._set_bit(self._ibmp, ino, False)
         self._persist_bitmap_group("inode", ino)
 
     def _alloc_block(self) -> int:
+        """First free block at or after the hint, else from the start of
+        the data region."""
         sb = self.sb
-        for blk in list(range(self._alloc_hint, sb.total_blocks)) + \
-                list(range(sb.data_start, self._alloc_hint)):
-            if not self._bit(self._bbmp, blk):
-                self._set_bit(self._bbmp, blk, True)
-                self._persist_bitmap_group("block", blk)
-                self._alloc_hint = blk + 1
-                return blk
-        raise SpaceExhausted("no free blocks")
+        blk = _first_clear(self._bbmp, self._alloc_hint, sb.total_blocks)
+        if blk is None:
+            blk = _first_clear(self._bbmp, sb.data_start, self._alloc_hint)
+        if blk is None:
+            raise SpaceExhausted("no free blocks")
+        self._set_bit(self._bbmp, blk, True)
+        self._persist_bitmap_group("block", blk)
+        self._alloc_hint = blk + 1
+        return blk
 
     def _free_block(self, blk: int) -> None:
         self._set_bit(self._bbmp, blk, False)
@@ -973,16 +1005,16 @@ class ByteFS:
                             f"{2 + subdirs}")
 
             visit(ROOT_INO, "")
-            for ino in range(ROOT_INO, sb.inode_count):
-                if self._bit(self._ibmp, ino) and ino not in seen_inos:
+            for ino in _set_bits(self._ibmp, ROOT_INO, sb.inode_count):
+                if ino not in seen_inos:
                     problems.append(f"inode {ino} allocated but unreachable")
             for blk, count in block_refs.items():
                 if count > 1:
                     problems.append(f"block {blk} referenced {count} times")
                 if not self._bit(self._bbmp, blk):
                     problems.append(f"block {blk} referenced but not allocated")
-            for blk in range(sb.data_start, sb.total_blocks):
-                if self._bit(self._bbmp, blk) and blk not in block_refs:
+            for blk in _set_bits(self._bbmp, sb.data_start, sb.total_blocks):
+                if blk not in block_refs:
                     problems.append(f"block {blk} allocated but unreferenced")
             return problems
 

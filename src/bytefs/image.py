@@ -6,8 +6,9 @@ crc32 u32}.  Sections: flash pages, FTL map, log region (generation id,
 entry count, 64B payload slots), log sidecar (the write log's sidecar
 array, `writelog.SIDECAR_DTYPE` rows), TxLog (txids, then their commit
 stamps), clock.  The log sections are copies of the write log's own
-arrays.  Used for crash-injection snapshots: host state (TxTable, caches)
-is deliberately not part of the image.
+arrays, and empty for a device without a write log.  Used for
+crash-injection snapshots: host state (TxTable, caches) is deliberately
+not part of the image.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ def save(mssd: Mssd, target) -> None:
     buf.write(struct.pack("<Q", ftl._next_unused))
     _write_section(out, SEC_FTL, buf.getvalue())
 
-    gen = mssd.writelog.active_gen
+    gen = (mssd.writelog.active_gen if mssd.log_enabled
+           else LogGeneration(0, 0))
     _write_section(out, SEC_LOG_REGION,
                    struct.pack("<IQ", gen.gen_id, gen.tail_slots) + gen.buf)
     _write_section(out, SEC_LOG_INDEX, gen.entries.tobytes())
@@ -168,8 +170,12 @@ def load(source, *, log_enabled: bool = True, shadow_oracle: bool = False,
             or tail_slots > cfg.log_region_bytes // CACHELINE:
         raise RecoveryFailed("log region and sidecar disagree",
                              section_id=SEC_LOG_INDEX)
-    mssd.writelog.install(LogGeneration(gen_id, cfg.log_region_bytes,
-                                        buf, side))
+    if log_enabled:
+        mssd.writelog.install(LogGeneration(gen_id, cfg.log_region_bytes,
+                                            buf, side))
+    elif tail_slots:
+        raise InvalidArgument("image holds write-log entries; load it with "
+                              "the log enabled")
 
     payload = _read_section(f, SEC_TXLOG)
     (count,) = struct.unpack_from("<Q", payload, 0)

@@ -1,10 +1,11 @@
 """Facade over the emulated M-SSD: dual byte/block interface, firmware
 write log, transaction log, and optional shadow oracle for testing.
 
-With the log disabled (`log_enabled=False`) byte writes are applied with
-a page-granular read-modify-write, emulating a device that keeps only a
-write-through page buffer in its DRAM.  Host-interface traffic is always
-accounted here: byte traffic in 64B units, block traffic in pages.
+With the log disabled (`log_enabled=False`) there is no write log: byte
+writes are applied with a page-granular read-modify-write, emulating a
+device that keeps only a write-through page buffer in its DRAM, and a
+clean or a recovery only clears the TxLog.  Host-interface traffic is
+always accounted here: byte traffic in 64B units, block traffic in pages.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ class Mssd:
         self.config = self.device.config
         self.log_enabled = log_enabled
         self._stamp = 0
-        self.writelog = WriteLog(self.device, self.next_stamp)
+        self.writelog = (WriteLog(self.device, self.next_stamp)
+                         if log_enabled else None)
         self.txlog = TxLog(self.config.txlog_bytes)
         self.txmgr = TxManager(self, conflict_granularity=conflict_granularity)
-        if auto_clean:
+        if auto_clean and log_enabled:
             self.writelog.auto_clean_cb = self.clean
         self.shadow: dict[int, bytearray] | None = {} if shadow_oracle else None
 
@@ -163,6 +165,9 @@ class Mssd:
     # -- firmware services -------------------------------------------------
 
     def clean(self) -> CleanReport:
+        if not self.log_enabled:
+            self.txlog.clear()
+            return CleanReport()
         return self.writelog.clean(self.txlog, self.txmgr.active_txids())
 
     def recover(self):
@@ -170,10 +175,11 @@ class Mssd:
 
     def reset_log(self) -> None:
         """Drop the log region and its index (end of recovery)."""
-        self.writelog.new_generation()
+        if self.log_enabled:
+            self.writelog.new_generation()
 
     def utilization(self) -> float:
-        return self.writelog.utilization()
+        return self.writelog.utilization() if self.log_enabled else 0.0
 
     def traffic_snapshot(self) -> TrafficCounters:
         return self.device.traffic_snapshot()

@@ -3,9 +3,11 @@
 A page's pre-modification content is snapshotted into a duplicate on the
 first write after load/writeback; the writeback interface choice XORs
 current against duplicate at 64B granularity.  Eviction is LRU and
-writes back dirty victims through a callback.  Duplicates are capped at
-a fraction of cache capacity; exceeding the cap forces writeback of the
-oldest duplicated pages.
+writes back dirty victims through a callback.  Each inode's pages are
+also kept in their own LRU-ordered map, so fsync and unlink touch only
+that inode's pages.  Duplicates are capped at a fraction of cache
+capacity; exceeding the cap forces writeback of the oldest duplicated
+pages.
 """
 
 from __future__ import annotations
@@ -55,25 +57,30 @@ class PageCache:
         self.capacity_pages = max(8, capacity_bytes // page_size)
         self.writeback_cb = writeback_cb
         self.pages: OrderedDict[tuple[int, int], CachedPage] = OrderedDict()
+        # ino -> page index -> page, in the order of `pages`
+        self.by_ino: dict[int, OrderedDict[int, CachedPage]] = {}
 
     def get(self, ino: int, index: int) -> CachedPage | None:
         page = self.pages.get((ino, index))
         if page is not None:
             self.pages.move_to_end((ino, index))
+            self.by_ino[ino].move_to_end(index)
         return page
 
     def insert(self, ino: int, index: int, data: bytearray) -> CachedPage:
         page = CachedPage(ino, index, data)
         self.pages[(ino, index)] = page
+        self.by_ino.setdefault(ino, OrderedDict())[index] = page
         self._enforce_limits()
         return page
 
     def drop_inode(self, ino: int) -> None:
-        for key in [k for k in self.pages if k[0] == ino]:
-            del self.pages[key]
+        for index in self.by_ino.pop(ino, ()):
+            del self.pages[(ino, index)]
 
     def dirty_pages(self, ino: int) -> list[CachedPage]:
-        return [p for (i, _), p in self.pages.items() if i == ino and p.dirty]
+        """The inode's dirty pages, least recently used first."""
+        return [p for p in self.by_ino.get(ino, {}).values() if p.dirty]
 
     def _enforce_limits(self) -> None:
         while len(self.pages) > self.capacity_pages:
@@ -81,6 +88,10 @@ class PageCache:
             if victim.dirty:
                 self.writeback_cb(victim)
             del self.pages[key]
+            pages = self.by_ino[victim.ino]
+            del pages[victim.index]
+            if not pages:
+                del self.by_ino[victim.ino]
         dup_cap = max(2, int(self.capacity_pages * DUPLICATE_CAP_FRACTION))
         dups = [p for p in self.pages.values() if p.duplicate is not None]
         if len(dups) > dup_cap:

@@ -172,7 +172,12 @@ def recover(mssd) -> RecoveryReport:
     """Full log-region scan after a crash: discard uncommitted entries,
     flush committed ones to flash in commit order, then clear the log
     region and TxLog.  Exclusive; no concurrent foreground traffic.
+    Without a write log there is nothing to merge; only the TxLog is
+    cleared.
     """
+    if not mssd.log_enabled:
+        mssd.txlog.clear()
+        return RecoveryReport()
     start_ns = mssd.device.clock.now_ns
     log = mssd.writelog
     keep, key = log.commit_order(mssd.txlog)

@@ -2,14 +2,18 @@ import random
 import types
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from bytefs.device import CACHELINE
 from bytefs.errors import (
     AlreadyExists, DirectoryNotEmpty, FsError, InvalidArgument, IsADirectory,
-    NotADirectory, NotFound, StateError,
+    NotADirectory, NotFound, SpaceExhausted, StateError,
 )
-from bytefs.fs import MODES, ByteFS, make_mssd, mkfs, recover_fs
+from bytefs.fs import (
+    MODES, ByteFS, _first_clear, _set_bits, make_mssd, mkfs, recover_fs,
+)
 from bytefs.image import crash_clone
+from bytefs.layout import ROOT_INO
 
 from conftest import small_config
 from refmodel import RefFS
@@ -404,6 +408,180 @@ def test_fsck_detects_bad_link_count():
     fs.mkdir("/d")
     fs._load_inode(fs.lookup("/d").ino).links = 7
     assert any("links" in p for p in fs.fsck())
+
+
+def test_fsck_reports_each_bitmap_fault_exactly():
+    fs = make_fs()
+    for path in ("/a", "/b"):
+        fs.create(path)
+        write_file(fs, path, 0, b"x" * 8192)
+        fsync_file(fs, path)
+    sb = fs.sb
+    a, b = fs.lookup("/a"), fs.lookup("/b")
+    assert (sb.data_start, sb.total_blocks, sb.inode_count) == (99, 2048, 1024)
+    assert (a.ino, a.all_blocks(), b.ino) == (3, [100, 101], 4)
+    fs._set_bit(fs._ibmp, b.ino, False)             # reachable, not allocated
+    fs._set_bit(fs._ibmp, 40, True)                 # allocated, unreachable
+    fs._set_bit(fs._ibmp, sb.inode_count - 1, True)
+    fs._set_bit(fs._bbmp, 101, False)               # referenced, not allocated
+    fs._set_bit(fs._bbmp, sb.data_start + 100, True)  # allocated, unreferenced
+    fs._set_bit(fs._bbmp, sb.total_blocks - 1, True)  # ... the last data block
+    fs._set_bit(fs._bbmp, sb.total_blocks, True)    # padding: not a block
+    fs._set_bit(fs._ibmp, sb.inode_count, True)     # padding: not an inode
+    assert fs.fsck() == [
+        "inode 4 in use but not allocated (/b)",
+        "inode 40 allocated but unreachable",
+        "inode 1023 allocated but unreachable",
+        "block 101 referenced but not allocated",
+        "block 199 allocated but unreferenced",
+        "block 2047 allocated but unreferenced",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# allocation policy against a reference scan
+
+TINY_BLOCKS = 125  # not a multiple of 8: the last bitmap byte has padding
+
+
+def make_tiny_fs(inode_count=64):
+    """A device of TINY_BLOCKS blocks whose data region starts at block 13."""
+    mssd = make_mssd(small_config(capacity_bytes=TINY_BLOCKS * 4096), "full")
+    mkfs(mssd, inode_count=inode_count, journal_blocks=8)
+    fs = ByteFS(mssd, mode="full")
+    fs.mount()
+    return fs
+
+
+def first_fit_ref(bitmap, start, stop, wrap_from=None):
+    """The allocation policy as a plain bit-by-bit scan: the first clear
+    bit in [start, stop), else the first clear bit in [wrap_from, start)."""
+    order = list(range(start, stop))
+    if wrap_from is not None:
+        order += range(wrap_from, start)
+    for idx in order:
+        if not bitmap[idx // 8] >> (idx % 8) & 1:
+            return idx
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(bitmap=st.lists(st.one_of(st.just(0xff), st.integers(0, 255)),
+                       max_size=40).map(bytearray),
+       data=st.data())
+def test_bitmap_scans_match_bit_loops(bitmap, data):
+    lo = data.draw(st.integers(0, 8 * len(bitmap)), label="lo")
+    hi = data.draw(st.integers(0, 8 * len(bitmap)), label="hi")
+    assert _first_clear(bitmap, lo, hi) == first_fit_ref(bitmap, lo, hi)
+    assert _set_bits(bitmap, lo, hi) == [
+        i for i in range(lo, hi) if bitmap[i // 8] >> (i % 8) & 1]
+
+
+def check_allocations(fs):
+    """Make `fs` compare every block and inode it hands out, and every
+    refusal, with `first_fit_ref`.  Returns the list of (kind, number)
+    handed out, in order."""
+    handed = []
+    real_block, real_ino = fs._alloc_block, fs._alloc_ino
+
+    def checked(kind, real, want):
+        try:
+            got = real()
+        except SpaceExhausted:
+            assert want is None
+            raise
+        assert got == want
+        handed.append((kind, got))
+        return got
+
+    def alloc_block():
+        sb = fs.sb
+        return checked("block", real_block, first_fit_ref(
+            fs._bbmp, fs._alloc_hint, sb.total_blocks, sb.data_start))
+
+    def alloc_ino():
+        return checked("inode", real_ino, first_fit_ref(
+            fs._ibmp, ROOT_INO + 1, fs.sb.inode_count))
+
+    fs._alloc_block, fs._alloc_ino = alloc_block, alloc_ino
+    return handed
+
+
+@settings(max_examples=100, deadline=None)
+@given(hint=st.integers(0, TINY_BLOCKS),
+       ops=st.lists(st.tuples(st.sampled_from(("create", "write", "write",
+                                               "unlink")),
+                              st.integers(0, 63), st.integers(0, 31),
+                              st.integers(1, 12)),
+                    min_size=30, max_size=120))
+def test_allocator_matches_first_fit_reference(hint, ops):
+    fs = make_tiny_fs(inode_count=32)  # 29 free inodes
+    handed = check_allocations(fs)
+    # start anywhere in the data region, so that short runs wrap too
+    fs._alloc_hint = max(hint, fs.sb.data_start)
+    live = []
+    try:
+        for i, (op, k, page, npages) in enumerate(ops):
+            if op == "create":
+                live.append(f"/f{i}")
+                fs.create(live[-1])
+            elif op == "write" and live:
+                fd = fs.open(live[k % len(live)])
+                fs.write(fd, page * 4096, bytes([k + 1]) * (npages * 4096 - k))
+                fs.fsync(fd)
+                fs.close(fd)
+            elif op == "unlink" and live:
+                fs.unlink(live.pop(k % len(live)))
+    except SpaceExhausted as exc:
+        event(f"refused: {exc}")
+        return
+    finally:
+        blocks = [num for kind, num in handed if kind == "block"]
+        if any(b < a for a, b in zip(blocks, blocks[1:])):
+            event("wrapped below the hint")
+    assert all(num < TINY_BLOCKS for num in blocks)
+    assert fs.fsck() == []
+
+
+def test_alloc_block_wraps_below_hint_and_never_returns_padding():
+    fs = make_tiny_fs()
+    handed = check_allocations(fs)
+    sb = fs.sb
+    fs.create("/a")
+    write_file(fs, "/a", 0, b"a" * 4096)
+    fsync_file(fs, "/a")
+    low = fs.lookup("/a").all_blocks()[0]
+    fs.create("/big")
+    free = sb.total_blocks - sum(bin(x).count("1") for x in fs._bbmp)
+    write_file(fs, "/big", 0, b"b" * (free * 4096))
+    fsync_file(fs, "/big")
+    assert handed[-1] == ("block", sb.total_blocks - 1)
+    assert fs._alloc_hint == sb.total_blocks
+    fs.unlink("/a")
+    fs.create("/c")
+    write_file(fs, "/c", 0, b"c" * 4096)
+    fsync_file(fs, "/c")
+    assert handed[-1] == ("block", low)
+    write_file(fs, "/c", 4096, b"d" * 4096)
+    with pytest.raises(SpaceExhausted):
+        fsync_file(fs, "/c")
+    assert all(num < sb.total_blocks for kind, num in handed
+               if kind == "block")
+
+
+def test_alloc_ino_takes_lowest_free_and_exhausts():
+    fs = make_tiny_fs(inode_count=32)
+    handed = check_allocations(fs)
+    for i in range(29):
+        fs.create(f"/f{i}")
+    assert [n for kind, n in handed if kind == "inode"] == list(range(3, 32))
+    with pytest.raises(SpaceExhausted):
+        fs.create("/full")
+    fs.unlink("/f5")
+    fs.unlink("/f2")
+    assert fs.create("/g") == 5
+    assert fs.create("/h") == 8
+    assert fs.fsck() == []
 
 
 # ---------------------------------------------------------------------------
