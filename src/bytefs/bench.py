@@ -12,9 +12,11 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .device import CACHELINE, CATEGORIES, DeviceConfig, GiB, KiB, MiB
+from .device import (
+    CATEGORIES, DeviceConfig, GiB, KiB, MiB, TrafficCounters,
+)
 from .errors import FsError, InvalidArgument
 from .fs import JOURNAL_MODES, MODES, ByteFS, make_mssd, mkfs, recover_fs
 from .image import crash_clone
@@ -328,8 +330,6 @@ class RunReport:
     log_utilization: float = 0.0
     fsck_problems: int = 0
 
-    DIRECTIONS = ("host_to_ssd", "ssd_to_host", "flash_read", "flash_write")
-
     def emit(self) -> str:
         lines = [
             f"run.profile {self.profile}",
@@ -342,7 +342,7 @@ class RunReport:
             f"run.log_utilization {self.log_utilization:.4f}",
             f"run.fsck_problems {self.fsck_problems}",
         ]
-        for d in self.DIRECTIONS:
+        for d in TrafficCounters.DIRECTIONS:
             lines.append(f"traffic.{d}.total {sum(self.traffic[d].values())}")
             for cat in CATEGORIES:
                 lines.append(f"traffic.{d}.{cat} {self.traffic[d][cat]}")
@@ -357,15 +357,16 @@ class RunReport:
                 f"log utilization: {self.log_utilization:.1%}"]
         width = max(len(c) for c in CATEGORIES)
         header = "category".ljust(width) + "".join(
-            f"{d:>14}" for d in self.DIRECTIONS)
+            f"{d:>14}" for d in TrafficCounters.DIRECTIONS)
         rows.append(header)
         for cat in CATEGORIES:
-            vals = [self.traffic[d][cat] for d in self.DIRECTIONS]
+            vals = [self.traffic[d][cat] for d in TrafficCounters.DIRECTIONS]
             if not any(vals):
                 continue
             rows.append(cat.ljust(width) + "".join(f"{v:>14}" for v in vals))
         rows.append("total".ljust(width) + "".join(
-            f"{sum(self.traffic[d].values()):>14}" for d in self.DIRECTIONS))
+            f"{sum(self.traffic[d].values()):>14}"
+            for d in TrafficCounters.DIRECTIONS))
         return "\n".join(rows) + "\n"
 
 
@@ -412,7 +413,8 @@ def replay(fs: ByteFS, records: list[TraceRecord],
         ops=len(records),
         sim_ns=fs.mssd.clock_ns - sim_start,
         wall_s=wall,
-        traffic={d: dict(delta.by_category[d]) for d in RunReport.DIRECTIONS},
+        traffic={d: dict(delta.by_category[d])
+                 for d in TrafficCounters.DIRECTIONS},
         log_utilization=fs.mssd.utilization(),
         fsck_problems=len(problems),
     )
@@ -564,12 +566,12 @@ def sweep(spec: WorkloadSpec, config: DeviceConfig | None = None,
 
 
 def sweep_table(reports: dict[str, RunReport]) -> str:
-    cols = ("host_to_ssd", "ssd_to_host", "flash_read", "flash_write")
-    rows = ["mode".ljust(12) + "".join(f"{c:>14}" for c in cols)
-            + f"{'sim_ms':>12}"]
+    rows = ["mode".ljust(12) + "".join(
+        f"{d:>14}" for d in TrafficCounters.DIRECTIONS) + f"{'sim_ms':>12}"]
     for mode, rep in reports.items():
         rows.append(mode.ljust(12) + "".join(
-            f"{sum(rep.traffic[c].values()):>14}" for c in cols)
+            f"{sum(rep.traffic[d].values()):>14}"
+            for d in TrafficCounters.DIRECTIONS)
             + f"{rep.sim_ns / 1e6:>12.3f}")
     return "\n".join(rows) + "\n"
 
@@ -589,13 +591,8 @@ def sweep_emit(reports: dict[str, RunReport]) -> str:
 _SIZE_SUFFIXES = {"kib": KiB, "mib": MiB, "gib": GiB,
                   "k": KiB, "m": MiB, "g": GiB}
 
-DEVICE_KEYS = {
-    "capacity_bytes", "page_size", "channel_count",
-    "flash_read_latency_ns", "flash_write_latency_ns",
-    "cacheline_read_latency_ns", "cacheline_write_latency_ns",
-    "log_region_bytes", "txlog_bytes", "write_buffer_bytes",
-    "clean_threshold",
-}
+# DeviceConfig field -> the type of its default value
+DEVICE_KEYS = {f.name: type(f.default) for f in fields(DeviceConfig)}
 FS_KEYS = {"mode", "journal", "cache_bytes"}
 WORKLOAD_KEYS = {"profile", "seed", "ops", "threads", "io_size", "file_size"}
 
@@ -603,7 +600,7 @@ WORKLOAD_KEYS = {"profile", "seed", "ops", "threads", "io_size", "file_size"}
 def _parse_value(key: str, raw: str):
     if key in ("mode", "journal", "profile"):
         return raw
-    if key == "clean_threshold":
+    if DEVICE_KEYS.get(key) is float:
         return float(raw)
     low = raw.lower()
     for suffix, mult in _SIZE_SUFFIXES.items():
@@ -614,7 +611,7 @@ def _parse_value(key: str, raw: str):
 
 def parse_config_text(text: str) -> dict:
     """``key = value`` lines; '#' comments; unknown keys are errors."""
-    known = DEVICE_KEYS | FS_KEYS | WORKLOAD_KEYS
+    known = DEVICE_KEYS.keys() | FS_KEYS | WORKLOAD_KEYS
     out: dict = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()

@@ -10,7 +10,7 @@ the per-channel serial sums.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import AddressFault, InvalidArgument, SpaceExhausted
 
@@ -35,6 +35,18 @@ CATEGORIES = (
 
 # Over-provisioned physical pages beyond logical capacity (1/16).
 OVERPROVISION_DIVISOR = 16
+
+
+def spans(offset: int, length: int, size: int):
+    """Split the range [offset, offset + length) at multiples of `size`.
+    Yields (unit index, offset in unit, length, offset in range) per piece,
+    in address order."""
+    pos = 0
+    while pos < length:
+        unit, off = divmod(offset + pos, size)
+        take = min(size - off, length - pos)
+        yield unit, off, take, pos
+        pos += take
 
 
 @dataclass
@@ -113,10 +125,6 @@ class TrafficCounters:
     @property
     def host_to_ssd_bytes(self) -> int:
         return self.total("host_to_ssd")
-
-    @property
-    def ssd_to_host_bytes(self) -> int:
-        return self.total("ssd_to_host")
 
     @property
     def flash_read_bytes(self) -> int:

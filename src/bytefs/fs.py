@@ -16,13 +16,14 @@ cache hits produce zero device traffic.
 
 from __future__ import annotations
 
+import contextlib
 import re
 import struct
 import threading
 
 import numpy as np
 
-from .device import CACHELINE, DeviceConfig, GiB
+from .device import CACHELINE, DeviceConfig, GiB, spans
 from .errors import (
     AlreadyExists, DirectoryNotEmpty, FsError, InvalidArgument, IsADirectory,
     NotADirectory, NotFound, SpaceExhausted, StateError,
@@ -30,8 +31,7 @@ from .errors import (
 from .layout import (
     INLINE_EXTENTS, INODE_SIZE, ITYPE_DIR, ITYPE_FILE, JOURNAL_COMMIT_MAGIC,
     JOURNAL_DEAD_MAGIC, JOURNAL_DESC_MAGIC, MAX_NAME, ROOT_INO, ExtentLeaf,
-    Inode, Superblock, dentry_record_size, fnv1a_64, pack_dentry,
-    unpack_dentry,
+    Inode, Superblock, pack_dentry, unpack_dentry,
 )
 from .mssd import Mssd
 from .pagecache import CachedPage, PageCache
@@ -154,15 +154,15 @@ class _Txn:
     whole when the operation closes.
     """
 
-    def __init__(self, fs: "ByteFS"):
-        self.fs = fs
+    def __init__(self, mssd: Mssd):
+        self.mssd = mssd
         self.txid: int | None = None
         self.blocks: dict[int, str] = {}  # blk -> category (block_only)
         self.journaled: list[tuple[int, bytes]] = []
 
     def device_txid(self) -> int:
         if self.txid is None:
-            self.txid = self.fs.mssd.tx_begin()
+            self.txid = self.mssd.tx_begin()
         return self.txid
 
 
@@ -182,7 +182,6 @@ class ByteFS:
         self.sb: Superblock | None = None
         self._lock = threading.RLock()
         self._txn: _Txn | None = None
-        self._txn_depth = 0
 
     # ------------------------------------------------------------------
     # mount / mode
@@ -190,13 +189,6 @@ class ByteFS:
     @property
     def byte_metadata(self) -> bool:
         return self.mode != "block_only"
-
-    def set_mode(self, mode: str) -> None:
-        if self.mounted:
-            raise StateError("mode is fixed while mounted")
-        if mode not in MODES:
-            raise InvalidArgument(f"unknown mode {mode!r}")
-        self.mode = mode
 
     def mount(self) -> None:
         if self.mounted:
@@ -219,7 +211,6 @@ class ByteFS:
         self._inodes: dict[int, Inode] = {}
         self._dirs: dict[int, dict[bytes, tuple]] = {}  # ino -> name -> entry
         self._dir_tombstones: dict[int, list[tuple]] = {}
-        self._name_cache: dict[tuple[int, int], list] = {}
         self._meta_dirty: dict[int, set] = {}  # ino -> {"time", "size"}
         self._fds: dict[int, _OpenFile] = {}
         self._next_fd = 3
@@ -232,32 +223,48 @@ class ByteFS:
     # ------------------------------------------------------------------
     # transaction plumbing
 
+    @contextlib.contextmanager
     def _op(self):
-        return _OpGuard(self)
+        """One transaction for the outermost file-system operation; a
+        nested one (an eviction's writeback) joins it.  Aborted if the
+        operation raises, else journaled, committed (or its dirty metadata
+        blocks written) and checkpointed when it ends."""
+        self._check_mounted()
+        if self._txn is not None:
+            yield self._txn
+            return
+        txn = self._txn = _Txn(self.mssd)
+        try:
+            yield txn
+        except BaseException:
+            if txn.txid is not None:
+                self.mssd.tx_abort(txn.txid)
+            raise
+        finally:
+            self._txn = None
+        if txn.journaled:
+            self._journal_write(txn)
+        if self.byte_metadata:
+            if txn.txid is not None:
+                self.mssd.tx_commit(txn.txid)
+        else:
+            self._flush_block_txn(txn)
+        if txn.journaled:
+            self._journal_checkpoint(txn)
 
     def _meta_write(self, addr: int, data: bytes, category: str) -> None:
         """Update the host mirror and persist per the mount mode."""
         self._mirror_write(addr, data)
-        bs = self.sb.block_size
         if self.byte_metadata:
             txid = self._txn.device_txid()
             self.mssd.tx_write(txid, addr, data, category=category)
         else:
-            first = addr // bs
-            last = (addr + len(data) - 1) // bs
-            for blk in range(first, last + 1):
+            for blk, _, _, _ in spans(addr, len(data), self.sb.block_size):
                 self._txn.blocks[blk] = category
 
     def _mirror_write(self, addr: int, data: bytes) -> None:
-        bs = self.sb.block_size
-        pos = 0
-        while pos < len(data):
-            blk = (addr + pos) // bs
-            off = (addr + pos) % bs
-            take = min(bs - off, len(data) - pos)
-            mirror = self._block_mirror(blk)
-            mirror[off:off + take] = data[pos:pos + take]
-            pos += take
+        for blk, off, take, pos in spans(addr, len(data), self.sb.block_size):
+            self._block_mirror(blk)[off:off + take] = data[pos:pos + take]
 
     def _block_mirror(self, blk: int) -> bytearray:
         sb = self.sb
@@ -543,24 +550,10 @@ class ByteFS:
     def _lookup_child(self, parent: Inode, name: bytes) -> Inode:
         if parent.itype != ITYPE_DIR:
             raise NotADirectory(name.decode(errors="replace"))
-        key = (parent.ino, fnv1a_64(name))
-        cached = self._name_cache.get(key)
-        if cached:
-            for cname, ino in cached:
-                if cname == name:
-                    return self._load_inode(ino)
-        entries = self._load_dir(parent.ino)
-        entry = entries.get(name)
+        entry = self._load_dir(parent.ino).get(name)
         if entry is None:
             raise NotFound(name.decode(errors="replace"))
-        self._name_cache.setdefault(key, []).append((name, entry[0]))
         return self._load_inode(entry[0])
-
-    def _invalidate_name(self, parent_ino: int, name: bytes) -> None:
-        key = (parent_ino, fnv1a_64(name))
-        cached = self._name_cache.get(key)
-        if cached:
-            self._name_cache[key] = [e for e in cached if e[0] != name]
 
     # ------------------------------------------------------------------
     # namespace operations
@@ -634,7 +627,6 @@ class ByteFS:
 
     def _remove_inode(self, parent: Inode, name: bytes, target: Inode) -> None:
         self._dir_remove(parent, name)
-        self._invalidate_name(parent.ino, name)
         for blk in target.all_blocks():
             self._free_block(blk)
         if target.spill_block:
@@ -666,7 +658,6 @@ class ByteFS:
                     raise NotADirectory(new)
                 self._remove_inode(new_parent, new_name, existing)
             self._dir_remove(old_parent, old_name)
-            self._invalidate_name(old_parent.ino, old_name)
             self._dir_add(new_parent, new_name, target.ino, target.itype)
             if target.itype == ITYPE_DIR and old_parent.ino != new_parent.ino:
                 old_parent.links -= 1
@@ -718,15 +709,10 @@ class ByteFS:
             if offset >= inode.size:
                 return b""
             length = min(length, inode.size - offset)
-            bs = self.sb.block_size
             out = bytearray()
-            pos = offset
-            while pos < offset + length:
-                page = self._get_page(inode, pos // bs)
-                off = pos % bs
-                take = min(bs - off, offset + length - pos)
-                out += page.data[off:off + take]
-                pos += take
+            for index, off, take, _ in spans(offset, length,
+                                             self.sb.block_size):
+                out += self._get_page(inode, index).data[off:off + take]
             return bytes(out)
 
     def write(self, fd: int, offset: int, data: bytes) -> int:
@@ -734,15 +720,11 @@ class ByteFS:
             handle, inode = self._file(fd)
             if handle.direct:
                 return self._direct_write(inode, offset, data)
-            bs = self.sb.block_size
-            pos = offset
-            while pos < offset + len(data):
-                page = self._get_page(inode, pos // bs)
-                off = pos % bs
-                take = min(bs - off, offset + len(data) - pos)
+            for index, off, take, pos in spans(offset, len(data),
+                                               self.sb.block_size):
+                page = self._get_page(inode, index)
                 page.note_modify()
-                page.data[off:off + take] = data[pos - offset:pos - offset + take]
-                pos += take
+                page.data[off:off + take] = data[pos:pos + take]
             grew = offset + len(data) > inode.size
             if grew:
                 inode.size = offset + len(data)
@@ -756,44 +738,29 @@ class ByteFS:
             return b""
         length = min(length, inode.size - offset)
         bs = self.sb.block_size
-        if self.mode == "full" and length <= DIRECT_BYTE_LIMIT:
-            out = bytearray()
-            pos = offset
-            while pos < offset + length:
-                take = min(bs - pos % bs, offset + length - pos)
-                lba = inode.block_for(pos // bs * bs, bs)
-                if lba is None:
-                    out += bytes(take)
-                else:
-                    out += self.mssd.byte_read(lba * bs + pos % bs, take,
-                                               category="data")
-                pos += take
-            return bytes(out)
+        use_byte = self.mode == "full" and length <= DIRECT_BYTE_LIMIT
         out = bytearray()
-        pos = offset
-        while pos < offset + length:
-            lba = inode.block_for(pos // bs * bs, bs)
-            page = (self.mssd.block_read(lba, category="data")
-                    if lba is not None else bytes(bs))
-            off = pos % bs
-            take = min(bs - off, offset + length - pos)
-            out += page[off:off + take]
-            pos += take
+        for index, off, take, _ in spans(offset, length, bs):
+            lba = inode.block_for(index * bs, bs)
+            if lba is None:
+                out += bytes(take)
+            elif use_byte:
+                out += self.mssd.byte_read(lba * bs + off, take,
+                                           category="data")
+            else:
+                page = self.mssd.block_read(lba, category="data")
+                out += page[off:off + take]
         return bytes(out)
 
     def _direct_write(self, inode: Inode, offset: int, data: bytes) -> int:
         bs = self.sb.block_size
         with self._op():
             use_byte = self.mode == "full" and len(data) <= DIRECT_BYTE_LIMIT
-            pos = offset
             meta_changed = False
-            while pos < offset + len(data):
-                index = pos // bs
+            for index, off, take, pos in spans(offset, len(data), bs):
                 lba, new = self._ensure_block(inode, index)
                 meta_changed = meta_changed or new
-                off = pos % bs
-                take = min(bs - off, offset + len(data) - pos)
-                chunk = data[pos - offset:pos - offset + take]
+                chunk = data[pos:pos + take]
                 if use_byte:
                     txid = self._txn.device_txid()
                     self.mssd.tx_write(txid, lba * bs + off, chunk,
@@ -809,7 +776,6 @@ class ByteFS:
                         page = bytes(base)
                     self.mssd.block_write(lba, page, category="data")
                 self._update_cached_page(inode.ino, index, off, chunk)
-                pos += take
             grew = offset + len(data) > inode.size
             if grew:
                 inode.size = offset + len(data)
@@ -905,16 +871,12 @@ class ByteFS:
     def sync(self) -> None:
         """Writeback every dirty page and flush pending metadata."""
         with self._lock:
-            by_ino: dict[int, list[CachedPage]] = {}
-            for (ino, _), page in self.cache.pages.items():
-                if page.dirty:
-                    by_ino.setdefault(ino, []).append(page)
-            for ino in set(by_ino) | set(self._meta_dirty):
+            for ino in sorted(self.cache.by_ino.keys() | self._meta_dirty):
                 if not self._bit(self._ibmp, ino):
                     continue
                 inode = self._load_inode(ino)
                 with self._op():
-                    for page in by_ino.get(ino, []):
+                    for page in self.cache.dirty_pages(ino):
                         self._writeback_page(inode, page)
                     self._sync_metadata(inode, data_only=False)
 
@@ -1023,42 +985,6 @@ class ByteFS:
     def _check_mounted(self) -> None:
         if not self.mounted:
             raise StateError("not mounted")
-
-
-class _OpGuard:
-    """Opens one transaction per outermost file-system operation."""
-
-    def __init__(self, fs: ByteFS):
-        self.fs = fs
-
-    def __enter__(self):
-        fs = self.fs
-        fs._check_mounted()
-        fs._txn_depth += 1
-        if fs._txn_depth == 1:
-            fs._txn = _Txn(fs)
-        return fs._txn
-
-    def __exit__(self, exc_type, exc, tb):
-        fs = self.fs
-        fs._txn_depth -= 1
-        if fs._txn_depth:
-            return False
-        txn, fs._txn = fs._txn, None
-        if exc_type is not None:
-            if txn.txid is not None:
-                fs.mssd.tx_abort(txn.txid)
-            return False
-        if txn.journaled:
-            fs._journal_write(txn)
-        if fs.byte_metadata:
-            if txn.txid is not None:
-                fs.mssd.tx_commit(txn.txid)
-        else:
-            fs._flush_block_txn(txn)
-        if txn.journaled:
-            fs._journal_checkpoint(txn)
-        return False
 
 
 def recover_fs(mssd: Mssd, mode: str = "full", journal: str = "ordered",

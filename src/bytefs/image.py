@@ -1,6 +1,8 @@
 """Versioned binary device-image format (magic "BFSM").
 
-Layout: magic, format version (u32 LE), a DeviceConfig block, then
+Layout: magic, format version (u32 LE), a flags word (u32 LE; bit 0:
+the device has a write log), a DeviceConfig block (its fields in
+declaration order, u64 for int fields and f64 for float fields), then
 sections each prefixed by a 16-byte header {section id u32, length u64,
 crc32 u32}.  Sections: flash pages, FTL map, log region (generation id,
 entry count, 64B payload slots), log sidecar (the write log's sidecar
@@ -17,6 +19,7 @@ import io
 import os
 import struct
 import zlib
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -26,7 +29,9 @@ from .mssd import Mssd
 from .writelog import SIDECAR_DTYPE, LogGeneration
 
 MAGIC = b"BFSM"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+
+FLAG_WRITE_LOG = 0x1
 
 SEC_FLASH = 1
 SEC_FTL = 2
@@ -35,28 +40,9 @@ SEC_LOG_INDEX = 4
 SEC_TXLOG = 5
 SEC_CLOCK = 6
 
-_CONFIG_FMT = "<QIIIIIIQIId"
+_CONFIG_FMT = "<" + "".join("d" if isinstance(f.default, float) else "Q"
+                            for f in fields(DeviceConfig))
 _SECTION_HDR_FMT = "<IQI"
-
-def _pack_config(cfg: DeviceConfig) -> bytes:
-    return struct.pack(
-        _CONFIG_FMT, cfg.capacity_bytes, cfg.page_size, cfg.channel_count,
-        cfg.flash_read_latency_ns, cfg.flash_write_latency_ns,
-        cfg.cacheline_read_latency_ns, cfg.cacheline_write_latency_ns,
-        cfg.log_region_bytes, cfg.txlog_bytes, cfg.write_buffer_bytes,
-        cfg.clean_threshold,
-    )
-
-
-def _unpack_config(blob: bytes) -> DeviceConfig:
-    vals = struct.unpack(_CONFIG_FMT, blob)
-    return DeviceConfig(
-        capacity_bytes=vals[0], page_size=vals[1], channel_count=vals[2],
-        flash_read_latency_ns=vals[3], flash_write_latency_ns=vals[4],
-        cacheline_read_latency_ns=vals[5], cacheline_write_latency_ns=vals[6],
-        log_region_bytes=vals[7], txlog_bytes=vals[8],
-        write_buffer_bytes=vals[9], clean_threshold=vals[10],
-    )
 
 
 def _write_section(out, sec_id: int, payload: bytes) -> None:
@@ -73,8 +59,9 @@ def save(mssd: Mssd, target) -> None:
         return
     out = target
     out.write(MAGIC)
-    out.write(struct.pack("<I", FORMAT_VERSION))
-    out.write(_pack_config(mssd.config))
+    out.write(struct.pack("<II", FORMAT_VERSION,
+                          FLAG_WRITE_LOG if mssd.log_enabled else 0))
+    out.write(struct.pack(_CONFIG_FMT, *astuple(mssd.config)))
 
     dev = mssd.device
     buf = io.BytesIO()
@@ -120,25 +107,25 @@ def _read_section(f, expect_id: int) -> bytes:
     return payload
 
 
-def load(source, *, log_enabled: bool = True, shadow_oracle: bool = False,
-         conflict_granularity: str = "cacheline", auto_clean: bool = True
-         ) -> Mssd:
-    """Load a device image; host-side state starts fresh."""
+def load(source) -> Mssd:
+    """Load a device image; host-side state starts fresh, and the device
+    has a write log if and only if the image says so."""
     if isinstance(source, (str, bytes, os.PathLike)):
         with open(source, "rb") as f:
-            return load(f, log_enabled=log_enabled, shadow_oracle=shadow_oracle,
-                        conflict_granularity=conflict_granularity,
-                        auto_clean=auto_clean)
+            return load(f)
     f = source
     if f.read(4) != MAGIC:
         raise InvalidArgument("not a device image (bad magic)")
     (version,) = struct.unpack("<I", f.read(4))
     if version != FORMAT_VERSION:
         raise InvalidArgument(f"unsupported image version {version}")
-    cfg = _unpack_config(f.read(struct.calcsize(_CONFIG_FMT)))
+    (flags,) = struct.unpack("<I", f.read(4))
+    if flags & ~FLAG_WRITE_LOG:
+        raise InvalidArgument(f"unknown image flags {flags:#x}")
+    cfg = DeviceConfig(*struct.unpack(_CONFIG_FMT,
+                                      f.read(struct.calcsize(_CONFIG_FMT))))
 
-    mssd = Mssd(cfg, log_enabled=log_enabled, shadow_oracle=shadow_oracle,
-                conflict_granularity=conflict_granularity, auto_clean=auto_clean)
+    mssd = Mssd(cfg, log_enabled=bool(flags & FLAG_WRITE_LOG))
     dev = mssd.device
 
     payload = _read_section(f, SEC_FLASH)
@@ -170,20 +157,25 @@ def load(source, *, log_enabled: bool = True, shadow_oracle: bool = False,
             or tail_slots > cfg.log_region_bytes // CACHELINE:
         raise RecoveryFailed("log region and sidecar disagree",
                              section_id=SEC_LOG_INDEX)
-    if log_enabled:
+    if mssd.log_enabled:
         mssd.writelog.install(LogGeneration(gen_id, cfg.log_region_bytes,
                                             buf, side))
     elif tail_slots:
-        raise InvalidArgument("image holds write-log entries; load it with "
-                              "the log enabled")
+        raise RecoveryFailed("image of a device without a write log holds "
+                             "write-log entries", section_id=SEC_LOG_REGION)
 
     payload = _read_section(f, SEC_TXLOG)
     (count,) = struct.unpack_from("<Q", payload, 0)
+    if count > mssd.txlog.capacity_entries:
+        raise RecoveryFailed("TxLog section exceeds the TxLog",
+                             section_id=SEC_TXLOG)
     txids = np.frombuffer(payload, dtype="<u4", count=count, offset=8)
     stamps = np.frombuffer(payload, dtype="<u8", count=count,
                            offset=8 + 4 * count)
-    for txid, stamp in zip(txids.tolist(), stamps.tolist()):
-        mssd.txlog.append(txid, stamp)
+    mssd.txlog.stamps = dict(zip(txids.tolist(), stamps.tolist()))
+    if len(mssd.txlog.stamps) != count:
+        raise RecoveryFailed("TxLog section repeats a txid",
+                             section_id=SEC_TXLOG)
 
     payload = _read_section(f, SEC_CLOCK)
     now_ns, stamp = struct.unpack("<QQ", payload)
@@ -194,9 +186,9 @@ def load(source, *, log_enabled: bool = True, shadow_oracle: bool = False,
     return mssd
 
 
-def crash_clone(mssd: Mssd, **load_kwargs) -> Mssd:
+def crash_clone(mssd: Mssd) -> Mssd:
     """Simulated power loss: round-trip the image, dropping host state."""
     buf = io.BytesIO()
     save(mssd, buf)
     buf.seek(0)
-    return load(buf, **load_kwargs)
+    return load(buf)

@@ -18,7 +18,6 @@ SB_MAGIC = b"BYFS"
 SB_VERSION = 1
 
 INODE_SIZE = 128
-INODES_PER_BLOCK_SHIFT = 5  # 4096 / 128
 
 ROOT_INO = 2
 
@@ -171,12 +170,3 @@ def unpack_dentry(blob: bytes, off: int):
         return None
     name = bytes(blob[off + 8:off + 8 + name_len])
     return ino, ftype, name, dentry_record_size(name_len)
-
-
-def fnv1a_64(data: bytes) -> int:
-    """FNV-1a, 64-bit: offset basis 0xcbf29ce484222325, prime 0x100000001b3."""
-    h = 0xCBF29CE484222325
-    for b in data:
-        h ^= b
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h

@@ -10,7 +10,9 @@ always accounted here: byte traffic in 64B units, block traffic in pages.
 
 from __future__ import annotations
 
-from .device import CACHELINE, DeviceConfig, FlashDevice, TrafficCounters
+from .device import (
+    CACHELINE, DeviceConfig, FlashDevice, TrafficCounters, spans,
+)
 from .errors import AddressFault, InvalidArgument
 from .txn import TxLog, TxManager, recover
 from .writelog import CleanReport, WriteLog
@@ -19,7 +21,6 @@ from .writelog import CleanReport, WriteLog
 class Mssd:
     def __init__(self, config: DeviceConfig | None = None, *,
                  log_enabled: bool = True, shadow_oracle: bool = False,
-                 conflict_granularity: str = "cacheline",
                  auto_clean: bool = True):
         self.device = FlashDevice(config)
         self.config = self.device.config
@@ -28,7 +29,7 @@ class Mssd:
         self.writelog = (WriteLog(self.device, self.next_stamp)
                          if log_enabled else None)
         self.txlog = TxLog(self.config.txlog_bytes)
-        self.txmgr = TxManager(self, conflict_granularity=conflict_granularity)
+        self.txmgr = TxManager(self)
         if auto_clean and log_enabled:
             self.writelog.auto_clean_cb = self.clean
         self.shadow: dict[int, bytearray] | None = {} if shadow_oracle else None
@@ -54,13 +55,9 @@ class Mssd:
 
     def shadow_read(self, addr: int, length: int) -> bytes:
         out = bytearray()
-        for chunk_addr, chunk in self._split_pages(addr, bytes(length)):
-            page = self.shadow.get(chunk_addr // self.config.page_size)
-            off = chunk_addr % self.config.page_size
-            if page is None:
-                out += bytes(len(chunk))
-            else:
-                out += page[off:off + len(chunk)]
+        for lpa, off, take, _ in spans(addr, length, self.config.page_size):
+            page = self.shadow.get(lpa)
+            out += bytes(take) if page is None else page[off:off + take]
         return bytes(out)
 
     # -- byte interface ----------------------------------------------------
@@ -75,16 +72,10 @@ class Mssd:
             raise InvalidArgument("empty write")
         if addr < 0 or addr + len(data) > self.config.capacity_bytes:
             raise AddressFault("byte write out of device range")
-        for chunk_addr, chunk in self._split_pages(addr, data):
-            self._byte_write_page(chunk_addr, chunk, txid, category)
-
-    def _split_pages(self, addr: int, data: bytes):
         page_size = self.config.page_size
-        pos = 0
-        while pos < len(data):
-            room = page_size - (addr + pos) % page_size
-            yield addr + pos, data[pos:pos + min(room, len(data) - pos)]
-            pos += min(room, len(data) - pos)
+        for lpa, off, take, pos in spans(addr, len(data), page_size):
+            self._byte_write_page(lpa * page_size + off, data[pos:pos + take],
+                                  txid, category)
 
     def _byte_write_page(self, addr: int, data: bytes, txid: int,
                          category: str) -> None:
@@ -120,18 +111,16 @@ class Mssd:
             raise InvalidArgument("empty read")
         if addr < 0 or addr + length > self.config.capacity_bytes:
             raise AddressFault("byte read out of device range")
-        out = bytearray()
-        for chunk_addr, chunk in self._split_pages(addr, bytes(length)):
-            out += self._byte_read_page(chunk_addr, len(chunk), category)
-        return bytes(out)
+        return b"".join(self._byte_read_page(lpa, off, take, category)
+                        for lpa, off, take, _ in spans(addr, length,
+                                                       self.config.page_size))
 
-    def _byte_read_page(self, addr: int, length: int, category: str) -> bytes:
+    def _byte_read_page(self, lpa: int, off: int, length: int,
+                        category: str) -> bytes:
         if self.log_enabled:
-            data, ncl = self.writelog.byte_read(addr, length, category)
+            data, ncl = self.writelog.byte_read(
+                lpa * self.config.page_size + off, length, category)
         else:
-            page_size = self.config.page_size
-            lpa = addr // page_size
-            off = addr % page_size
             page = self.device.read_lpa(lpa, category)
             data = page[off:off + length]
             first = off // CACHELINE

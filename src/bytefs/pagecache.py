@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+import numpy as np
+
 from .device import CACHELINE
 
 DUPLICATE_CAP_FRACTION = 0.25
@@ -38,13 +40,10 @@ class CachedPage:
         """Indices of 64B chunks that differ from the duplicate."""
         if self.duplicate is None:
             return []
-        out = []
-        data = self.data
-        dup = self.duplicate
-        for cl in range(0, len(data), CACHELINE):
-            if data[cl:cl + CACHELINE] != dup[cl:cl + CACHELINE]:
-                out.append(cl // CACHELINE)
-        return out
+        now = np.frombuffer(self.data, dtype=np.uint8).reshape(-1, CACHELINE)
+        old = np.frombuffer(self.duplicate, dtype=np.uint8).reshape(
+            -1, CACHELINE)
+        return np.flatnonzero((now != old).any(axis=1)).tolist()
 
     def clear_dirty(self) -> None:
         self.duplicate = None

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 from .device import CACHELINE
-from .errors import InvalidArgument, SpaceExhausted, StateError, TxAborted
+from .errors import SpaceExhausted, StateError, TxAborted
 
 ACTIVE = "active"
 COMMITTED = "committed"
@@ -67,24 +67,19 @@ class RecoveryReport:
 
 
 class TxManager:
-    """Host-side transaction table with conflict locking.
+    """Host-side transaction table with per-cacheline conflict locking.
 
-    Conflict granularity is configurable: "cacheline" (default) or
-    "page".  A writer that collides with another active transaction
-    blocks until that transaction finishes, or aborts after
-    `lock_timeout_s` of wall time.
+    A writer that collides with another active transaction blocks until
+    that transaction finishes, or aborts after `lock_timeout_s` of wall
+    time.
     """
 
-    def __init__(self, mssd, conflict_granularity: str = "cacheline",
-                 lock_timeout_s: float = 5.0):
-        if conflict_granularity not in ("cacheline", "page"):
-            raise InvalidArgument("conflict_granularity must be cacheline or page")
+    def __init__(self, mssd, lock_timeout_s: float = 5.0):
         self.mssd = mssd
-        self.granularity = conflict_granularity
         self.lock_timeout_s = lock_timeout_s
         self.table: dict[int, TxRecord] = {}
         self.next_txid = 1  # 0 is reserved for non-transactional writes
-        self._lock_owner: dict[tuple, int] = {}
+        self._lock_owner: dict[int, int] = {}  # cacheline -> txid
         # reentrant: tx_commit may trigger a clean that queries active txs
         self._cond = threading.Condition(threading.RLock())
 
@@ -101,15 +96,7 @@ class TxManager:
             self.table[txid] = TxRecord(txid)
             return txid
 
-    def _conflict_keys(self, addr: int, length: int) -> list[tuple]:
-        page_size = self.mssd.config.page_size
-        if self.granularity == "page":
-            return [(addr // page_size,)]
-        first = addr // CACHELINE
-        last = (addr + length - 1) // CACHELINE
-        return [(cl,) for cl in range(first, last + 1)]
-
-    def _acquire(self, txid: int, keys: list[tuple]) -> None:
+    def _acquire(self, txid: int, keys: range) -> None:
         with self._cond:
             rec = self._require_active(txid)
             deadline = None
@@ -145,7 +132,8 @@ class TxManager:
 
     def tx_write(self, txid: int, addr: int, data: bytes,
                  category: str = "untagged") -> None:
-        self._acquire(txid, self._conflict_keys(addr, len(data)))
+        self._acquire(txid, range(addr // CACHELINE,
+                                  (addr + len(data) - 1) // CACHELINE + 1))
         self.mssd.byte_write(addr, data, txid=txid, category=category)
 
     def tx_commit(self, txid: int) -> None:

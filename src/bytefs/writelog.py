@@ -348,17 +348,15 @@ class WriteLog:
         if dropped:
             self.active_gen.side["flags"][dropped] |= FLAG_INVALID
 
-    def index_lookup(self, lpa: int, cl_range: tuple[int, int] | None = None
-                     ) -> list[ChunkEntry]:
+    def index_lookup(self, lpa: int) -> list[ChunkEntry]:
         """Newest live entry per cacheline, sorted by block offset."""
         node = self.index.node(lpa)
         if node is None:
             return []
-        lo, hi = cl_range if cl_range else (0, self.cfg.cachelines_per_page - 1)
         lengths = self.active_gen.side["length"]
         out = []
         for off in sorted(node.chains):
-            if lo <= off <= hi and node.chains[off]:
+            if node.chains[off]:
                 slot = node.chains[off][-1]
                 out.append(ChunkEntry(off, slot * CACHELINE,
                                       int(lengths[slot])))

@@ -105,6 +105,22 @@ def test_crash_run_verdicts_pass(crash_at):
                         verdict.unexpected, verdict.fsck_problems)
 
 
+@pytest.mark.parametrize("mode", ["block_only", "dual"])
+def test_crash_run_without_write_log(mode, monkeypatch):
+    recovered = []
+
+    def recover_and_keep(mssd, **kwargs):
+        recovered.append(mssd)
+        return recover_fs(mssd, **kwargs)
+
+    monkeypatch.setattr(bench, "recover_fs", recover_and_keep)
+    verdict = bench.crash_run(small_spec("varmail", seed=5), 150,
+                              small_config(), mode=mode)
+    assert verdict.ok, (verdict.missing, verdict.corrupt,
+                        verdict.unexpected, verdict.fsck_problems)
+    assert [m.writelog for m in recovered] == [None]
+
+
 def test_crash_run_emit_lines():
     verdict = bench.crash_run(small_spec("varmail", seed=5), 40,
                               small_config(), mode="full")

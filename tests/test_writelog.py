@@ -216,9 +216,6 @@ def test_clean_after_clean_leaves_only_uncommitted(mssd_noauto):
 
 def test_commit_order_wins_at_flush(mssd_noauto):
     mssd = mssd_noauto
-    granular = Mssd(small_config(), auto_clean=False,
-                    conflict_granularity="cacheline")
-    del granular
     t1 = mssd.tx_begin()
     mssd.tx_write(t1, 0, b"\x01" * 64)
     mssd.tx_commit(t1)
