@@ -10,9 +10,11 @@ machine-readable ``section.key value`` lines.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import time
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 from .device import (
     CATEGORIES, DeviceConfig, GiB, KiB, MiB, TrafficCounters,
@@ -102,38 +104,17 @@ class WorkloadSpec:
             raise InvalidArgument(f"unknown profile {self.profile!r}")
 
 
-def _gen_create(tid: int, rng: random.Random, spec: WorkloadSpec):
+def _gen_namespace(op: str, undo: str | None, tid: int,
+                   rng: random.Random, spec: WorkloadSpec):
+    """Repeat `op` on fresh names in a per-thread directory, each followed
+    by `undo` of the same name when given."""
     yield TraceRecord("mkdir", f"/t{tid}")
-    i = 0
-    while True:
-        yield TraceRecord("create", f"/t{tid}/f{i:06d}")
-        i += 1
-
-
-def _gen_delete(tid: int, rng: random.Random, spec: WorkloadSpec):
-    yield TraceRecord("mkdir", f"/t{tid}")
-    i = 0
-    while True:
-        yield TraceRecord("create", f"/t{tid}/f{i:06d}")
-        yield TraceRecord("unlink", f"/t{tid}/f{i:06d}")
-        i += 1
-
-
-def _gen_mkdir(tid: int, rng: random.Random, spec: WorkloadSpec):
-    yield TraceRecord("mkdir", f"/t{tid}")
-    i = 0
-    while True:
-        yield TraceRecord("mkdir", f"/t{tid}/d{i:06d}")
-        i += 1
-
-
-def _gen_rmdir(tid: int, rng: random.Random, spec: WorkloadSpec):
-    yield TraceRecord("mkdir", f"/t{tid}")
-    i = 0
-    while True:
-        yield TraceRecord("mkdir", f"/t{tid}/d{i:06d}")
-        yield TraceRecord("rmdir", f"/t{tid}/d{i:06d}")
-        i += 1
+    prefix = "d" if op == "mkdir" else "f"
+    for i in itertools.count():
+        path = f"/t{tid}/{prefix}{i:06d}"
+        yield TraceRecord(op, path)
+        if undo:
+            yield TraceRecord(undo, path)
 
 
 def _gen_varmail(tid: int, rng: random.Random, spec: WorkloadSpec):
@@ -260,8 +241,11 @@ def _gen_kvstore(tid: int, rng: random.Random, spec: WorkloadSpec):
 
 
 _GENERATORS = {
-    "create": _gen_create, "delete": _gen_delete, "mkdir": _gen_mkdir,
-    "rmdir": _gen_rmdir, "varmail": _gen_varmail,
+    "create": partial(_gen_namespace, "create", None),
+    "delete": partial(_gen_namespace, "create", "unlink"),
+    "mkdir": partial(_gen_namespace, "mkdir", None),
+    "rmdir": partial(_gen_namespace, "mkdir", "rmdir"),
+    "varmail": _gen_varmail,
     "fileserver": _gen_fileserver, "webproxy": _gen_webproxy,
     "webserver": _gen_webserver, "oltp": _gen_oltp, "kvstore": _gen_kvstore,
 }

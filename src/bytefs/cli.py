@@ -62,6 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_options(args):
     options = bench.load_config(args.config) if args.config else {}
     config, fs_opts, workload = bench.split_config(options)
+    fs_opts = {"mode": "full", "journal": "ordered", **fs_opts}
     if args.mode:
         fs_opts["mode"] = args.mode
     if getattr(args, "profile", None):
@@ -87,8 +88,7 @@ def cmd_run(args) -> int:
     config, fs_opts, workload = _load_options(args)
     spec = _spec(workload)
     _fs, report, records = bench.run(
-        spec, config, mode=fs_opts.get("mode", "full"),
-        journal=fs_opts.get("journal", "ordered"),
+        spec, config, mode=fs_opts["mode"], journal=fs_opts["journal"],
         cache_bytes=fs_opts.get("cache_bytes"))
     print(report.table())
     _write_out(args, report.emit())
@@ -100,8 +100,7 @@ def cmd_run(args) -> int:
 def cmd_replay(args) -> int:
     config, fs_opts, _workload = _load_options(args)
     records = bench.read_trace(args.trace)
-    fs = bench.format_and_mount(config, fs_opts.get("mode", "full"),
-                                fs_opts.get("journal", "ordered"),
+    fs = bench.format_and_mount(config, fs_opts["mode"], fs_opts["journal"],
                                 fs_opts.get("cache_bytes"))
     report = bench.replay(fs, records)
     print(report.table())
@@ -113,8 +112,7 @@ def cmd_crash(args) -> int:
     config, fs_opts, workload = _load_options(args)
     spec = _spec(workload)
     verdict = bench.crash_run(spec, args.crash_at, config,
-                              mode=fs_opts.get("mode", "full"),
-                              journal=fs_opts.get("journal", "ordered"),
+                              mode=fs_opts["mode"], journal=fs_opts["journal"],
                               cache_bytes=fs_opts.get("cache_bytes"))
     print(f"crash after {verdict.crash_at} ops: "
           f"{'PASS' if verdict.ok else 'FAIL'}")
@@ -131,8 +129,7 @@ def cmd_crash(args) -> int:
 def cmd_sweep(args) -> int:
     config, fs_opts, workload = _load_options(args)
     spec = _spec(workload)
-    reports = bench.sweep(spec, config,
-                          journal=fs_opts.get("journal", "ordered"))
+    reports = bench.sweep(spec, config, journal=fs_opts["journal"])
     print(bench.sweep_table(reports))
     _write_out(args, bench.sweep_emit(reports))
     return 0
@@ -141,8 +138,8 @@ def cmd_sweep(args) -> int:
 def cmd_fsck(args) -> int:
     _config, fs_opts, _workload = _load_options(args)
     mssd = image.load(args.image)
-    fs, _report = recover_fs(mssd, mode=fs_opts.get("mode", "full"),
-                             journal=fs_opts.get("journal", "ordered"))
+    fs, _report = recover_fs(mssd, mode=fs_opts["mode"],
+                             journal=fs_opts["journal"])
     problems = fs.fsck()
     if problems:
         for p in problems:
@@ -156,8 +153,8 @@ def cmd_fsck(args) -> int:
 def cmd_recover(args) -> int:
     _config, fs_opts, _workload = _load_options(args)
     mssd = image.load(args.image)
-    fs, report = recover_fs(mssd, mode=fs_opts.get("mode", "full"),
-                            journal=fs_opts.get("journal", "ordered"))
+    fs, report = recover_fs(mssd, mode=fs_opts["mode"],
+                            journal=fs_opts["journal"])
     print(f"scanned {report.entries_scanned} log entries, "
           f"flushed {report.entries_flushed}, "
           f"discarded {report.entries_discarded} "

@@ -94,11 +94,15 @@ def save(mssd: Mssd, target) -> None:
                    struct.pack("<QQ", dev.clock.now_ns, mssd._stamp))
 
 
+def _read_struct(f, fmt: str, section_id: int | None = None) -> tuple:
+    raw = f.read(struct.calcsize(fmt))
+    if len(raw) != struct.calcsize(fmt):
+        raise RecoveryFailed("truncated image", section_id=section_id)
+    return struct.unpack(fmt, raw)
+
+
 def _read_section(f, expect_id: int) -> bytes:
-    hdr = f.read(struct.calcsize(_SECTION_HDR_FMT))
-    if len(hdr) != struct.calcsize(_SECTION_HDR_FMT):
-        raise RecoveryFailed("truncated image", section_id=expect_id)
-    sec_id, length, crc = struct.unpack(_SECTION_HDR_FMT, hdr)
+    sec_id, length, crc = _read_struct(f, _SECTION_HDR_FMT, expect_id)
     if sec_id != expect_id:
         raise RecoveryFailed(f"unexpected section {sec_id}", section_id=sec_id)
     payload = f.read(length)
@@ -116,14 +120,13 @@ def load(source) -> Mssd:
     f = source
     if f.read(4) != MAGIC:
         raise InvalidArgument("not a device image (bad magic)")
-    (version,) = struct.unpack("<I", f.read(4))
+    (version,) = _read_struct(f, "<I")
     if version != FORMAT_VERSION:
         raise InvalidArgument(f"unsupported image version {version}")
-    (flags,) = struct.unpack("<I", f.read(4))
+    (flags,) = _read_struct(f, "<I")
     if flags & ~FLAG_WRITE_LOG:
         raise InvalidArgument(f"unknown image flags {flags:#x}")
-    cfg = DeviceConfig(*struct.unpack(_CONFIG_FMT,
-                                      f.read(struct.calcsize(_CONFIG_FMT))))
+    cfg = DeviceConfig(*_read_struct(f, _CONFIG_FMT))
 
     mssd = Mssd(cfg, log_enabled=bool(flags & FLAG_WRITE_LOG))
     dev = mssd.device

@@ -26,38 +26,54 @@ class Mssd:
         self.config = self.device.config
         self.log_enabled = log_enabled
         self._stamp = 0
-        self.writelog = (WriteLog(self.device, self.next_stamp)
-                         if log_enabled else None)
         self.txlog = TxLog(self.config.txlog_bytes)
         self.txmgr = TxManager(self)
+        self.writelog = (WriteLog(self.device, self.next_stamp, self.txlog,
+                                  self.txmgr.active_txids)
+                         if log_enabled else None)
         if auto_clean and log_enabled:
             self.writelog.auto_clean_cb = self.clean
+        # committed bytes per page, and each active transaction's writes
         self.shadow: dict[int, bytearray] | None = {} if shadow_oracle else None
+        self._shadow_tx: dict[int, list[tuple[int, bytes]]] = {}
 
     def next_stamp(self) -> int:
         self._stamp += 1
         return self._stamp
 
     # -- shadow oracle -----------------------------------------------------
+    # The write log's visibility rule, byte by byte: a transaction's writes
+    # show over the committed bytes while it is active, land at commit, and
+    # vanish at abort or under a later block write to their page.  Without
+    # a write log they go straight to flash, as plain writes do.
 
-    def _shadow_page(self, lpa: int) -> bytearray:
-        page = self.shadow.get(lpa)
-        if page is None:
-            page = self.shadow[lpa] = bytearray(self.config.page_size)
-        return page
-
-    def _shadow_write(self, addr: int, data: bytes) -> None:
+    def _shadow_write(self, addr: int, data: bytes, txid: int = 0) -> None:
         if self.shadow is None:
             return
-        page = self._shadow_page(addr // self.config.page_size)
-        off = addr % self.config.page_size
+        if txid and self.log_enabled:
+            self._shadow_tx.setdefault(txid, []).append((addr, data))
+            return
+        lpa, off = divmod(addr, self.config.page_size)
+        page = self.shadow.setdefault(lpa, bytearray(self.config.page_size))
         page[off:off + len(data)] = data
 
+    def shadow_tx_end(self, txid: int, committed: bool) -> None:
+        """A transaction committed or aborted (called by the TxManager)."""
+        writes = self._shadow_tx.pop(txid, ())
+        if committed:
+            for addr, data in writes:
+                self._shadow_write(addr, data)
+
     def shadow_read(self, addr: int, length: int) -> bytes:
+        page_size = self.config.page_size
         out = bytearray()
-        for lpa, off, take, _ in spans(addr, length, self.config.page_size):
-            page = self.shadow.get(lpa)
-            out += bytes(take) if page is None else page[off:off + take]
+        for lpa, off, take, _ in spans(addr, length, page_size):
+            page = bytearray(self.shadow.get(lpa, bytes(page_size)))
+            for writes in self._shadow_tx.values():
+                for a, d in writes:
+                    if a // page_size == lpa:
+                        page[a % page_size:a % page_size + len(d)] = d
+            out += page[off:off + take]
         return bytes(out)
 
     # -- byte interface ----------------------------------------------------
@@ -84,7 +100,7 @@ class Mssd:
             base = addr - head_pad
             prefix = self.byte_read(base, head_pad, category=category)
             addr, data = base, prefix + data
-        self._shadow_write(addr, data)
+        self._shadow_write(addr, data, txid)
         if self.log_enabled:
             slots = self.writelog.byte_write(addr, data, txid=txid,
                                              category=category)
@@ -142,14 +158,17 @@ class Mssd:
 
     def block_write(self, lpa: int, data: bytes, category: str = "untagged"
                     ) -> None:
-        if len(data) != self.config.page_size:
+        page_size = self.config.page_size
+        if len(data) != page_size:
             raise InvalidArgument("block write must be one full page")
-        self._shadow_write(lpa * self.config.page_size, data)
+        self._shadow_write(lpa * page_size, data)
+        for writes in self._shadow_tx.values():  # superseded by this block
+            writes[:] = [(a, d) for a, d in writes if a // page_size != lpa]
         if self.log_enabled:
             self.writelog.block_write(lpa, data, category)
         else:
             self.device.write_lpa(lpa, data, category)
-        self.device.traffic.record("host_to_ssd", category, self.config.page_size)
+        self.device.traffic.record("host_to_ssd", category, page_size)
 
     # -- firmware services -------------------------------------------------
 
@@ -157,7 +176,7 @@ class Mssd:
         if not self.log_enabled:
             self.txlog.clear()
             return CleanReport()
-        return self.writelog.clean(self.txlog, self.txmgr.active_txids())
+        return self.writelog.clean()
 
     def recover(self):
         return recover(self)

@@ -1,24 +1,22 @@
 """Transaction identity, commit ordering, and post-crash recovery.
 
-The TxTable lives host-side and does not survive a crash; the TxLog is a
-firmware append-only list of 4-byte committed transaction ids and does,
-together with the stamp each commit drew.  Recovery scans the whole log
-region, discards entries whose transaction never reached the TxLog, and
-flushes the rest with the routine cleaning uses, in the same commit order.
+The TxTable lives host-side, holds only active transactions and does not
+survive a crash; the TxLog is a firmware append-only list of 4-byte
+committed transaction ids and does, together with the stamp each commit
+drew.  Recovery scans the whole log region, discards entries whose
+transaction never reached the TxLog, and flushes the rest with the
+routine cleaning uses, under the same visibility rule.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .device import CACHELINE
 from .errors import SpaceExhausted, StateError, TxAborted
-
-ACTIVE = "active"
-COMMITTED = "committed"
-ABORTED = "aborted"
+from .writelog import ACTIVE_KEY
 
 
 class TxLog:
@@ -52,13 +50,6 @@ class TxLog:
 
 
 @dataclass
-class TxRecord:
-    txid: int
-    state: str = ACTIVE
-    locks: set = field(default_factory=set)
-
-
-@dataclass
 class RecoveryReport:
     entries_scanned: int = 0
     entries_discarded: int = 0
@@ -77,7 +68,7 @@ class TxManager:
     def __init__(self, mssd, lock_timeout_s: float = 5.0):
         self.mssd = mssd
         self.lock_timeout_s = lock_timeout_s
-        self.table: dict[int, TxRecord] = {}
+        self.table: dict[int, set[int]] = {}  # active txid -> its locks
         self.next_txid = 1  # 0 is reserved for non-transactional writes
         self._lock_owner: dict[int, int] = {}  # cacheline -> txid
         # reentrant: tx_commit may trigger a clean that queries active txs
@@ -85,7 +76,7 @@ class TxManager:
 
     def active_txids(self) -> set[int]:
         with self._cond:
-            return {t for t, rec in self.table.items() if rec.state == ACTIVE}
+            return set(self.table)
 
     def tx_begin(self) -> int:
         with self._cond:
@@ -93,12 +84,12 @@ class TxManager:
                 raise SpaceExhausted("TxId space exhausted")
             txid = self.next_txid
             self.next_txid += 1
-            self.table[txid] = TxRecord(txid)
+            self.table[txid] = set()
             return txid
 
     def _acquire(self, txid: int, keys: range) -> None:
         with self._cond:
-            rec = self._require_active(txid)
+            locks = self._require_active(txid)
             deadline = None
             pending = [k for k in keys if self._lock_owner.get(k, txid) != txid]
             while pending:
@@ -106,29 +97,27 @@ class TxManager:
                     deadline = time.monotonic() + self.lock_timeout_s
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or not self._cond.wait(timeout=remaining):
-                    self._abort_locked(rec)
+                    self._end(txid, committed=False)
                     raise TxAborted(f"tx {txid} timed out waiting for locks")
-                rec = self._require_active(txid)
+                locks = self._require_active(txid)
                 pending = [k for k in keys
                            if self._lock_owner.get(k, txid) != txid]
             for k in keys:
                 self._lock_owner[k] = txid
-                rec.locks.add(k)
+            locks.update(keys)
 
-    def _require_active(self, txid: int) -> TxRecord:
-        rec = self.table.get(txid)
-        if rec is None:
-            raise StateError(f"unknown tx {txid}")
-        if rec.state != ACTIVE:
-            raise StateError(f"tx {txid} is {rec.state}")
-        return rec
+    def _require_active(self, txid: int) -> set[int]:
+        locks = self.table.get(txid)
+        if locks is None:
+            raise StateError(f"tx {txid} is not active")
+        return locks
 
-    def _release_locks(self, rec: TxRecord) -> None:
-        for k in rec.locks:
-            if self._lock_owner.get(k) == rec.txid:
-                del self._lock_owner[k]
-        rec.locks.clear()
+    def _end(self, txid: int, committed: bool) -> None:
+        """Forget a finished transaction and release its locks."""
+        for k in self.table.pop(txid):
+            del self._lock_owner[k]
         self._cond.notify_all()
+        self.mssd.shadow_tx_end(txid, committed)
 
     def tx_write(self, txid: int, addr: int, data: bytes,
                  category: str = "untagged") -> None:
@@ -138,28 +127,23 @@ class TxManager:
 
     def tx_commit(self, txid: int) -> None:
         with self._cond:
-            rec = self._require_active(txid)
+            self._require_active(txid)
             txlog = self.mssd.txlog
             if txlog.full:
                 self.mssd.clean()
             txlog.append(txid, self.mssd.next_stamp())
-            rec.state = COMMITTED
-            self._release_locks(rec)
+            self._end(txid, committed=True)
 
     def tx_abort(self, txid: int) -> None:
         with self._cond:
-            rec = self._require_active(txid)
-            self._abort_locked(rec)
-
-    def _abort_locked(self, rec: TxRecord) -> None:
-        rec.state = ABORTED
-        self._release_locks(rec)
+            self._require_active(txid)
+            self._end(txid, committed=False)
 
 
 def recover(mssd) -> RecoveryReport:
-    """Full log-region scan after a crash: discard uncommitted entries,
-    flush committed ones to flash in commit order, then clear the log
-    region and TxLog.  Exclusive; no concurrent foreground traffic.
+    """Full log-region scan after a crash: flush the visible, committed
+    entries to flash in (key, seq) order, discard the rest, then clear the
+    log region and TxLog.  Exclusive; no concurrent foreground traffic.
     Without a write log there is nothing to merge; only the TxLog is
     cleared.
     """
@@ -168,12 +152,13 @@ def recover(mssd) -> RecoveryReport:
         return RecoveryReport()
     start_ns = mssd.device.clock.now_ns
     log = mssd.writelog
-    keep, key = log.commit_order(mssd.txlog)
-    log.merge_and_flush(keep, key)
+    visible, key = log.visibility()
+    durable = visible & (key < ACTIVE_KEY)
+    log.merge_and_flush(durable, key)
     mssd.reset_log()
     mssd.txlog.clear()
-    flushed = int(keep.sum())
+    flushed = int(durable.sum())
     return RecoveryReport(
-        entries_scanned=keep.size, entries_discarded=keep.size - flushed,
+        entries_scanned=durable.size, entries_discarded=durable.size - flushed,
         entries_flushed=flushed,
         elapsed_sim_ns=mssd.device.clock.now_ns - start_ns)

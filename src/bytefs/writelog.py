@@ -6,18 +6,29 @@ length, flags, traffic category, transaction id and append sequence.  The
 payload is a bytearray and the sidecar a numpy structured array; both grow
 as entries are appended, and the device image stores them as they are.
 
-A three-layer index locates live entries for the foreground paths: a
+One visibility rule decides what reads, cleaning and recovery see.  An
+entry is visible unless a later block write superseded it
+(`FLAG_INVALID`) or its transaction is neither in the TxLog nor active.
+Visible entries apply in (key, seq) order, where the key is the append
+seq of an entry committed at write, the commit stamp of a transaction in
+the TxLog, and `ACTIVE_KEY`, above every stamp, for an active
+transaction: a writer reads its own writes, and a commit does not change
+what a read shows.  `WriteLog.visibility` states the rule for a whole
+generation and `WriteLog.page_entries` for one page.
+
+A three-layer index locates valid entries for the foreground paths: a
 partition table over 16 MiB slices of the logical address space, a skip
-list per partition keyed by LPA, and per page a chain of slot indices for
-each cacheline, in append order.  It is rebuilt from the sidecar on first
-use after a clean or an image load.
+list per partition keyed by LPA, and per page one list of slots in
+append order.  It is rebuilt from the sidecar on first use after a clean
+or an image load.
 
 Cleaning and recovery share one routine, `WriteLog.merge_and_flush`, that
-merges the committed entries of each page in commit order and writes the
-pages to flash in write-buffer batches.  Double buffering: a clean drains
-the active generation while it is still the one the device image holds,
-and only then switches to a fresh generation, so a power loss in the
-middle of a clean leaves the draining generation recoverable.
+merges the visible entries below `ACTIVE_KEY` into their pages and writes
+the pages to flash in write-buffer batches.  Double buffering: a clean
+drains the active generation while it is still the one the device image
+holds, and only then switches to a fresh generation that carries the
+entries of active transactions, so a power loss in the middle of a clean
+leaves the draining generation recoverable.
 """
 
 from __future__ import annotations
@@ -33,7 +44,10 @@ from .skiplist import SkipList
 PARTITION_BYTES = 16 * MiB
 
 FLAG_COMMITTED_AT_WRITE = 0x1
-FLAG_INVALID = 0x2  # superseded by a later block write; skip at recovery
+FLAG_INVALID = 0x2  # superseded by a later block write; never visible
+
+# the key of an active transaction's entries: above every commit stamp
+ACTIVE_KEY = 2 ** 63 - 1
 
 SIDECAR_DTYPE = np.dtype([
     ("lpa", "<u4"), ("block_offset", "u1"), ("length", "u1"),
@@ -119,19 +133,9 @@ class LogGeneration:
         return np.frombuffer(self.buf, dtype=np.uint8).reshape(-1, CACHELINE)
 
 
-class _PageNode:
-    """Third-layer chunk lists for one LPA: per-cacheline version chains."""
-
-    __slots__ = ("lpa", "chains")
-
-    def __init__(self, lpa: int):
-        self.lpa = lpa
-        # block_offset -> slot indices in append (seq) order
-        self.chains: dict[int, list[int]] = {}
-
-
 class LogIndex:
-    """Partitioned skip-list index over the log region."""
+    """Partitioned skip-list index over the log region: per page, the
+    slots of its valid entries in append order."""
 
     def __init__(self, page_size: int):
         self.page_size = page_size
@@ -145,63 +149,55 @@ class LogIndex:
         if slots.size == 0:
             return index
         lpa = entries["lpa"][slots]
-        off = entries["block_offset"][slots]
-        order = np.lexsort((slots, off, lpa))
-        slots, lpa, off = slots[order], lpa[order], off[order]
-        cell_start = _starts(lpa.astype(np.int64) << 8 | off)
-        starts = cell_start.tolist()
+        order = np.argsort(lpa, kind="stable")
+        slots, lpa = slots[order], lpa[order]
+        first = _starts(lpa)
+        bounds = first.tolist() + [slots.size]
         slot_list = slots.tolist()
-        node = None
-        for page, line, lo, hi in zip(lpa[cell_start].tolist(),
-                                      off[cell_start].tolist(), starts,
-                                      starts[1:] + [len(slot_list)]):
-            if node is None or node.lpa != page:
-                node = index._node_for_insert(page)
-            node.chains[line] = slot_list[lo:hi]
+        for page, lo, hi in zip(lpa[first].tolist(), bounds, bounds[1:]):
+            index._partition(page).insert(page, slot_list[lo:hi])
         return index
 
-    def _partition_of(self, lpa: int) -> int:
-        return (lpa * self.page_size) // PARTITION_BYTES
-
-    def node(self, lpa: int) -> _PageNode | None:
-        part = self.partitions.get(self._partition_of(lpa))
-        if part is None:
-            return None
-        return part.get(lpa)
-
-    def _node_for_insert(self, lpa: int) -> _PageNode:
-        pidx = self._partition_of(lpa)
+    def _partition(self, lpa: int) -> SkipList:
+        pidx = (lpa * self.page_size) // PARTITION_BYTES
         part = self.partitions.get(pidx)
         if part is None:
             part = self.partitions[pidx] = SkipList(seed=pidx)
-        node = part.get(lpa)
-        if node is None:
-            node = _PageNode(lpa)
-            part.insert(lpa, node)
-        return node
+        return part
 
-    def insert(self, lpa: int, block_offset: int, slot: int) -> None:
-        self._node_for_insert(lpa).chains.setdefault(
-            block_offset, []).append(slot)
+    def slots(self, lpa: int) -> list[int] | None:
+        part = self.partitions.get((lpa * self.page_size) // PARTITION_BYTES)
+        return None if part is None else part.get(lpa)
+
+    def insert(self, lpa: int, slot: int) -> None:
+        part = self._partition(lpa)
+        slots = part.get(lpa)
+        if slots is None:
+            part.insert(lpa, [slot])
+        else:
+            slots.append(slot)
 
     def drop_page(self, lpa: int) -> list[int]:
         """Remove every entry for a page (block-write invalidation);
         returns their slots."""
-        part = self.partitions.get(self._partition_of(lpa))
-        if part is None:
+        slots = self.slots(lpa)
+        if slots is None:
             return []
-        node = part.get(lpa)
-        if node is None:
-            return []
-        part.delete(lpa)
-        return [slot for chain in node.chains.values() for slot in chain]
+        self._partition(lpa).delete(lpa)
+        return slots
 
 
 class WriteLog:
-    def __init__(self, device: FlashDevice, stamp_counter):
+    """The write log of one device.  `txlog` is the device's TxLog and
+    `active_txids` returns the set of active transactions."""
+
+    def __init__(self, device: FlashDevice, stamp_counter, txlog,
+                 active_txids):
         self.device = device
         self.cfg = device.config
         self.stamp = stamp_counter
+        self.txlog = txlog
+        self.active_txids = active_txids
         self.active_gen = LogGeneration(0, self.cfg.log_region_bytes)
         self._index: LogIndex | None = LogIndex(self.cfg.page_size)
         self.auto_clean_cb = None  # set by the owning device facade
@@ -281,22 +277,43 @@ class WriteLog:
         index = self.index  # built before the append so it is not indexed twice
         slot = gen.append((lpa, block_offset, len(payload), flags, cat, txid,
                            self.stamp()), payload)
-        index.insert(lpa, block_offset, slot)
+        index.insert(lpa, slot)
 
     # -- read path ---------------------------------------------------------
 
-    def _overlay(self, page: bytearray, node: _PageNode | None) -> None:
-        if node is None:
-            return
-        gen = self.active_gen
-        buf = gen.buf
-        lengths = gen.side["length"]
-        for off, chain in node.chains.items():
+    def page_entries(self, lpa: int) -> list[tuple[int, int, int, int, int]]:
+        """The visible entries of one page as (key, seq, block offset,
+        length, slot), in (key, seq) order: `visibility` for one page.
+        The index holds no superseded entry."""
+        slots = self.index.slots(lpa)
+        if not slots:
+            return []
+        side = self.active_gen.side
+        stamps = self.txlog.stamps
+        active = None
+        out = []
+        for slot in slots:
+            _, off, length, flags, _, txid, seq = side.item(slot)
+            if flags & FLAG_COMMITTED_AT_WRITE:
+                key = seq
+            elif txid in stamps:
+                key = stamps[txid]
+            else:
+                if active is None:
+                    active = self.active_txids()
+                if txid not in active:
+                    continue
+                key = ACTIVE_KEY
+            out.append((key, seq, off, length, slot))
+        out.sort()
+        return out
+
+    def _overlay(self, page: bytearray, entries: list) -> None:
+        buf = self.active_gen.buf
+        for _, _, off, length, slot in entries:
             start = off * CACHELINE
-            for slot in chain:
-                length = int(lengths[slot])
-                src = slot * CACHELINE
-                page[start:start + length] = buf[src:src + length]
+            src = slot * CACHELINE
+            page[start:start + length] = buf[src:src + length]
 
     def byte_read(self, addr: int, length: int, category: str = "untagged"
                   ) -> tuple[bytes, int]:
@@ -314,29 +331,29 @@ class WriteLog:
         last_cl = (page_off + length - 1) // CACHELINE
         ncl = last_cl - first_cl + 1
 
-        node = self.index.node(lpa)
-        fully_covered = node is not None
-        if fully_covered:
-            lengths = self.active_gen.side["length"]
-            for cl in range(first_cl, last_cl + 1):
-                # bytes needed within this cacheline end at `need`
-                need = min(page_off + length - cl * CACHELINE, CACHELINE)
-                chain = node.chains.get(cl)
-                if not chain or max(lengths[s] for s in chain) < need:
-                    fully_covered = False
-                    break
-
-        if fully_covered:
+        entries = self.page_entries(lpa)
+        # the log alone serves the read if, in each cacheline, the longest
+        # visible entry reaches the last byte the read needs from it
+        from_log = False
+        if entries:
+            longest = dict.fromkeys(range(first_cl, last_cl + 1), 0)
+            for _, _, off, n, _ in entries:
+                if off in longest and n > longest[off]:
+                    longest[off] = n
+            tail = page_off + length - last_cl * CACHELINE
+            from_log = longest.pop(last_cl) >= tail and all(
+                n == CACHELINE for n in longest.values())
+        if from_log:
             page = bytearray(page_size)
         else:
             page = bytearray(self.device.read_lpa(lpa, category))
-        self._overlay(page, node)
+        self._overlay(page, entries)
         self.device.clock.advance(ncl * self.cfg.cacheline_read_latency_ns)
         return bytes(page[page_off:page_off + length]), ncl
 
     def block_read(self, lpa: int, category: str = "untagged") -> bytes:
         page = bytearray(self.device.read_lpa(lpa, category))
-        self._overlay(page, self.index.node(lpa))
+        self._overlay(page, self.page_entries(lpa))
         return bytes(page)
 
     def block_write(self, lpa: int, data: bytes, category: str = "untagged") -> None:
@@ -349,51 +366,48 @@ class WriteLog:
             self.active_gen.side["flags"][dropped] |= FLAG_INVALID
 
     def index_lookup(self, lpa: int) -> list[ChunkEntry]:
-        """Newest live entry per cacheline, sorted by block offset."""
-        node = self.index.node(lpa)
-        if node is None:
-            return []
-        lengths = self.active_gen.side["length"]
-        out = []
-        for off in sorted(node.chains):
-            if node.chains[off]:
-                slot = node.chains[off][-1]
-                out.append(ChunkEntry(off, slot * CACHELINE,
-                                      int(lengths[slot])))
-        return out
+        """Newest visible entry per cacheline, sorted by block offset."""
+        newest = {off: ChunkEntry(off, slot * CACHELINE, length)
+                  for _, _, off, length, slot in self.page_entries(lpa)}
+        return [newest[off] for off in sorted(newest)]
 
     def utilization(self) -> float:
         return self.active_gen.tail_slots / self.active_gen.capacity_slots
 
     # -- merge and flush (shared by cleaning and recovery) -----------------
 
-    def commit_order(self, txlog) -> tuple[np.ndarray, np.ndarray]:
-        """Per entry of the active generation: whether it is kept (valid,
-        and committed at write time or through the TxLog) and its flush
-        key (its append seq, or its transaction's commit stamp)."""
+    def visibility(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per entry of the active generation: whether it is visible, and
+        its key.  Entries of active transactions have `ACTIVE_KEY`."""
         entries = self.active_gen.entries
         flags = entries["flags"]
-        at_write = (flags & FLAG_COMMITTED_AT_WRITE) != 0
+        txid = entries["txid"]
+        visible = (flags & FLAG_COMMITTED_AT_WRITE) != 0
         key = entries["seq"].astype(np.int64)
-        stamps = txlog.stamps
-        in_txlog = np.zeros(len(entries), dtype=bool)
+        stamps = self.txlog.stamps
         if stamps:
             txids = np.fromiter(stamps, dtype=np.int64, count=len(stamps))
             commit = np.fromiter(stamps.values(), dtype=np.int64,
                                  count=len(stamps))
             by_txid = np.argsort(txids)
             txids, commit = txids[by_txid], commit[by_txid]
-            pos = np.searchsorted(txids, entries["txid"]).clip(
-                max=txids.size - 1)
-            in_txlog = ~at_write & (txids[pos] == entries["txid"])
+            pos = np.searchsorted(txids, txid).clip(max=txids.size - 1)
+            in_txlog = ~visible & (txids[pos] == txid)
             key[in_txlog] = commit[pos[in_txlog]]
-        keep = (at_write | in_txlog) & ((flags & FLAG_INVALID) == 0)
-        return keep, key
+            visible |= in_txlog
+        active = self.active_txids()
+        if active:
+            in_active = ~visible & np.isin(txid, list(active))
+            key[in_active] = ACTIVE_KEY
+            visible |= in_active
+        visible &= (flags & FLAG_INVALID) == 0
+        return visible, key
 
     def merge_and_flush(self, keep: np.ndarray, key: np.ndarray
                         ) -> tuple[int, int]:
-        """Merge the kept entries of the active generation into their pages
-        and write the pages to flash; returns (pages written, pages read).
+        """Merge the entries of the active generation that `keep` selects
+        into their pages and write the pages to flash; returns (pages
+        written, pages read).
 
         A cacheline's entries are overlaid in (key, seq) order, so a newer
         short entry lands on the bytes of older ones.  A page whose
@@ -474,30 +488,24 @@ class WriteLog:
 
     # -- cleaning (write log cleaning with double buffering) ---------------
 
-    def clean(self, txlog, active_txids: set[int] | None = None) -> CleanReport:
-        """Merge committed entries to flash; migrate uncommitted ones.
-
-        `active_txids`, when given, limits migration to transactions that
-        are still in flight; entries of aborted transactions are dropped
-        (same as crash semantics).  The drained generation stays active,
-        and the TxLog intact, until every page is written.
-        """
+    def clean(self) -> CleanReport:
+        """Flush the visible entries below `ACTIVE_KEY` to flash, then
+        switch to a fresh generation that carries the other visible
+        entries (those of active transactions); the rest are dropped.  The
+        drained generation stays active, and the TxLog intact, until every
+        page is written."""
         report = CleanReport()
         self._cleaning = True
         try:
-            keep, key = self.commit_order(txlog)
+            visible, key = self.visibility()
+            durable = visible & (key < ACTIVE_KEY)
             report.pages_flushed, report.flash_reads = \
-                self.merge_and_flush(keep, key)
+                self.merge_and_flush(durable, key)
             report.flash_writes = report.pages_flushed
-
-            entries = self.active_gen.entries
-            moved = np.flatnonzero(~keep & ((entries["flags"] & FLAG_INVALID) == 0))
-            if active_txids is not None:
-                moved = moved[[t in active_txids
-                               for t in entries["txid"][moved].tolist()]]
-            self.new_generation(moved)
-            report.entries_migrated = int(moved.size)
-            txlog.clear()
+            carry = np.flatnonzero(visible & ~durable)
+            self.new_generation(carry)
+            report.entries_migrated = int(carry.size)
+            self.txlog.clear()
         finally:
             self._cleaning = False
         return report

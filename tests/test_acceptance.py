@@ -332,10 +332,11 @@ def test_criterion_09_clean_commit_order_and_migration():
           and page[128:192] == bytes(64)           # uncommitted not flushed
           and page[192:256] == bytes(64))          # aborted dropped
     ok &= rep.entries_migrated == 1
-    node = mssd.writelog.index.node(0)
-    txids = mssd.writelog.active_gen.entries["txid"]
-    ok &= node is not None and sorted(node.chains) == [2] \
-        and [txids[s] for s in node.chains[2]] == [tc]
+    slots = mssd.writelog.index.slots(0)
+    entries = mssd.writelog.active_gen.entries
+    ok &= slots is not None and len(slots) == 1 \
+        and entries["txid"][slots[0]] == tc \
+        and entries["block_offset"][slots[0]] == 2
     mssd.tx_commit(tc)
     mssd.clean()
     ok &= mssd.device.read_lpa(0, "untagged")[128:192] == b"\xd1" * 64

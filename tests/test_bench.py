@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from bytefs import bench, cli, image
@@ -27,6 +29,26 @@ def test_workloads_are_deterministic_per_seed():
     assert a == b
     assert a != c
     assert len(a) == 300
+
+
+# sha256 of each namespace profile's trace (4 threads, 200 records), the
+# same for every seed: these profiles draw no random numbers
+NAMESPACE_TRACES = {
+    "create": "4049cb47607e440b47140ef82c7d41f626c39a16c320ce1fbccfb69715c5d7b5",
+    "delete": "ec1e21f18b7c9353df011d82203d0acbc3581ac6d194b39588f96fd88067b94f",
+    "mkdir": "78d00cd1d340e53c9c24bdab6a336f182beee7cbed56db9be5d469fe23d0ee4f",
+    "rmdir": "65dc3bc5e2502aeeda79bd4e65024e44fd3f1e546918e30c75a0f11abac5e219",
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("profile", sorted(NAMESPACE_TRACES))
+def test_namespace_traces_pinned(profile, seed):
+    records = bench.build_workload(WorkloadSpec(profile, seed=seed, ops=200,
+                                                threads=4))
+    text = "".join(rec.format() + "\n" for rec in records)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        NAMESPACE_TRACES[profile]
 
 
 def test_varmail_at_default_config():

@@ -74,6 +74,15 @@ def test_truncated_image_reported(tmp_path):
         image.load(path)
 
 
+@pytest.mark.parametrize("cut", [4, 8, 20], ids=[
+    "after-magic", "after-version", "inside-config"])
+def test_truncated_header_reported(cut):
+    buf = io.BytesIO()
+    image.save(populated_mssd(), buf)
+    with pytest.raises(RecoveryFailed, match="truncated image"):
+        image.load(io.BytesIO(buf.getvalue()[:cut]))
+
+
 def test_device_without_log_roundtrips_with_empty_log_sections():
     mssd = Mssd(small_config(), log_enabled=False)
     assert mssd.writelog is None

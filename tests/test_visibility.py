@@ -1,0 +1,152 @@
+"""One visibility rule for the write log: reads, cleaning and recovery show
+the same entries in the same order, and the shadow oracle agrees."""
+
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine, invariant, precondition, rule,
+)
+
+from bytefs.device import KiB
+from bytefs.errors import TxAborted
+from bytefs.image import crash_clone
+from bytefs.mssd import Mssd
+
+from conftest import small_config
+
+PAGES = (0, 1)
+SLICES = ((0, 256), (70, 100), (0, 13))  # (offset, length) within a page
+
+
+def reads(block_read, byte_read) -> list[bytes]:
+    """Each page whole, and the same byte slices of each page."""
+    return [block_read(lpa) for lpa in PAGES] + [
+        byte_read(lpa * 4096 + off, n) for lpa in PAGES for off, n in SLICES]
+
+
+def device_reads(mssd: Mssd) -> list[bytes]:
+    return reads(mssd.block_read, mssd.byte_read)
+
+
+def test_aborted_write_is_never_visible(mssd_noauto):
+    mssd = mssd_noauto
+    mssd.byte_write(0, b"\x11" * 64)
+    t = mssd.tx_begin()
+    mssd.tx_write(t, 0, b"\xaa" * 64)
+    assert mssd.byte_read(0, 4) == b"\xaa" * 4   # the writer's own write
+    mssd.tx_abort(t)
+    assert mssd.byte_read(0, 4) == b"\x11" * 4
+    mssd.clean()
+    assert mssd.byte_read(0, 4) == b"\x11" * 4
+    assert mssd.block_read(0) == mssd.shadow_read(0, 4096)
+
+
+def test_commit_order_is_read_order(mssd_noauto):
+    # a transaction's write, a later plain write, then the commit: the
+    # transaction wins before the commit, after it, and after a clean
+    mssd = mssd_noauto
+    tb = mssd.tx_begin()
+    mssd.tx_write(tb, 0, b"\xb1" * 64)
+    mssd.byte_write(0, b"\xc1" * 64)
+    assert mssd.byte_read(0, 4) == b"\xb1" * 4
+    mssd.tx_commit(tb)
+    assert mssd.byte_read(0, 4) == b"\xb1" * 4
+    mssd.clean()
+    assert mssd.byte_read(0, 4) == b"\xb1" * 4
+    assert mssd.block_read(0) == mssd.shadow_read(0, 4096)
+
+
+def test_index_lookup_skips_aborted_entries(mssd_noauto):
+    mssd = mssd_noauto
+    mssd.byte_write(64, b"\x01" * 64)
+    t = mssd.tx_begin()
+    mssd.tx_write(t, 128, b"\x02" * 64)
+    assert [e.block_offset for e in mssd.writelog.index_lookup(0)] == [1, 2]
+    mssd.tx_abort(t)
+    assert [e.block_offset for e in mssd.writelog.index_lookup(0)] == [1]
+
+
+def test_finished_transactions_are_forgotten(mssd):
+    committed, aborted, active = (mssd.tx_begin() for _ in range(3))
+    mssd.tx_commit(committed)
+    mssd.tx_abort(aborted)
+    assert mssd.txmgr.active_txids() == {active}
+    assert list(mssd.txmgr.table) == [active]
+
+
+class VisibilityMachine(RuleBasedStateMachine):
+    """Byte writes, block writes and transactions on a few cachelines of
+    two pages, with a write log small enough to clean by itself."""
+
+    def __init__(self):
+        super().__init__()
+        self.mssd = Mssd(small_config(log_region_bytes=2 * KiB, txlog_bytes=8),
+                         shadow_oracle=True)
+        self.mssd.txmgr.lock_timeout_s = 0  # a lock conflict aborts at once
+        self.active: list[int] = []
+
+    writes = st.tuples(
+        st.sampled_from(PAGES), st.integers(0, 3),          # page, cacheline
+        st.sampled_from([(0, 64), (0, 13), (0, 1), (20, 30)]),  # start, length
+        st.integers(1, 255))
+
+    @staticmethod
+    def _addr_data(write):
+        lpa, cl, (start, length), value = write
+        return lpa * 4096 + cl * 64 + start, bytes([value]) * length
+
+    @rule(write=writes)
+    def plain_write(self, write):
+        self.mssd.byte_write(*self._addr_data(write))
+
+    @rule(lpa=st.sampled_from(PAGES), value=st.integers(0, 255))
+    def block_write(self, lpa, value):
+        self.mssd.block_write(lpa, bytes([value]) * 4096)
+
+    @precondition(lambda self: len(self.active) < 2)
+    @rule()
+    def begin(self):
+        self.active.append(self.mssd.tx_begin())
+
+    @precondition(lambda self: self.active)
+    @rule(which=st.integers(0, 1), write=writes)
+    def tx_write(self, which, write):
+        txid = self.active[which % len(self.active)]
+        try:
+            self.mssd.tx_write(txid, *self._addr_data(write))
+        except TxAborted:
+            self.active.remove(txid)
+
+    @precondition(lambda self: self.active)
+    @rule(which=st.integers(0, 1))
+    def commit(self, which):
+        self.mssd.tx_commit(self.active.pop(which % len(self.active)))
+
+    @precondition(lambda self: self.active)
+    @rule(which=st.integers(0, 1))
+    def abort(self, which):
+        self.mssd.tx_abort(self.active.pop(which % len(self.active)))
+
+    @rule()
+    def clean(self):
+        before = device_reads(self.mssd)
+        self.mssd.clean()
+        assert device_reads(self.mssd) == before
+
+    @precondition(lambda self: not self.active)
+    @rule()
+    def crash_and_recover(self):
+        after = crash_clone(self.mssd)
+        after.recover()
+        assert device_reads(after) == device_reads(self.mssd)
+
+    @invariant()
+    def reads_match_shadow(self):
+        shadow = self.mssd.shadow_read
+        assert device_reads(self.mssd) == reads(
+            lambda lpa: shadow(lpa * 4096, 4096), shadow)
+
+
+# at most 30 appends: the 32-slot log never fills with active entries
+VisibilityMachine.TestCase.settings = settings(
+    max_examples=150, stateful_step_count=30, deadline=None)
+test_visibility_rule_matches_shadow = VisibilityMachine.TestCase
