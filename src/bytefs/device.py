@@ -76,6 +76,11 @@ class DeviceConfig:
             raise InvalidArgument("channel_count must be positive")
         if self.txlog_bytes < 4 or self.write_buffer_bytes < self.page_size:
             raise InvalidArgument("txlog/write buffer too small")
+        # the log merge packs a cacheline number and a slot rank in an int64
+        if ((self.capacity_bytes // CACHELINE - 1).bit_length()
+                + (self.log_region_bytes // CACHELINE - 1).bit_length() > 63):
+            raise InvalidArgument("capacity_bytes and log_region_bytes "
+                                  "too large to merge the write log")
 
     @property
     def page_count(self) -> int:

@@ -793,11 +793,11 @@ class ByteFS:
             return
         page.data[off:off + len(chunk)] = chunk
         if page.duplicate is not None and not page.dirty:
-            page.duplicate = None
+            page.set_duplicate(None)
         elif page.duplicate is not None:
             dup = bytearray(page.duplicate)
             dup[off:off + len(chunk)] = chunk
-            page.duplicate = bytes(dup)
+            page.set_duplicate(bytes(dup))
 
     # -- writeback and sync ------------------------------------------------
 

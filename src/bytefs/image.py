@@ -11,6 +11,15 @@ stamps), clock.  The log sections are copies of the write log's own
 arrays, and empty for a device without a write log.  Used for
 crash-injection snapshots: host state (TxTable, caches) is deliberately
 not part of the image.
+
+What is copied: `save` writes each section's parts straight from the
+device (the flash pages, the log payload bytearray, the sidecar rows),
+with the CRC chained over the parts, so the only copy is the one into
+the target.  `load` reads each part once, into a buffer the loaded
+device then owns: each flash page into its own buffer, the log payload
+and the sidecar array into their section's buffer.  Every CRC is
+checked.  `crash_clone` is a `save` into a `BytesIO` and a `load` of
+it, so every power cut goes through the image format.
 """
 
 from __future__ import annotations
@@ -45,10 +54,16 @@ _CONFIG_FMT = "<" + "".join("d" if isinstance(f.default, float) else "Q"
 _SECTION_HDR_FMT = "<IQI"
 
 
-def _write_section(out, sec_id: int, payload: bytes) -> None:
-    out.write(struct.pack(_SECTION_HDR_FMT, sec_id, len(payload),
-                          zlib.crc32(payload)))
-    out.write(payload)
+def _write_section(out, sec_id: int, parts) -> None:
+    """Write a section whose payload is `parts` (bytes-like) in order;
+    the CRC is chained over the parts, so they are never joined."""
+    crc = length = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+        length += memoryview(part).nbytes
+    out.write(struct.pack(_SECTION_HDR_FMT, sec_id, length, crc))
+    for part in parts:
+        out.write(part)
 
 
 def save(mssd: Mssd, target) -> None:
@@ -64,34 +79,34 @@ def save(mssd: Mssd, target) -> None:
     out.write(struct.pack(_CONFIG_FMT, *astuple(mssd.config)))
 
     dev = mssd.device
-    buf = io.BytesIO()
-    buf.write(struct.pack("<Q", len(dev.pages)))
+    parts = [struct.pack("<Q", len(dev.pages))]
     for ppa in sorted(dev.pages):
-        buf.write(struct.pack("<Q", ppa))
-        buf.write(dev.pages[ppa])
-    _write_section(out, SEC_FLASH, buf.getvalue())
+        parts += (ppa.to_bytes(8, "little"), dev.pages[ppa])
+    _write_section(out, SEC_FLASH, parts)
 
-    buf = io.BytesIO()
     ftl = dev.ftl
-    buf.write(struct.pack("<Q", len(ftl.lpa_to_ppa)))
-    for lpa in sorted(ftl.lpa_to_ppa):
-        buf.write(struct.pack("<QQ", lpa, ftl.lpa_to_ppa[lpa]))
-    buf.write(struct.pack("<Q", ftl._next_unused))
-    _write_section(out, SEC_FTL, buf.getvalue())
+    count = len(ftl.lpa_to_ppa)
+    lpas = np.fromiter(ftl.lpa_to_ppa, dtype="<u8", count=count)
+    ppas = np.fromiter(ftl.lpa_to_ppa.values(), dtype="<u8", count=count)
+    by_lpa = np.argsort(lpas)
+    pairs = np.column_stack((lpas[by_lpa], ppas[by_lpa]))
+    _write_section(out, SEC_FTL, (struct.pack("<Q", count), pairs,
+                                  struct.pack("<Q", ftl._next_unused)))
 
     gen = (mssd.writelog.active_gen if mssd.log_enabled
            else LogGeneration(0, 0))
     _write_section(out, SEC_LOG_REGION,
-                   struct.pack("<IQ", gen.gen_id, gen.tail_slots) + gen.buf)
-    _write_section(out, SEC_LOG_INDEX, gen.entries.tobytes())
+                   (struct.pack("<IQ", gen.gen_id, gen.tail_slots), gen.buf))
+    _write_section(out, SEC_LOG_INDEX, (gen.entries,))
 
     stamps = mssd.txlog.stamps
-    _write_section(out, SEC_TXLOG, struct.pack("<Q", len(stamps))
-                   + np.array(list(stamps), dtype="<u4").tobytes()
-                   + np.array(list(stamps.values()), dtype="<u8").tobytes())
+    _write_section(out, SEC_TXLOG, (
+        struct.pack("<Q", len(stamps)),
+        np.fromiter(stamps, dtype="<u4", count=len(stamps)),
+        np.fromiter(stamps.values(), dtype="<u8", count=len(stamps))))
 
     _write_section(out, SEC_CLOCK,
-                   struct.pack("<QQ", dev.clock.now_ns, mssd._stamp))
+                   (struct.pack("<QQ", dev.clock.now_ns, mssd._stamp),))
 
 
 def _read_struct(f, fmt: str, section_id: int | None = None) -> tuple:
@@ -101,23 +116,48 @@ def _read_struct(f, fmt: str, section_id: int | None = None) -> tuple:
     return struct.unpack(fmt, raw)
 
 
-def _read_section(f, expect_id: int) -> bytes:
+def _section(f, expect_id: int, end: int) -> tuple[int, int]:
+    """Read and check the header of the next section; returns the length
+    and CRC of its payload.  `end` is the size of the image, which bounds
+    what a header may claim."""
     sec_id, length, crc = _read_struct(f, _SECTION_HDR_FMT, expect_id)
     if sec_id != expect_id:
         raise RecoveryFailed(f"unexpected section {sec_id}", section_id=sec_id)
-    payload = f.read(length)
-    if len(payload) != length or zlib.crc32(payload) != crc:
+    if length > end - f.tell():
+        raise RecoveryFailed("truncated image", section_id=sec_id)
+    return length, crc
+
+
+def _read_into(f, bufs, crc: int, sec_id: int) -> None:
+    """Fill `bufs` from the image in order and check their chained CRC."""
+    got = 0
+    for buf in bufs:
+        if f.readinto(buf) != len(buf):
+            raise RecoveryFailed("truncated image", section_id=sec_id)
+        got = zlib.crc32(buf, got)
+    if got != crc:
         raise RecoveryFailed(f"section {sec_id} CRC mismatch", section_id=sec_id)
+
+
+def _read_section(f, expect_id: int, end: int) -> bytearray:
+    """The payload of the next section, in a buffer of its own."""
+    length, crc = _section(f, expect_id, end)
+    payload = bytearray(length)
+    _read_into(f, (payload,), crc, expect_id)
     return payload
 
 
 def load(source) -> Mssd:
-    """Load a device image; host-side state starts fresh, and the device
-    has a write log if and only if the image says so."""
+    """Load a device image from a path or a seekable binary file object;
+    host-side state starts fresh, and the device has a write log if and
+    only if the image says so."""
     if isinstance(source, (str, bytes, os.PathLike)):
         with open(source, "rb") as f:
             return load(f)
     f = source
+    start = f.tell()
+    end = f.seek(0, io.SEEK_END)
+    f.seek(start)
     if f.read(4) != MAGIC:
         raise InvalidArgument("not a device image (bad magic)")
     (version,) = _read_struct(f, "<I")
@@ -131,31 +171,36 @@ def load(source) -> Mssd:
     mssd = Mssd(cfg, log_enabled=bool(flags & FLAG_WRITE_LOG))
     dev = mssd.device
 
-    payload = _read_section(f, SEC_FLASH)
-    off = 0
-    (count,) = struct.unpack_from("<Q", payload, off)
-    off += 8
-    for _ in range(count):
-        (ppa,) = struct.unpack_from("<Q", payload, off)
-        off += 8
-        dev.pages[ppa] = bytearray(payload[off:off + cfg.page_size])
-        off += cfg.page_size
+    # each page is read, its PPA in front, into the buffer the device keeps
+    length, crc = _section(f, SEC_FLASH, end)
+    count, rest = divmod(length - 8, 8 + cfg.page_size)
+    if length < 8 or rest:
+        raise RecoveryFailed("flash section is not whole pages",
+                             section_id=SEC_FLASH)
+    head = bytearray(8)
+    pages = [bytearray(8 + cfg.page_size) for _ in range(count)]
+    _read_into(f, [head, *pages], crc, SEC_FLASH)
+    if struct.unpack("<Q", head) != (count,):
+        raise RecoveryFailed("flash section miscounts its pages",
+                             section_id=SEC_FLASH)
+    for page in pages:
+        (ppa,) = struct.unpack_from("<Q", page)
+        del page[:8]
+        dev.pages[ppa] = page
 
-    payload = _read_section(f, SEC_FTL)
-    off = 0
-    (count,) = struct.unpack_from("<Q", payload, off)
-    off += 8
-    for _ in range(count):
-        lpa, ppa = struct.unpack_from("<QQ", payload, off)
-        off += 16
-        dev.ftl.lpa_to_ppa[lpa] = ppa
-    (dev.ftl._next_unused,) = struct.unpack_from("<Q", payload, off)
+    payload = _read_section(f, SEC_FTL, end)
+    (count,) = struct.unpack_from("<Q", payload, 0)
+    pairs = np.frombuffer(payload, dtype="<u8", count=2 * count, offset=8)
+    dev.ftl.lpa_to_ppa = dict(zip(pairs[0::2].tolist(), pairs[1::2].tolist()))
+    (dev.ftl._next_unused,) = struct.unpack_from("<Q", payload,
+                                                 8 + 16 * count)
 
-    payload = _read_section(f, SEC_LOG_REGION)
-    gen_id, tail_slots = struct.unpack_from("<IQ", payload, 0)
-    buf = bytearray(payload[12:])
-    side = np.frombuffer(_read_section(f, SEC_LOG_INDEX),
-                         dtype=SIDECAR_DTYPE).copy()
+    buf = _read_section(f, SEC_LOG_REGION, end)
+    gen_id, tail_slots = struct.unpack_from("<IQ", buf, 0)
+    del buf[:12]
+    # the sidecar array shares its section's buffer, which nothing resizes
+    side = np.frombuffer(_read_section(f, SEC_LOG_INDEX, end),
+                         dtype=SIDECAR_DTYPE)
     if len(side) != tail_slots or len(buf) != tail_slots * CACHELINE \
             or tail_slots > cfg.log_region_bytes // CACHELINE:
         raise RecoveryFailed("log region and sidecar disagree",
@@ -167,7 +212,7 @@ def load(source) -> Mssd:
         raise RecoveryFailed("image of a device without a write log holds "
                              "write-log entries", section_id=SEC_LOG_REGION)
 
-    payload = _read_section(f, SEC_TXLOG)
+    payload = _read_section(f, SEC_TXLOG, end)
     (count,) = struct.unpack_from("<Q", payload, 0)
     if count > mssd.txlog.capacity_entries:
         raise RecoveryFailed("TxLog section exceeds the TxLog",
@@ -180,7 +225,7 @@ def load(source) -> Mssd:
         raise RecoveryFailed("TxLog section repeats a txid",
                              section_id=SEC_TXLOG)
 
-    payload = _read_section(f, SEC_CLOCK)
+    payload = _read_section(f, SEC_CLOCK, end)
     now_ns, stamp = struct.unpack("<QQ", payload)
     dev.clock.now_ns = now_ns
     mssd._stamp = stamp

@@ -45,11 +45,28 @@ class Mssd:
     # The write log's visibility rule, byte by byte: a transaction's writes
     # show over the committed bytes while it is active, land at commit, and
     # vanish at abort or under a later block write to their page.  Without
-    # a write log they go straight to flash, as plain writes do.
+    # a write log they go straight to flash, as plain writes do.  A write
+    # that starts inside a cacheline is padded as the device pads it.
+
+    def _shadow_page(self, lpa: int, txids) -> bytearray:
+        """A page's committed bytes under the writes of the active
+        transactions `txids`."""
+        page_size = self.config.page_size
+        page = bytearray(self.shadow.get(lpa, bytes(page_size)))
+        for txid in txids:
+            for a, d in self._shadow_tx.get(txid, ()):
+                if a // page_size == lpa:
+                    page[a % page_size:a % page_size + len(d)] = d
+        return page
 
     def _shadow_write(self, addr: int, data: bytes, txid: int = 0) -> None:
         if self.shadow is None:
             return
+        head_pad = addr % CACHELINE
+        if head_pad:
+            lpa, off = divmod(addr - head_pad, self.config.page_size)
+            page = self._shadow_page(lpa, (txid,))
+            addr, data = addr - head_pad, bytes(page[off:off + head_pad]) + data
         if txid and self.log_enabled:
             self._shadow_tx.setdefault(txid, []).append((addr, data))
             return
@@ -65,24 +82,19 @@ class Mssd:
                 self._shadow_write(addr, data)
 
     def shadow_read(self, addr: int, length: int) -> bytes:
-        page_size = self.config.page_size
         out = bytearray()
-        for lpa, off, take, _ in spans(addr, length, page_size):
-            page = bytearray(self.shadow.get(lpa, bytes(page_size)))
-            for writes in self._shadow_tx.values():
-                for a, d in writes:
-                    if a // page_size == lpa:
-                        page[a % page_size:a % page_size + len(d)] = d
-            out += page[off:off + take]
+        for lpa, off, take, _ in spans(addr, length, self.config.page_size):
+            out += self._shadow_page(lpa, self._shadow_tx)[off:off + take]
         return bytes(out)
 
     # -- byte interface ----------------------------------------------------
 
     def byte_write(self, addr: int, data: bytes, txid: int = 0,
                    category: str = "untagged") -> None:
-        """Cacheline-granular write.  Unaligned edges are padded by
-        reading the surrounding cachelines first (the host aligns writes
-        to cachelines); writes crossing page boundaries are split.
+        """Cacheline-granular write; writes crossing page boundaries are
+        split.  A write that starts inside a cacheline is padded with the
+        bytes before it that the writer may read: the committed ones and
+        its own transaction's, never another active transaction's.
         """
         if not data:
             raise InvalidArgument("empty write")
@@ -95,12 +107,13 @@ class Mssd:
 
     def _byte_write_page(self, addr: int, data: bytes, txid: int,
                          category: str) -> None:
+        self._shadow_write(addr, data, txid)
         head_pad = addr % CACHELINE
         if head_pad:
-            base = addr - head_pad
-            prefix = self.byte_read(base, head_pad, category=category)
-            addr, data = base, prefix + data
-        self._shadow_write(addr, data, txid)
+            lpa, off = divmod(addr - head_pad, self.config.page_size)
+            prefix = self._byte_read_page(lpa, off, head_pad, category,
+                                          reader=txid)
+            addr, data = addr - head_pad, prefix + data
         if self.log_enabled:
             slots = self.writelog.byte_write(addr, data, txid=txid,
                                              category=category)
@@ -132,10 +145,10 @@ class Mssd:
                                                        self.config.page_size))
 
     def _byte_read_page(self, lpa: int, off: int, length: int,
-                        category: str) -> bytes:
+                        category: str, reader: int | None = None) -> bytes:
         if self.log_enabled:
             data, ncl = self.writelog.byte_read(
-                lpa * self.config.page_size + off, length, category)
+                lpa * self.config.page_size + off, length, category, reader)
         else:
             page = self.device.read_lpa(lpa, category)
             data = page[off:off + length]

@@ -6,13 +6,15 @@ current against duplicate at 64B granularity.  Eviction is LRU and
 writes back dirty victims through a callback.  Each inode's pages are
 also kept in their own LRU-ordered map, so fsync and unlink touch only
 that inode's pages.  Duplicates are capped at a fraction of cache
-capacity; exceeding the cap forces writeback of the oldest duplicated
-pages.
+capacity; exceeding the cap forces writeback of the least recently used
+duplicated pages.  The cache counts its duplicated pages, so it looks for
+them only when the count is over the cap.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import islice
 
 import numpy as np
 
@@ -22,18 +24,29 @@ DUPLICATE_CAP_FRACTION = 0.25
 
 
 class CachedPage:
-    __slots__ = ("ino", "index", "data", "duplicate", "dirty")
+    """A cached page; `cache` is the PageCache holding it, if any, whose
+    count of duplicated pages `set_duplicate` keeps."""
 
-    def __init__(self, ino: int, index: int, data: bytearray):
+    __slots__ = ("ino", "index", "data", "duplicate", "dirty", "cache")
+
+    def __init__(self, ino: int, index: int, data: bytearray,
+                 cache: "PageCache | None" = None):
         self.ino = ino
         self.index = index
         self.data = data
         self.duplicate: bytes | None = None
         self.dirty = False
+        self.cache = cache
+
+    def set_duplicate(self, duplicate: bytes | None) -> None:
+        if self.cache is not None:
+            self.cache.duplicated += ((duplicate is not None)
+                                      - (self.duplicate is not None))
+        self.duplicate = duplicate
 
     def note_modify(self) -> None:
         if self.duplicate is None:
-            self.duplicate = bytes(self.data)
+            self.set_duplicate(bytes(self.data))
         self.dirty = True
 
     def dirty_cachelines(self) -> list[int]:
@@ -46,7 +59,7 @@ class CachedPage:
         return np.flatnonzero((now != old).any(axis=1)).tolist()
 
     def clear_dirty(self) -> None:
-        self.duplicate = None
+        self.set_duplicate(None)
         self.dirty = False
 
 
@@ -58,6 +71,9 @@ class PageCache:
         self.pages: OrderedDict[tuple[int, int], CachedPage] = OrderedDict()
         # ino -> page index -> page, in the order of `pages`
         self.by_ino: dict[int, OrderedDict[int, CachedPage]] = {}
+        self.duplicated = 0  # cached pages that hold a duplicate
+        self.duplicate_cap = max(
+            2, int(self.capacity_pages * DUPLICATE_CAP_FRACTION))
 
     def get(self, ino: int, index: int) -> CachedPage | None:
         page = self.pages.get((ino, index))
@@ -67,7 +83,7 @@ class PageCache:
         return page
 
     def insert(self, ino: int, index: int, data: bytearray) -> CachedPage:
-        page = CachedPage(ino, index, data)
+        page = CachedPage(ino, index, data, self)
         self.pages[(ino, index)] = page
         self.by_ino.setdefault(ino, OrderedDict())[index] = page
         self._enforce_limits()
@@ -75,7 +91,12 @@ class PageCache:
 
     def drop_inode(self, ino: int) -> None:
         for index in self.by_ino.pop(ino, ()):
-            del self.pages[(ino, index)]
+            self._forget(self.pages.pop((ino, index)))
+
+    def _forget(self, page: CachedPage) -> None:
+        """Stop counting a page that has left the cache."""
+        self.duplicated -= page.duplicate is not None
+        page.cache = None
 
     def dirty_pages(self, ino: int) -> list[CachedPage]:
         """The inode's dirty pages, least recently used first."""
@@ -87,14 +108,15 @@ class PageCache:
             if victim.dirty:
                 self.writeback_cb(victim)
             del self.pages[key]
+            self._forget(victim)
             pages = self.by_ino[victim.ino]
             del pages[victim.index]
             if not pages:
                 del self.by_ino[victim.ino]
-        dup_cap = max(2, int(self.capacity_pages * DUPLICATE_CAP_FRACTION))
-        dups = [p for p in self.pages.values() if p.duplicate is not None]
-        if len(dups) > dup_cap:
-            for victim in dups[:len(dups) - dup_cap]:
+        excess = self.duplicated - self.duplicate_cap
+        if excess > 0:
+            dups = (p for p in self.pages.values() if p.duplicate is not None)
+            for victim in list(islice(dups, excess)):
                 if victim.dirty:
                     self.writeback_cb(victim)
                 victim.clear_dirty()

@@ -64,6 +64,25 @@ def _starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
 
 
+def merge_order(cell: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """The permutation that sorts entries by (cell, key, seq), for entries
+    given in seq order (as a generation's slots are) with int64 `cell`
+    and `key`.
+
+    One sort of `cell << bits | rank`, where `rank` is an entry's position
+    in (key, seq) order, which a stable sort by key gives (and cheaply:
+    keys mostly arrive in order).  `DeviceConfig.validate` bounds the
+    cell and slot counts so that the packed value fits in 63 bits.
+    """
+    by_key = np.argsort(key, kind="stable")
+    bits = (key.size - 1).bit_length()
+    packed = cell[by_key] << bits
+    packed |= np.arange(key.size)
+    packed.sort()
+    packed &= (1 << bits) - 1
+    return by_key[packed]
+
+
 @dataclass
 class ChunkEntry:
     """Index record locating one buffered write within a page."""
@@ -281,10 +300,13 @@ class WriteLog:
 
     # -- read path ---------------------------------------------------------
 
-    def page_entries(self, lpa: int) -> list[tuple[int, int, int, int, int]]:
+    def page_entries(self, lpa: int, reader: int | None = None
+                     ) -> list[tuple[int, int, int, int, int]]:
         """The visible entries of one page as (key, seq, block offset,
         length, slot), in (key, seq) order: `visibility` for one page.
-        The index holds no superseded entry."""
+        The index holds no superseded entry.  `reader` is the one active
+        transaction (0: none) whose writes a writer padding its write
+        sees; None, a read, sees every active transaction's."""
         slots = self.index.slots(lpa)
         if not slots:
             return []
@@ -300,7 +322,8 @@ class WriteLog:
                 key = stamps[txid]
             else:
                 if active is None:
-                    active = self.active_txids()
+                    active = (self.active_txids() if reader is None
+                              else {reader})
                 if txid not in active:
                     continue
                 key = ACTIVE_KEY
@@ -315,9 +338,10 @@ class WriteLog:
             src = slot * CACHELINE
             page[start:start + length] = buf[src:src + length]
 
-    def byte_read(self, addr: int, length: int, category: str = "untagged"
-                  ) -> tuple[bytes, int]:
-        """Return (data, cachelines touched)."""
+    def byte_read(self, addr: int, length: int, category: str = "untagged",
+                  reader: int | None = None) -> tuple[bytes, int]:
+        """Return (data, cachelines touched); `reader` as in
+        `page_entries`."""
         if length <= 0:
             raise InvalidArgument("empty read")
         if addr < 0 or addr + length > self.cfg.capacity_bytes:
@@ -331,7 +355,7 @@ class WriteLog:
         last_cl = (page_off + length - 1) // CACHELINE
         ncl = last_cl - first_cl + 1
 
-        entries = self.page_entries(lpa)
+        entries = self.page_entries(lpa, reader)
         # the log alone serves the read if, in each cacheline, the longest
         # visible entry reaches the last byte the read needs from it
         from_log = False
@@ -423,19 +447,20 @@ class WriteLog:
             return 0, 0
         cl_per_page = self.cfg.cachelines_per_page
         gen = self.active_gen
-        rows = gen.side[kept]
+        side = gen.side
         key = key[kept]
-        seq = rows["seq"]
-        lengths = rows["length"]
-        lpa = rows["lpa"].astype(np.int64)
-        cell = lpa * cl_per_page + rows["block_offset"]
+        lengths = side["length"][kept]
+        block_offset = side["block_offset"][kept]
+        lpa = side["lpa"][kept].astype(np.int64)
+        cell = lpa * cl_per_page + block_offset
 
         # each cacheline's entries in (key, seq) order; the last is newest
-        order = np.lexsort((seq, key, cell))
+        order = merge_order(cell, key)
         cell = cell[order]
         first = _starts(cell)
         last = np.append(first[1:], cell.size) - 1
         win = order[last]
+        src = kept[win]  # the slot of each cacheline's newest entry
         covered = np.maximum.reduceat(lengths[order], first)
 
         # pages in LPA order, and the cachelines (by newest entry) of each
@@ -448,13 +473,13 @@ class WriteLog:
             np.minimum.reduceat(covered, page_first) < CACHELINE)
 
         # the newest entry of a page: greatest key, then greatest seq
-        win_key, win_seq = key[win], seq[win]
+        win_key, win_seq = key[win], side["seq"][src]
         page_key = np.maximum.reduceat(win_key, page_first)
         top = win_key == page_key[page_of]
         top_seq = np.maximum.reduceat(np.where(top, win_seq, 0), page_first)
         newest = np.flatnonzero(top & (win_seq == top_seq[page_of]))
         newest = newest[_starts(page_of[newest])]
-        page_cat = rows["category"][win[newest]]
+        page_cat = side["category"][src[newest]]
 
         page_size = self.cfg.page_size
         lpas = page_lpa.tolist()
@@ -466,9 +491,9 @@ class WriteLog:
             pages[p] = np.frombuffer(self.device.read_lpa(lpas[p], "untagged"),
                                      dtype=np.uint8)
         slots = gen.slot_view()
-        win_off = rows["block_offset"][win]
+        win_off = block_offset[win]
         whole = lengths[win] == CACHELINE
-        out[page_of[whole], win_off[whole]] = slots[kept[win[whole]]]
+        out[page_of[whole], win_off[whole]] = slots[src[whole]]
         # a short newest entry: overlay its cacheline's whole chain
         for j in np.flatnonzero(~whole).tolist():
             line = out[page_of[j], win_off[j]]
@@ -476,12 +501,12 @@ class WriteLog:
                 line[:lengths[e]] = slots[kept[e], :lengths[e]]
 
         cats = [CATEGORIES[c] for c in page_cat.tolist()]
-        flush = np.lexsort((page_lpa, page_key)).tolist()
+        # pages are in LPA order, so a stable sort breaks key ties by LPA
+        flush = np.argsort(page_key, kind="stable").tolist()
         batch_pages = max(1, self.cfg.write_buffer_bytes // page_size)
         for i in range(0, len(flush), batch_pages):
             self.device.write_pages([
-                (self.device.ftl_translate(lpas[p]), pages[p].tobytes(),
-                 cats[p])
+                (self.device.ftl_translate(lpas[p]), pages[p].data, cats[p])
                 for p in flush[i:i + batch_pages]
             ])
         return len(flush), len(reads)

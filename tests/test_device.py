@@ -126,6 +126,11 @@ def test_invalid_configs_rejected():
         DeviceConfig(clean_threshold=0.0).validate()
     with pytest.raises(InvalidArgument):
         DeviceConfig(clean_threshold=1.5).validate()
+    # a cacheline number and a log slot rank must pack into 63 bits
+    DeviceConfig(capacity_bytes=2 ** 51, log_region_bytes=2 ** 24).validate()
+    with pytest.raises(InvalidArgument, match="merge"):
+        DeviceConfig(capacity_bytes=2 ** 52,
+                     log_region_bytes=2 ** 24).validate()
 
 
 @given(st.integers(0, 10_000), st.integers(0, 3_000),

@@ -1,11 +1,12 @@
 import hashlib
+import io
 import random
 import types
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from bytefs import bench
+from bytefs import bench, image
 from bytefs.device import CACHELINE, TrafficCounters
 from bytefs.errors import (
     AlreadyExists, DirectoryNotEmpty, FsError, InvalidArgument, IsADirectory,
@@ -702,7 +703,21 @@ PINNED = {
 }
 
 
-def _pinned_run(mode):
+# sha256 of `image.save` of `_pinned_fs`'s device in each mode: the device
+# image format, byte for byte.
+PINNED_IMAGE = {
+    "block_only": "4a053d30f94b0707a3ce78f1c5dc078c"
+                  "6344f934a011dfa7a63e6cf46625aa44",
+    "dual": "61de1f06612f5935fb4d760150abad8f"
+            "fb1ace73c1880ecb262cbd7684b16a08",
+    "dual_log": "aaa9912cc5063aa0a5105270f3b33873"
+                "44400a5efc2a8bc3f982e50656b04c24",
+    "full": "1c12c936ddf1b70b585dfb82f19c5648"
+            "ac234b06cf8a5a5db9e5a0c968dd4597",
+}
+
+
+def _pinned_fs(mode):
     """A short fileserver trace, direct I/O across a page boundary at both
     sides of the 512 B byte-interface limit, and a sync of dirty pages."""
     fs = make_fs(mode, cache_bytes=64 * 1024)
@@ -720,6 +735,11 @@ def _pinned_run(mode):
     assert any(fs.cache.dirty_pages(ino) for ino in fs.cache.by_ino)
     fs.sync()
     assert not any(fs.cache.dirty_pages(ino) for ino in fs.cache.by_ino)
+    return fs
+
+
+def _pinned_run(mode):
+    fs = _pinned_fs(mode)
     dev = fs.mssd.device
     digest = hashlib.sha256()
     for ppa in sorted(dev.pages):
@@ -734,3 +754,10 @@ def _pinned_run(mode):
 @pytest.mark.parametrize("mode", MODES)
 def test_model_outputs_pinned(mode):
     assert _pinned_run(mode) == PINNED[mode]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_image_bytes_pinned(mode):
+    buf = io.BytesIO()
+    image.save(_pinned_fs(mode).mssd, buf)
+    assert hashlib.sha256(buf.getvalue()).hexdigest() == PINNED_IMAGE[mode]

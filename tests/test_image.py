@@ -201,3 +201,51 @@ def test_txlog_section_with_a_repeated_txid_rejected():
     with pytest.raises(RecoveryFailed) as exc:
         image.load(io.BytesIO(blob))
     assert exc.value.section_id == image.SEC_TXLOG
+
+
+def _image_bytes(mssd) -> bytes:
+    buf = io.BytesIO()
+    image.save(mssd, buf)
+    return buf.getvalue()
+
+
+def _used_device(mode, config):
+    """A formatted device with flash pages, log entries, a TxLog and an
+    open transaction."""
+    mssd = make_mssd(config, mode)
+    mkfs(mssd)
+    fs = ByteFS(mssd, mode=mode, cache_bytes=64 * KiB)
+    fs.mount()
+    for i in range(6):
+        fs.create(f"/f{i}")
+        fd = fs.open(f"/f{i}")
+        fs.write(fd, 100 * i, bytes([i + 1]) * (3000 + 700 * i))
+        if i % 2:
+            fs.fsync(fd)
+        fs.close(fd)
+    fs.unlink("/f0")
+    mssd.tx_write(mssd.tx_begin(), 64, b"\x5a" * 64)
+    return mssd
+
+
+@pytest.mark.parametrize("config", [small_config(), DeviceConfig()],
+                         ids=["8MiB", "default"])
+@pytest.mark.parametrize("mode", MODES)
+def test_clone_saves_the_bytes_of_its_original(mode, config):
+    mssd = _used_device(mode, config)
+    assert _image_bytes(image.crash_clone(mssd)) == _image_bytes(mssd)
+
+
+def test_clone_shares_no_buffer_with_its_original():
+    mssd = _used_device("full", small_config())
+    original = _image_bytes(mssd)
+    clone = image.crash_clone(mssd)
+    loaded = clone.writelog.active_gen.tail_slots
+    clone.block_write(0, b"\x40" * 4096)       # flags sidecar rows in place
+    for i in range(loaded + 50):               # grows the payload and sidecar
+        clone.byte_write(4096 + 64 * (i % 512), bytes([i % 256]) * 64)
+    clone.clean()
+    assert clone.writelog.active_gen.gen_id > 0
+    assert _image_bytes(mssd) == original
+    mssd.byte_write(0, b"\x41" * 64)           # saving left no buffer pinned
+    assert _image_bytes(mssd) != original

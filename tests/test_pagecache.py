@@ -1,4 +1,5 @@
-"""The page cache's per-inode index against the cache's own LRU order."""
+"""The page cache's per-inode index against the cache's own LRU order,
+and its count of duplicated pages against a count of the pages."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +21,8 @@ def assert_index_in_step(cache):
         for index, page in pages.items():
             assert cache.pages[(ino, index)] is page
     assert sum(map(len, cache.by_ino.values())) == len(cache.pages)
+    assert cache.duplicated == sum(p.duplicate is not None
+                                   for p in cache.pages.values())
 
 
 def make_cache(written, pages=8):
@@ -32,19 +35,24 @@ def make_cache(written, pages=8):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(("insert", "get", "modify",
-                                           "drop", "writeback")),
+                                           "drop", "writeback",
+                                           "duplicate")),
                           st.integers(0, 2), st.integers(0, 5)),
                 min_size=20, max_size=80))
 def test_index_matches_pages_and_full_walk(ops):
     """`insert` and `drop` use the drawn inode and page index; `get`,
-    `modify` and `writeback` act on a cached page picked by them."""
+    `modify`, `writeback` and `duplicate` act on a cached page picked by
+    them.  `duplicate` replaces or drops a page's duplicate, as a direct
+    write over a cached page does."""
     cache = make_cache([], pages=12)  # 12 pages, 3 duplicates
+    dropped = []
     for op, ino, index in ops:
         if op == "insert" and (ino, index) not in cache.pages:
             cache.insert(ino, index, bytearray(PAGE))
         elif op == "drop":
+            dropped += cache.by_ino.get(ino, {}).values()
             cache.drop_inode(ino)
-        elif op in ("get", "modify", "writeback") and cache.pages:
+        elif op in ("get", "modify", "writeback", "duplicate") and cache.pages:
             keys = list(cache.pages)
             key = keys[(ino * 6 + index) % len(keys)]
             page = cache.get(*key) if op == "get" else cache.pages[key]
@@ -53,6 +61,11 @@ def test_index_matches_pages_and_full_walk(ops):
                 page.data[0] ^= 1
             elif op == "writeback":
                 page.clear_dirty()
+            elif op == "duplicate" and page.duplicate is not None:
+                page.set_duplicate(None if index % 2 else bytes(page.data))
+        for page in dropped:  # pages no longer cached count for nothing
+            page.note_modify()
+            page.clear_dirty()
         assert_index_in_step(cache)
         for i in range(3):
             assert cache.dirty_pages(i) == full_walk_dirty(cache, i)

@@ -1,11 +1,14 @@
 import threading
 
+import numpy as np
 import pytest
 
 from bytefs.errors import SpaceExhausted, StateError, TxAborted
 from bytefs.image import crash_clone
 from bytefs.mssd import Mssd
-from bytefs.writelog import FLAG_COMMITTED_AT_WRITE, FLAG_INVALID
+from bytefs.writelog import (
+    ACTIVE_KEY, FLAG_COMMITTED_AT_WRITE, FLAG_INVALID,
+)
 
 from conftest import small_config
 
@@ -231,8 +234,9 @@ def test_recovery_matches_reference_merge():
 
     rng = random.Random(1)
     mssd = Mssd(small_config(), auto_clean=False)
-    mssd.txmgr.lock_timeout_s = 0.01
+    mssd.txmgr.lock_timeout_s = 0  # a lock conflict aborts at once
     writers = {}  # cacheline -> kinds of writes since its page's last block write
+    open_txs = {}  # txid -> addresses written, for up to three at once
     for _ in range(300):
         addr = rng.randrange(0, 256) * 64   # four pages: many collisions
         data = bytes([rng.randrange(1, 255)]) * rng.choice((13, 32, 64))
@@ -247,19 +251,30 @@ def test_recovery_matches_reference_merge():
             mssd.byte_write(addr, data)
             writers.setdefault(addr, set()).add("plain")
             continue
-        t = mssd.tx_begin()
+        if not open_txs or (len(open_txs) < 3 and rng.random() < 0.5):
+            open_txs[mssd.tx_begin()] = set()
+        t = rng.choice(list(open_txs))
         try:
             mssd.tx_write(t, addr, data)
         except TxAborted:
+            del open_txs[t]
             continue
-        r = rng.random()
-        if r < 0.75:
-            mssd.tx_commit(t)
-            writers.setdefault(addr, set()).add("tx")
-        elif r < 0.9:
-            mssd.tx_abort(t)
+        open_txs[t].add(addr)
+        if rng.random() < 0.5:
+            # finish any open transaction, not only the oldest
+            t = rng.choice(list(open_txs))
+            written = open_txs.pop(t)
+            if rng.random() < 0.85:
+                mssd.tx_commit(t)
+                for a in written:
+                    writers.setdefault(a, set()).add("tx")
+            else:
+                mssd.tx_abort(t)
     # the mix interleaves tx and non-tx writes on the same cachelines
     assert sum(kinds == {"plain", "tx"} for kinds in writers.values()) > 10
+    # commits out of append order: the keys are not sorted in slot order
+    visible, key = mssd.writelog.visibility()
+    assert (np.diff(key[visible & (key < ACTIVE_KEY)]) < 0).any()
 
     after = crash_clone(mssd)
     want, flushed = _reference_recovery(crash_clone(mssd))

@@ -55,6 +55,24 @@ def test_commit_order_is_read_order(mssd_noauto):
     assert mssd.block_read(0) == mssd.shadow_read(0, 4096)
 
 
+def test_padding_holds_no_other_transactions_bytes(mssd_noauto):
+    # a plain write inside a cacheline that an open transaction wrote is
+    # padded with committed bytes, so the abort leaves none of the
+    # transaction's bytes behind
+    mssd = mssd_noauto
+    t = mssd.tx_begin()
+    mssd.tx_write(t, 0, b"\xaa" * 64)
+    mssd.byte_write(10, b"\x22" * 5)
+    mssd.tx_abort(t)
+    want = bytes(10) + b"\x22" * 5 + bytes(1)
+    assert mssd.byte_read(0, 16) == mssd.shadow_read(0, 16) == want
+    after = crash_clone(mssd)
+    after.recover()
+    assert after.byte_read(0, 16) == want
+    mssd.clean()
+    assert mssd.byte_read(0, 16) == mssd.shadow_read(0, 16) == want
+
+
 def test_index_lookup_skips_aborted_entries(mssd_noauto):
     mssd = mssd_noauto
     mssd.byte_write(64, b"\x01" * 64)

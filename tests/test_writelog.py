@@ -1,10 +1,15 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bytefs.device import CACHELINE
-from bytefs.errors import AddressFault, BackPressure, InvalidArgument
+from bytefs.errors import (
+    AddressFault, BackPressure, InvalidArgument, TxAborted,
+)
 from bytefs.mssd import Mssd
+from bytefs.writelog import ACTIVE_KEY, merge_order
 
 from conftest import small_config
 
@@ -291,3 +296,67 @@ def test_recover_merges_partial_entry_over_older_full_entry():
     page = after.block_read(0)
     assert page[:13] == b"\xbb" * 13
     assert page[13:64] == b"\xaa" * 51
+
+
+def reference_order(cell, key, seq):
+    return np.lexsort((seq, key, cell))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(("plain", "tx", "commit", "abort",
+                                           "clean")),
+                          st.integers(0, 2 ** 16 - 1)),
+                max_size=60))
+def test_merge_order_matches_lexsort_on_a_live_log(ops):
+    """Sidecars from plain writes and up to three open transactions
+    committed in any order; a clean carries the entries of open ones.  A
+    `tx` write goes to a new transaction when `n` picks none open."""
+    mssd = Mssd(small_config(), auto_clean=False)
+    mssd.txmgr.lock_timeout_s = 0  # a lock conflict aborts at once
+    open_txs = []
+    for op, n in ops:
+        addr = (n % 8) * 4096 + (n // 8 % 4) * CACHELINE
+        if op == "plain":
+            mssd.byte_write(addr, bytes([n % 251 + 1]) * (n % 64 + 1))
+        elif op == "tx":
+            pick = n % (len(open_txs) + 1)
+            if pick == len(open_txs):
+                if pick == 3:
+                    continue
+                open_txs.append(mssd.tx_begin())
+            t = open_txs[pick]
+            try:
+                mssd.tx_write(t, addr, bytes([n % 251 + 1]) * 64)
+            except TxAborted:
+                open_txs.remove(t)
+        elif op in ("commit", "abort") and open_txs:
+            t = open_txs.pop(n % len(open_txs))
+            (mssd.tx_commit if op == "commit" else mssd.tx_abort)(t)
+        elif op == "clean":
+            mssd.clean()
+    log = mssd.writelog
+    entries = log.active_gen.entries
+    visible, key = log.visibility()
+    cell = (entries["lpa"].astype(np.int64) * (4096 // CACHELINE)
+            + entries["block_offset"])
+    for keep in (visible & (key < ACTIVE_KEY), visible):
+        kept = np.flatnonzero(keep)
+        got = merge_order(cell[kept], key[kept])
+        want = reference_order(cell[kept], key[kept], entries["seq"][kept])
+        assert got.tolist() == want.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 5)),
+                min_size=1, max_size=200))
+def test_merge_order_matches_lexsort_on_wide_cells_and_keys(rows):
+    """Cacheline numbers up to the largest a 32-bit LPA gives with 64
+    cachelines a page, and keys up to `ACTIVE_KEY`; seq is slot order."""
+    cells = np.array([2 ** 38 - 1 - 2 ** 35, 2 ** 38 - 1, 0, 1, 2 ** 20,
+                      2 ** 37, 5, 2 ** 38 - 2], dtype=np.int64)
+    keys = np.array([ACTIVE_KEY, 1, 2 ** 62, 7, 3, 2 ** 40], dtype=np.int64)
+    cell = cells[[c for c, _ in rows]]
+    key = keys[[k for _, k in rows]]
+    seq = np.arange(len(rows))
+    assert merge_order(cell, key).tolist() == \
+        reference_order(cell, key, seq).tolist()
