@@ -356,12 +356,12 @@ class RunReport:
 
 def run(spec: WorkloadSpec, config: DeviceConfig | None = None,
         mode: str = "full", journal: str = "ordered",
-        cache_bytes: int | None = None, check: bool = True):
+        cache_bytes: int | None = None):
     """Format a device, execute the workload, report traffic.
     Returns (fs, report, trace records)."""
     records = build_workload(spec)
     fs = format_and_mount(config, mode, journal, cache_bytes)
-    report = replay(fs, records, spec=spec, check=check)
+    report = replay(fs, records, spec=spec)
     return fs, report, records
 
 
@@ -378,7 +378,7 @@ def format_and_mount(config: DeviceConfig | None, mode: str, journal: str,
 
 
 def replay(fs: ByteFS, records: list[TraceRecord],
-           spec: WorkloadSpec | None = None, check: bool = True) -> RunReport:
+           spec: WorkloadSpec | None = None) -> RunReport:
     before = fs.mssd.traffic_snapshot()
     sim_start = fs.mssd.clock_ns
     wall_start = time.monotonic()
@@ -389,7 +389,7 @@ def replay(fs: ByteFS, records: list[TraceRecord],
         fs.close(fd)
     wall = time.monotonic() - wall_start
     delta = fs.mssd.traffic_snapshot().delta(before)
-    problems = fs.fsck() if check else []
+    problems = fs.fsck()
     return RunReport(
         profile=spec.profile if spec else "trace",
         mode=fs.mode, journal=fs.journal_mode,
@@ -542,11 +542,10 @@ def crash_run(spec: WorkloadSpec, crash_at: int,
 
 
 def sweep(spec: WorkloadSpec, config: DeviceConfig | None = None,
-          journal: str = "ordered",
-          modes: tuple[str, ...] = MODES) -> dict[str, RunReport]:
+          journal: str = "ordered") -> dict[str, RunReport]:
     """Run the same workload in each mount mode for ablation comparisons."""
     return {mode: run(spec, config, mode=mode, journal=journal)[1]
-            for mode in modes}
+            for mode in MODES}
 
 
 def sweep_table(reports: dict[str, RunReport]) -> str:

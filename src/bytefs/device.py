@@ -76,6 +76,10 @@ class DeviceConfig:
             raise InvalidArgument("channel_count must be positive")
         if self.txlog_bytes < 4 or self.write_buffer_bytes < self.page_size:
             raise InvalidArgument("txlog/write buffer too small")
+        # the write log's sidecar holds an LPA in a u4 and a cacheline of
+        # its page in a u1
+        if self.page_count > 2 ** 32 or self.cachelines_per_page > 256:
+            raise InvalidArgument("at most 2**32 pages of at most 16 KiB")
         # the log merge packs a cacheline number and a slot rank in an int64
         if ((self.capacity_bytes // CACHELINE - 1).bit_length()
                 + (self.log_region_bytes // CACHELINE - 1).bit_length() > 63):

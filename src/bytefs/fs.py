@@ -111,24 +111,17 @@ def mkfs(mssd: Mssd, inode_count: int | None = None,
     )
     mssd.block_write(0, sb.pack(), category="superblock")
 
-    def write_unless_erased(lba: int, data: bytes, category: str) -> None:
-        # erased flash reads back zeros, so all-zero blocks need no write
-        if any(data):
-            mssd.block_write(lba, data, category=category)
-
-    ibmp = bytearray(ibmp_blocks * bs)
-    for ino in range(ROOT_INO + 1):  # 0 and 1 reserved, 2 is the root
-        ibmp[ino // 8] |= 1 << (ino % 8)
-    for i in range(ibmp_blocks):
-        write_unless_erased(ibmp_start + i, bytes(ibmp[i * bs:(i + 1) * bs]),
-                            "bitmap")
-
-    bbmp = bytearray(bbmp_blocks * bs)
-    for blk in range(data_start):  # metadata region is allocated
-        bbmp[blk // 8] |= 1 << (blk % 8)
-    for i in range(bbmp_blocks):
-        write_unless_erased(bbmp_start + i, bytes(bbmp[i * bs:(i + 1) * bs]),
-                            "bitmap")
+    # inodes 0 and 1 are reserved and 2 is the root; the metadata region
+    # is allocated
+    for start, nblocks, used in ((ibmp_start, ibmp_blocks, ROOT_INO + 1),
+                                 (bbmp_start, bbmp_blocks, data_start)):
+        bitmap = bytearray(nblocks * bs)
+        for idx in range(used):
+            bitmap[idx // 8] |= 1 << (idx % 8)
+        for i in range(nblocks):
+            block = bytes(bitmap[i * bs:(i + 1) * bs])
+            if any(block):  # erased flash reads back zeros
+                mssd.block_write(start + i, block, category="bitmap")
 
     root = Inode(ino=ROOT_INO, itype=ITYPE_DIR, links=2, mode=0o755)
     itab_page0 = bytearray(bs)
@@ -198,14 +191,13 @@ class ByteFS:
         if self.sb.block_size != bs:
             raise InvalidArgument("superblock block size mismatch")
         sb = self.sb
-        self._ibmp = bytearray()
-        for i in range(sb.ibmp_blocks):
-            self._ibmp += self.mssd.block_read(sb.ibmp_start + i,
-                                               category="bitmap")
-        self._bbmp = bytearray()
-        for i in range(sb.bbmp_blocks):
-            self._bbmp += self.mssd.block_read(sb.bbmp_start + i,
-                                               category="bitmap")
+        self._ibmp, self._bbmp = bytearray(), bytearray()
+        # each bitmap with its first block and block count
+        self._bitmaps = ((self._ibmp, sb.ibmp_start, sb.ibmp_blocks),
+                         (self._bbmp, sb.bbmp_start, sb.bbmp_blocks))
+        for bitmap, start, count in self._bitmaps:
+            for blk in range(start, start + count):
+                bitmap += self.mssd.block_read(blk, category="bitmap")
         self._itab_pages: dict[int, bytearray] = {}
         self._blocks: dict[int, bytearray] = {}      # dir + spill mirrors
         self._inodes: dict[int, Inode] = {}
@@ -243,14 +235,14 @@ class ByteFS:
         finally:
             self._txn = None
         if txn.journaled:
-            self._journal_write(txn)
+            base = self._journal_write(txn)
         if self.byte_metadata:
             if txn.txid is not None:
                 self.mssd.tx_commit(txn.txid)
         else:
             self._flush_block_txn(txn)
         if txn.journaled:
-            self._journal_checkpoint(txn)
+            self._journal_checkpoint(txn, base)
 
     def _meta_write(self, addr: int, data: bytes, category: str) -> None:
         """Update the host mirror and persist per the mount mode."""
@@ -271,12 +263,10 @@ class ByteFS:
         bs = sb.block_size
         if blk == 0:
             raise FsError("superblock is not byte-writable")
-        if sb.ibmp_start <= blk < sb.ibmp_start + sb.ibmp_blocks:
-            i = blk - sb.ibmp_start
-            return memoryview(self._ibmp)[i * bs:(i + 1) * bs]
-        if sb.bbmp_start <= blk < sb.bbmp_start + sb.bbmp_blocks:
-            i = blk - sb.bbmp_start
-            return memoryview(self._bbmp)[i * bs:(i + 1) * bs]
+        for bitmap, start, count in self._bitmaps:
+            if start <= blk < start + count:
+                i = blk - start
+                return memoryview(bitmap)[i * bs:(i + 1) * bs]
         if sb.itab_start <= blk < sb.itab_start + sb.itab_blocks:
             i = blk - sb.itab_start
             page = self._itab_pages.get(i)
@@ -311,28 +301,25 @@ class ByteFS:
         else:
             bitmap[idx // 8] &= ~(1 << (idx % 8))
 
-    def _persist_bitmap_group(self, kind: str, idx: int) -> None:
-        sb = self.sb
-        group = idx // (CACHELINE * 8)
-        if kind == "inode":
-            addr = sb.ibmp_start * sb.block_size + group * CACHELINE
-            data = bytes(self._ibmp[group * CACHELINE:(group + 1) * CACHELINE])
-        else:
-            addr = sb.bbmp_start * sb.block_size + group * CACHELINE
-            data = bytes(self._bbmp[group * CACHELINE:(group + 1) * CACHELINE])
-        self._meta_write(addr, data, "bitmap")
+    def _persist_bitmap_group(self, bitmap: bytearray, start: int,
+                              idx: int) -> None:
+        """Persist the 64B group that holds bit `idx` of `bitmap`, whose
+        first block is `start`."""
+        lo = idx // (CACHELINE * 8) * CACHELINE
+        self._meta_write(start * self.sb.block_size + lo,
+                         bytes(bitmap[lo:lo + CACHELINE]), "bitmap")
 
     def _alloc_ino(self) -> int:
         ino = _first_clear(self._ibmp, ROOT_INO + 1, self.sb.inode_count)
         if ino is None:
             raise SpaceExhausted("no free inodes")
         self._set_bit(self._ibmp, ino, True)
-        self._persist_bitmap_group("inode", ino)
+        self._persist_bitmap_group(self._ibmp, self.sb.ibmp_start, ino)
         return ino
 
     def _free_ino(self, ino: int) -> None:
         self._set_bit(self._ibmp, ino, False)
-        self._persist_bitmap_group("inode", ino)
+        self._persist_bitmap_group(self._ibmp, self.sb.ibmp_start, ino)
 
     def _alloc_block(self) -> int:
         """First free block at or after the hint, else from the start of
@@ -344,13 +331,13 @@ class ByteFS:
         if blk is None:
             raise SpaceExhausted("no free blocks")
         self._set_bit(self._bbmp, blk, True)
-        self._persist_bitmap_group("block", blk)
+        self._persist_bitmap_group(self._bbmp, self.sb.bbmp_start, blk)
         self._alloc_hint = blk + 1
         return blk
 
     def _free_block(self, blk: int) -> None:
         self._set_bit(self._bbmp, blk, False)
-        self._persist_bitmap_group("block", blk)
+        self._persist_bitmap_group(self._bbmp, self.sb.bbmp_start, blk)
         self._blocks.pop(blk, None)
 
     # ------------------------------------------------------------------
@@ -367,18 +354,20 @@ class ByteFS:
         page_idx = ino * INODE_SIZE // sb.block_size
         mirror = self._block_mirror(sb.itab_start + page_idx)
         off = ino * INODE_SIZE % sb.block_size
-        inode = Inode.unpack(bytes(mirror[off:off + INODE_SIZE]))
-        device_count = getattr(inode, "_device_extent_count", len(inode.extents))
-        if device_count > INLINE_EXTENTS:
+        inode, extent_count = Inode.unpack(bytes(mirror[off:off + INODE_SIZE]))
+        if extent_count > INLINE_EXTENTS:
             spill = self._block_mirror(inode.spill_block)
-            for i in range(device_count - INLINE_EXTENTS):
+            for i in range(extent_count - INLINE_EXTENTS):
                 inode.extents.append(ExtentLeaf.unpack(bytes(spill), i * 16))
         self._inodes[ino] = inode
         return inode
 
     def _persist_inode_lower(self, inode: Inode) -> None:
+        """Persist size, times, mode and links; nothing of them is pending
+        after this."""
         self._meta_write(self._inode_addr(inode.ino), inode.pack_lower(),
                          "inode")
+        self._meta_dirty.pop(inode.ino, None)
 
     def _persist_inode_full(self, inode: Inode) -> None:
         self._meta_write(self._inode_addr(inode.ino), inode.pack(), "inode")
@@ -502,7 +491,6 @@ class ByteFS:
         entries[name] = (child_ino, ftype, blk, off, rec_size)
         self._touch(parent, size_changed=True)
         self._persist_inode_lower(parent)
-        self._meta_dirty.pop(parent.ino, None)
 
     def _dir_remove(self, parent: Inode, name: bytes) -> None:
         entries = self._load_dir(parent.ino)
@@ -515,7 +503,6 @@ class ByteFS:
         self._dir_tombstones[parent.ino].append((blk, off, rec_size))
         self._touch(parent)
         self._persist_inode_lower(parent)
-        self._meta_dirty.pop(parent.ino, None)
 
     # ------------------------------------------------------------------
     # path resolution
@@ -783,7 +770,6 @@ class ByteFS:
             if meta_changed:
                 self._persist_extents(inode)
             self._persist_inode_lower(inode)
-            self._meta_dirty.pop(inode.ino, None)
         return len(data)
 
     def _update_cached_page(self, ino: int, index: int, off: int,
@@ -836,19 +822,22 @@ class ByteFS:
         return choice
 
     def _evict_writeback(self, page: CachedPage) -> None:
-        inode = self._load_inode(page.ino)
-        with self._op():
-            self._writeback_page(inode, page)
-            self._sync_metadata(inode, data_only=False)
+        self._flush_inode(self._load_inode(page.ino), [page], data_only=False)
 
-    def _sync_metadata(self, inode: Inode, data_only: bool) -> None:
-        flags = self._meta_dirty.get(inode.ino, set())
-        if not flags:
-            return
-        if data_only and flags == {"time"}:
-            return
-        self._persist_inode_lower(inode)
-        self._meta_dirty.pop(inode.ino, None)
+    def _metadata_pending(self, ino: int, data_only: bool) -> bool:
+        """Whether the inode has changes a flush must persist: fdatasync
+        leaves a change of times alone."""
+        flags = self._meta_dirty.get(ino)
+        return bool(flags) and not (data_only and flags == {"time"})
+
+    def _flush_inode(self, inode: Inode, pages, data_only: bool) -> None:
+        """Write back `pages` of `inode`, then its pending metadata, in one
+        operation."""
+        with self._op():
+            for page in pages:
+                self._writeback_page(inode, page)
+            if self._metadata_pending(inode.ino, data_only):
+                self._persist_inode_lower(inode)
 
     def fsync(self, fd: int) -> None:
         self._fsync_common(fd, data_only=False)
@@ -860,31 +849,25 @@ class ByteFS:
         with self._lock:
             handle, inode = self._file(fd)
             dirty = self.cache.dirty_pages(inode.ino)
-            flags = self._meta_dirty.get(inode.ino, set())
-            if not dirty and (not flags or (data_only and flags == {"time"})):
-                return  # clean file: no transaction at all
-            with self._op():
-                for page in dirty:
-                    self._writeback_page(inode, page)
-                self._sync_metadata(inode, data_only=data_only)
+            # a clean file opens no transaction at all
+            if dirty or self._metadata_pending(inode.ino, data_only):
+                self._flush_inode(inode, dirty, data_only)
 
     def sync(self) -> None:
         """Writeback every dirty page and flush pending metadata."""
         with self._lock:
             for ino in sorted(self.cache.by_ino.keys() | self._meta_dirty):
-                if not self._bit(self._ibmp, ino):
-                    continue
-                inode = self._load_inode(ino)
-                with self._op():
-                    for page in self.cache.dirty_pages(ino):
-                        self._writeback_page(inode, page)
-                    self._sync_metadata(inode, data_only=False)
+                if self._bit(self._ibmp, ino):
+                    self._flush_inode(self._load_inode(ino),
+                                      self.cache.dirty_pages(ino),
+                                      data_only=False)
 
     # ------------------------------------------------------------------
     # data journaling
 
-    def _journal_write(self, txn: _Txn) -> None:
-        """Append journaled data blocks plus a commit entry."""
+    def _journal_write(self, txn: _Txn) -> int:
+        """Append journaled data blocks plus a commit entry; returns the
+        record's first block."""
         sb = self.sb
         bs = sb.block_size
         blocks = txn.journaled
@@ -905,14 +888,14 @@ class ByteFS:
         commit += bytes(bs - len(commit))
         self.mssd.block_write(base + 1 + len(blocks), commit,
                               category="journal")
-        txn.journal_base = base
+        return base
 
-    def _journal_checkpoint(self, txn: _Txn) -> None:
-        """Move journaled blocks in place and retire the record."""
+    def _journal_checkpoint(self, txn: _Txn, base: int) -> None:
+        """Move journaled blocks in place and retire the record that
+        starts at block `base`."""
         for lba, data in txn.journaled:
             self.mssd.block_write(lba, data, category="data")
         bs = self.sb.block_size
-        base = txn.journal_base
         dead = struct.pack("<III", JOURNAL_DEAD_MAGIC, txn.txid or 0,
                            len(txn.journaled))
         if self.byte_metadata:

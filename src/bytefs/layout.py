@@ -124,7 +124,10 @@ class Inode:
         return self.pack_lower() + self.pack_upper()
 
     @classmethod
-    def unpack(cls, blob: bytes) -> "Inode":
+    def unpack(cls, blob: bytes) -> tuple["Inode", int]:
+        """The inode with its inline extents, and its extent count; the
+        leaves past `INLINE_EXTENTS` are in the spill block, which the
+        caller loads."""
         size, mtime, atime, ctime, mode, links = struct.unpack_from(
             _LOWER_FMT, blob, 0)
         ino, itype, ext_count, spill, _ = struct.unpack_from(_UPPER_FMT, blob, 64)
@@ -135,8 +138,7 @@ class Inode:
         for i in range(min(ext_count, INLINE_EXTENTS)):
             inode.extents.append(
                 ExtentLeaf.unpack(blob, upper_off + i * EXTENT_LEAF_SIZE))
-        inode._device_extent_count = ext_count  # spill leaves loaded by caller
-        return inode
+        return inode, ext_count
 
     def block_for(self, file_offset: int, block_size: int) -> int | None:
         for leaf in self.extents:

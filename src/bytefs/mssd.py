@@ -4,8 +4,11 @@ write log, transaction log, and optional shadow oracle for testing.
 With the log disabled (`log_enabled=False`) there is no write log: byte
 writes are applied with a page-granular read-modify-write, emulating a
 device that keeps only a write-through page buffer in its DRAM, and a
-clean or a recovery only clears the TxLog.  Host-interface traffic is
-always accounted here: byte traffic in 64B units, block traffic in pages.
+clean or a recovery only clears the TxLog.  The host interface is
+accounted here, with or without a write log: a byte access charges the
+latency of each cacheline it touches and 64B of traffic per cacheline
+(`_byte_write_page`, `_byte_read_page`), a block access its page of
+traffic.  Flash latency is charged by `FlashDevice` alone.
 """
 
 from __future__ import annotations
@@ -102,37 +105,29 @@ class Mssd:
             raise AddressFault("byte write out of device range")
         page_size = self.config.page_size
         for lpa, off, take, pos in spans(addr, len(data), page_size):
-            self._byte_write_page(lpa * page_size + off, data[pos:pos + take],
-                                  txid, category)
+            self._byte_write_page(lpa, off, data[pos:pos + take], txid,
+                                  category)
 
-    def _byte_write_page(self, addr: int, data: bytes, txid: int,
+    def _byte_write_page(self, lpa: int, off: int, data: bytes, txid: int,
                          category: str) -> None:
-        self._shadow_write(addr, data, txid)
-        head_pad = addr % CACHELINE
-        if head_pad:
-            lpa, off = divmod(addr - head_pad, self.config.page_size)
-            prefix = self._byte_read_page(lpa, off, head_pad, category,
-                                          reader=txid)
-            addr, data = addr - head_pad, prefix + data
-        if self.log_enabled:
-            slots = self.writelog.byte_write(addr, data, txid=txid,
-                                             category=category)
-        else:
-            slots = self._passthrough_byte_write(addr, data, category)
-        self.device.traffic.record("host_to_ssd", category, slots * CACHELINE)
-
-    def _passthrough_byte_write(self, addr: int, data: bytes,
-                                category: str) -> int:
-        # Page-granular device buffer: read-modify-write the flash page.
         page_size = self.config.page_size
-        lpa = addr // page_size
-        off = addr % page_size
-        page = bytearray(self.device.read_lpa(lpa, category))
-        page[off:off + len(data)] = data
-        self.device.write_lpa(lpa, bytes(page), category)
-        slots = (off + len(data) + CACHELINE - 1) // CACHELINE - off // CACHELINE
+        self._shadow_write(lpa * page_size + off, data, txid)
+        head_pad = off % CACHELINE
+        if head_pad:
+            off -= head_pad  # the write starts on a cacheline now
+            data = self._byte_read_page(lpa, off, head_pad, category,
+                                        reader=txid) + data
+        if self.log_enabled:
+            self.writelog.byte_write(lpa * page_size + off, data, txid=txid,
+                                     category=category)
+        else:
+            # Page-granular device buffer: read-modify-write the flash page.
+            page = bytearray(self.device.read_lpa(lpa, category))
+            page[off:off + len(data)] = data
+            self.device.write_lpa(lpa, bytes(page), category)
+        slots = (len(data) + CACHELINE - 1) // CACHELINE
         self.device.clock.advance(slots * self.config.cacheline_write_latency_ns)
-        return slots
+        self.device.traffic.record("host_to_ssd", category, slots * CACHELINE)
 
     def byte_read(self, addr: int, length: int, category: str = "untagged"
                   ) -> bytes:
@@ -147,15 +142,12 @@ class Mssd:
     def _byte_read_page(self, lpa: int, off: int, length: int,
                         category: str, reader: int | None = None) -> bytes:
         if self.log_enabled:
-            data, ncl = self.writelog.byte_read(
-                lpa * self.config.page_size + off, length, category, reader)
+            data = self.writelog.byte_read(lpa * self.config.page_size + off,
+                                           length, category, reader)
         else:
-            page = self.device.read_lpa(lpa, category)
-            data = page[off:off + length]
-            first = off // CACHELINE
-            last = (off + length - 1) // CACHELINE
-            ncl = last - first + 1
-            self.device.clock.advance(ncl * self.config.cacheline_read_latency_ns)
+            data = self.device.read_lpa(lpa, category)[off:off + length]
+        ncl = (off + length - 1) // CACHELINE - off // CACHELINE + 1
+        self.device.clock.advance(ncl * self.config.cacheline_read_latency_ns)
         self.device.traffic.record("ssd_to_host", category, ncl * CACHELINE)
         return data
 

@@ -29,6 +29,10 @@ drains the active generation while it is still the one the device image
 holds, and only then switches to a fresh generation that carries the
 entries of active transactions, so a power loss in the middle of a clean
 leaves the draining generation recoverable.
+
+The log keeps no clock and counts no host traffic: `Mssd` charges the
+cachelines of a byte access, and `FlashDevice` the flash pages that
+reads, cleaning and recovery touch.
 """
 
 from __future__ import annotations
@@ -249,8 +253,8 @@ class WriteLog:
     # -- write path --------------------------------------------------------
 
     def byte_write(self, addr: int, data: bytes, txid: int = 0,
-                   category: str = "untagged") -> int:
-        """Append one cacheline-aligned write; returns slots consumed.
+                   category: str = "untagged") -> None:
+        """Append one cacheline-aligned write, one entry per cacheline.
 
         The caller aligns writes to cachelines and splits them at page
         boundaries; the payload may end short of a cacheline boundary.
@@ -269,21 +273,14 @@ class WriteLog:
             raise InvalidArgument(f"unknown traffic category {category!r}")
 
         lpa = addr // page_size
+        page_off = addr % page_size
         committed_flag = FLAG_COMMITTED_AT_WRITE if txid == 0 else 0
-        slots = 0
-        pos = 0
-        while pos < len(data):
-            block_offset = (addr + pos) % page_size // CACHELINE
-            length = min(CACHELINE, len(data) - pos)
-            self._append(lpa, block_offset, data[pos:pos + length],
-                         committed_flag, txid, cat)
-            pos += length
-            slots += 1
-        self.device.clock.advance(slots * self.cfg.cacheline_write_latency_ns)
+        for pos in range(0, len(data), CACHELINE):
+            self._append(lpa, (page_off + pos) // CACHELINE,
+                         data[pos:pos + CACHELINE], committed_flag, txid, cat)
         if (self.utilization() > self.cfg.clean_threshold
                 and self.auto_clean_cb is not None and not self._cleaning):
             self.auto_clean_cb()
-        return slots
 
     def _append(self, lpa, block_offset, payload, flags, txid, cat) -> None:
         gen = self.active_gen
@@ -339,9 +336,8 @@ class WriteLog:
             page[start:start + length] = buf[src:src + length]
 
     def byte_read(self, addr: int, length: int, category: str = "untagged",
-                  reader: int | None = None) -> tuple[bytes, int]:
-        """Return (data, cachelines touched); `reader` as in
-        `page_entries`."""
+                  reader: int | None = None) -> bytes:
+        """Read within one page; `reader` as in `page_entries`."""
         if length <= 0:
             raise InvalidArgument("empty read")
         if addr < 0 or addr + length > self.cfg.capacity_bytes:
@@ -353,7 +349,6 @@ class WriteLog:
         page_off = addr % page_size
         first_cl = page_off // CACHELINE
         last_cl = (page_off + length - 1) // CACHELINE
-        ncl = last_cl - first_cl + 1
 
         entries = self.page_entries(lpa, reader)
         # the log alone serves the read if, in each cacheline, the longest
@@ -372,8 +367,7 @@ class WriteLog:
         else:
             page = bytearray(self.device.read_lpa(lpa, category))
         self._overlay(page, entries)
-        self.device.clock.advance(ncl * self.cfg.cacheline_read_latency_ns)
-        return bytes(page[page_off:page_off + length]), ncl
+        return bytes(page[page_off:page_off + length])
 
     def block_read(self, lpa: int, category: str = "untagged") -> bytes:
         page = bytearray(self.device.read_lpa(lpa, category))

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import hashlib
 
 import pytest
@@ -159,6 +161,41 @@ def test_crash_run_accepts_unsynced_data_written_back_by_eviction():
                               cache_bytes=64 * KiB)
     assert verdict.ok, (verdict.missing, verdict.corrupt,
                         verdict.unexpected, verdict.fsck_problems)
+
+
+@pytest.mark.parametrize("mode", ["dual_log", "full"])
+def test_cuts_inside_block_writes_recover(mode):
+    # Power fails right after the flash write of each block write (in the
+    # log modes only `WriteLog.block_write` calls `write_lpa`), before the
+    # write log marks the entries the new page supersedes.  A write
+    # record that spans two pages is then torn: one page new, one old.
+    # Recovery must give the state before the in-flight record, or the
+    # state after it with the record's data unsynced (each byte old or new).
+    records = bench.build_workload(WorkloadSpec("oltp", seed=3, ops=300))
+    cache = 64 * KiB
+    fs = bench.format_and_mount(small_config(capacity_bytes=16 * MiB), mode,
+                                "ordered", cache)
+    oracle = bench.DurabilityOracle()
+    cuts, failed = [], []
+    write_lpa = fs.mssd.device.write_lpa
+
+    def cut_after_flash_write(lpa, data, category="untagged"):
+        write_lpa(lpa, data, category)
+        recovered, _ = recover_fs(image.crash_clone(fs.mssd), mode=mode,
+                                  cache_bytes=cache)
+        after = copy.deepcopy(oracle)
+        after.apply(dataclasses.replace(records[i], fsync=False))
+        cuts.append(i)
+        if not (after.check(recovered).ok or oracle.check(recovered).ok):
+            failed.append(records[i].format())
+
+    fs.mssd.device.write_lpa = cut_after_flash_write
+    fds: dict[str, int] = {}
+    for i, rec in enumerate(records):
+        bench.apply_record(fs, rec, fds)
+        oracle.apply(rec)
+    # full sends most oltp data by byte: 32 block writes against 288
+    assert len(cuts) >= 32 and not failed, (len(cuts), failed)
 
 
 def test_durability_oracle_reports_lost_synced_byte():

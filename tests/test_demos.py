@@ -1,5 +1,6 @@
-"""Each demo script, and the cut-phase measuring tool, runs to completion."""
+"""Each demo script, and the tools, run to completion."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -34,3 +35,19 @@ def test_cut_phases_tool_runs():
     assert report["log_entries"] > 0
     assert list(report["phases_s"]) == ["save", "load", "visibility",
                                         "merge", "cut"]
+
+
+def test_model_digest_tool_runs():
+    tool = ROOT / "tools" / "model_digest.py"
+    result = subprocess.run(
+        [sys.executable, str(tool), "--ops", "60",
+         "--profiles", "oltp,varmail", "--modes", "block_only,full"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    *lines, total = result.stdout.splitlines()
+    # 2 profiles x 2 modes x 2 page caches x 2 journal modes
+    assert len(lines) == 16
+    assert lines[0].split()[0] == "oltp/block_only/default/ordered"
+    assert "fsck=0" in lines[0].split()
+    assert total == "all " + hashlib.sha256(
+        "\n".join(lines).encode()).hexdigest()

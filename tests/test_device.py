@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from bytefs.device import DeviceConfig, FlashDevice, GiB, spans
+from bytefs.device import CACHELINE, DeviceConfig, FlashDevice, GiB, spans
 from bytefs.errors import AddressFault, InvalidArgument, SpaceExhausted
+from bytefs.mssd import Mssd
 
 from conftest import small_config
 
@@ -126,11 +127,31 @@ def test_invalid_configs_rejected():
         DeviceConfig(clean_threshold=0.0).validate()
     with pytest.raises(InvalidArgument):
         DeviceConfig(clean_threshold=1.5).validate()
+    # the write log's sidecar holds an LPA in a u4 and a cacheline in a u1
+    with pytest.raises(InvalidArgument, match="2\\*\\*32 pages"):
+        DeviceConfig(capacity_bytes=2 ** 44 + 4096).validate()
+    with pytest.raises(InvalidArgument, match="16 KiB"):
+        DeviceConfig(page_size=16384 + CACHELINE,
+                     capacity_bytes=(16384 + CACHELINE) * 64).validate()
     # a cacheline number and a log slot rank must pack into 63 bits
-    DeviceConfig(capacity_bytes=2 ** 51, log_region_bytes=2 ** 24).validate()
+    DeviceConfig(capacity_bytes=2 ** 44, log_region_bytes=2 ** 31).validate()
     with pytest.raises(InvalidArgument, match="merge"):
-        DeviceConfig(capacity_bytes=2 ** 52,
-                     log_region_bytes=2 ** 24).validate()
+        DeviceConfig(capacity_bytes=2 ** 44,
+                     log_region_bytes=2 ** 32).validate()
+
+
+@pytest.mark.parametrize("page_size, pages", [(4096, 2 ** 32), (16384, 64)])
+def test_largest_sidecar_fields_round_trip(page_size, pages):
+    # the write log's sidecar holds an LPA in a u4 and a cacheline of its
+    # page in a u1: the last cacheline of the last page fits both
+    mssd = Mssd(DeviceConfig(capacity_bytes=page_size * pages,
+                             page_size=page_size, log_region_bytes=2 ** 20))
+    addr = page_size * pages - CACHELINE
+    mssd.byte_write(addr, b"\x77" * CACHELINE)
+    assert mssd.writelog.active_gen.entries[["lpa", "block_offset"]][0] \
+        .tolist() == (pages - 1, page_size // CACHELINE - 1)
+    mssd.clean()
+    assert mssd.byte_read(addr, CACHELINE) == b"\x77" * CACHELINE
 
 
 @given(st.integers(0, 10_000), st.integers(0, 3_000),

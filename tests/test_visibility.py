@@ -27,6 +27,15 @@ def device_reads(mssd: Mssd) -> list[bytes]:
     return reads(mssd.block_read, mssd.byte_read)
 
 
+def committed_reads(mssd: Mssd) -> list[bytes]:
+    """`reads` of the shadow oracle's committed bytes: no open
+    transaction's writes."""
+    def read(addr, n):
+        lpa, off = divmod(addr, 4096)
+        return bytes(mssd.shadow.get(lpa, bytes(4096))[off:off + n])
+    return reads(lambda lpa: read(lpa * 4096, 4096), read)
+
+
 def test_aborted_write_is_never_visible(mssd_noauto):
     mssd = mssd_noauto
     mssd.byte_write(0, b"\x11" * 64)
@@ -101,6 +110,7 @@ class VisibilityMachine(RuleBasedStateMachine):
                          shadow_oracle=True)
         self.mssd.txmgr.lock_timeout_s = 0  # a lock conflict aborts at once
         self.active: list[int] = []
+        self.tx_lines: dict[int, set[int]] = {}  # cachelines each tx wrote
 
     writes = st.tuples(
         st.sampled_from(PAGES), st.integers(0, 3),          # page, cacheline
@@ -116,6 +126,14 @@ class VisibilityMachine(RuleBasedStateMachine):
     def plain_write(self, write):
         self.mssd.byte_write(*self._addr_data(write))
 
+    @precondition(lambda self: any(self.tx_lines.values()))
+    @rule(pick=st.integers(0, 7), value=st.integers(1, 255))
+    def plain_write_into_tx_line(self, pick, value):
+        # padded with the bytes before it: never an open transaction's
+        lines = sorted(set().union(*self.tx_lines.values()))
+        self.mssd.byte_write(lines[pick % len(lines)] + 20,
+                             bytes([value]) * 30)
+
     @rule(lpa=st.sampled_from(PAGES), value=st.integers(0, 255))
     def block_write(self, lpa, value):
         self.mssd.block_write(lpa, bytes([value]) * 4096)
@@ -129,20 +147,31 @@ class VisibilityMachine(RuleBasedStateMachine):
     @rule(which=st.integers(0, 1), write=writes)
     def tx_write(self, which, write):
         txid = self.active[which % len(self.active)]
+        addr, data = self._addr_data(write)
         try:
-            self.mssd.tx_write(txid, *self._addr_data(write))
+            self.mssd.tx_write(txid, addr, data)
         except TxAborted:
-            self.active.remove(txid)
+            self._end(txid)
+        else:
+            self.tx_lines.setdefault(txid, set()).add(addr - addr % 64)
+
+    def _end(self, txid):
+        self.active.remove(txid)
+        self.tx_lines.pop(txid, None)
 
     @precondition(lambda self: self.active)
     @rule(which=st.integers(0, 1))
     def commit(self, which):
-        self.mssd.tx_commit(self.active.pop(which % len(self.active)))
+        txid = self.active[which % len(self.active)]
+        self._end(txid)
+        self.mssd.tx_commit(txid)
 
     @precondition(lambda self: self.active)
     @rule(which=st.integers(0, 1))
     def abort(self, which):
-        self.mssd.tx_abort(self.active.pop(which % len(self.active)))
+        txid = self.active[which % len(self.active)]
+        self._end(txid)
+        self.mssd.tx_abort(txid)
 
     @rule()
     def clean(self):
@@ -150,12 +179,12 @@ class VisibilityMachine(RuleBasedStateMachine):
         self.mssd.clean()
         assert device_reads(self.mssd) == before
 
-    @precondition(lambda self: not self.active)
     @rule()
     def crash_and_recover(self):
+        # recovery keeps what is committed; open transactions vanish
         after = crash_clone(self.mssd)
         after.recover()
-        assert device_reads(after) == device_reads(self.mssd)
+        assert device_reads(after) == committed_reads(self.mssd)
 
     @invariant()
     def reads_match_shadow(self):
