@@ -31,8 +31,7 @@ print(f"  byte_read hit: flash_read={d.total('flash_read')},"
 
 print("== cleaning merges the log to flash and resets the generation ==")
 rep = mssd.clean()
-print(f"  pages_flushed={rep.pages_flushed} flash_reads={rep.flash_reads}"
-      f" flash_writes={rep.flash_writes}")
+print(f"  pages_flushed={rep.pages_flushed} flash_reads={rep.flash_reads}")
 print(f"  utilization after clean: {mssd.utilization():.0%},"
       f" generation={mssd.writelog.active_gen.gen_id}")
 

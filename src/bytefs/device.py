@@ -246,12 +246,14 @@ class FlashDevice:
 
     def write_pages(self, requests: list[tuple[int, bytes, str]]) -> None:
         """Batch page write; distinct channels overlap fully."""
-        for ppa, data, _ in requests:
+        for ppa, data, category in requests:
             self._check_ppa(ppa)
             if len(data) != self.config.page_size:
                 raise InvalidArgument(
                     f"page write must be exactly {self.config.page_size} bytes"
                 )
+            if category not in CATEGORIES:
+                raise InvalidArgument(f"unknown traffic category {category!r}")
         per_channel: dict[int, int] = {}
         for ppa, data, category in requests:
             self.pages[ppa] = bytearray(data)

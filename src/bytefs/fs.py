@@ -198,8 +198,8 @@ class ByteFS:
         for bitmap, start, count in self._bitmaps:
             for blk in range(start, start + count):
                 bitmap += self.mssd.block_read(blk, category="bitmap")
-        self._itab_pages: dict[int, bytearray] = {}
-        self._blocks: dict[int, bytearray] = {}      # dir + spill mirrors
+        # mirrors of inode-table, directory, spill and journal blocks
+        self._blocks: dict[int, bytearray] = {}
         self._inodes: dict[int, Inode] = {}
         self._dirs: dict[int, dict[bytes, tuple]] = {}  # ino -> name -> entry
         self._dir_tombstones: dict[int, list[tuple]] = {}
@@ -217,14 +217,11 @@ class ByteFS:
 
     @contextlib.contextmanager
     def _op(self):
-        """One transaction for the outermost file-system operation; a
-        nested one (an eviction's writeback) joins it.  Aborted if the
+        """One transaction for one file-system operation.  Operations never
+        nest: the page cache evicts, and so writes back, only in `read`
+        and `write`, which run outside any operation.  Aborted if the
         operation raises, else journaled, committed (or its dirty metadata
         blocks written) and checkpointed when it ends."""
-        self._check_mounted()
-        if self._txn is not None:
-            yield self._txn
-            return
         txn = self._txn = _Txn(self.mssd)
         try:
             yield txn
@@ -267,18 +264,14 @@ class ByteFS:
             if start <= blk < start + count:
                 i = blk - start
                 return memoryview(bitmap)[i * bs:(i + 1) * bs]
-        if sb.itab_start <= blk < sb.itab_start + sb.itab_blocks:
-            i = blk - sb.itab_start
-            page = self._itab_pages.get(i)
-            if page is None:
-                page = self._itab_pages[i] = bytearray(
-                    self.mssd.block_read(blk, category="inode"))
-            return page
         mirror = self._blocks.get(blk)
         if mirror is None:
-            category = "journal" if (
-                sb.journal_start <= blk < sb.journal_start + sb.journal_blocks
-            ) else "dentry"
+            if sb.itab_start <= blk < sb.itab_start + sb.itab_blocks:
+                category = "inode"
+            elif sb.journal_start <= blk < sb.journal_start + sb.journal_blocks:
+                category = "journal"
+            else:
+                category = "dentry"
             mirror = self._blocks[blk] = bytearray(
                 self.mssd.block_read(blk, category=category))
         return mirror
@@ -546,8 +539,7 @@ class ByteFS:
     # namespace operations
 
     def lookup(self, path: str) -> Inode:
-        with self._lock:
-            self._check_mounted()
+        with self._locked():
             return self._resolve(path)
 
     def exists(self, path: str) -> bool:
@@ -558,8 +550,7 @@ class ByteFS:
             return False
 
     def readdir(self, path: str) -> list[str]:
-        with self._lock:
-            self._check_mounted()
+        with self._locked():
             inode = self._resolve(path)
             if inode.itype != ITYPE_DIR:
                 raise NotADirectory(path)
@@ -572,7 +563,7 @@ class ByteFS:
         return self._create_common(path, ITYPE_DIR)
 
     def _create_common(self, path: str, itype: int) -> int:
-        with self._lock, self._op():
+        with self._locked(), self._op():
             parent, name = self._resolve_parent(path)
             if name in self._load_dir(parent.ino):
                 raise AlreadyExists(path)
@@ -593,7 +584,7 @@ class ByteFS:
             return ino
 
     def unlink(self, path: str) -> None:
-        with self._lock, self._op():
+        with self._locked(), self._op():
             parent, name = self._resolve_parent(path)
             target = self._lookup_child(parent, name)
             if target.itype == ITYPE_DIR:
@@ -601,7 +592,7 @@ class ByteFS:
             self._remove_inode(parent, name, target)
 
     def rmdir(self, path: str) -> None:
-        with self._lock, self._op():
+        with self._locked(), self._op():
             parent, name = self._resolve_parent(path)
             target = self._lookup_child(parent, name)
             if target.itype != ITYPE_DIR:
@@ -626,7 +617,7 @@ class ByteFS:
         self.cache.drop_inode(target.ino)
 
     def rename(self, old: str, new: str) -> None:
-        with self._lock, self._op():
+        with self._locked(), self._op():
             old_parent, old_name = self._resolve_parent(old)
             target = self._lookup_child(old_parent, old_name)
             new_parent, new_name = self._resolve_parent(new)
@@ -656,7 +647,7 @@ class ByteFS:
     # file I/O
 
     def open(self, path: str, direct: bool = False) -> int:
-        with self._lock:
+        with self._locked():
             inode = self._resolve(path)
             if inode.itype != ITYPE_FILE:
                 raise IsADirectory(path)
@@ -666,7 +657,7 @@ class ByteFS:
             return fd
 
     def close(self, fd: int) -> None:
-        with self._lock:
+        with self._locked():
             if self._fds.pop(fd, None) is None:
                 raise StateError(f"bad fd {fd}")
 
@@ -689,7 +680,7 @@ class ByteFS:
         return self.cache.insert(inode.ino, index, data)
 
     def read(self, fd: int, offset: int, length: int) -> bytes:
-        with self._lock:
+        with self._locked():
             handle, inode = self._file(fd)
             if handle.direct:
                 return self._direct_read(inode, offset, length)
@@ -703,7 +694,7 @@ class ByteFS:
             return bytes(out)
 
     def write(self, fd: int, offset: int, data: bytes) -> int:
-        with self._lock:
+        with self._locked():
             handle, inode = self._file(fd)
             if handle.direct:
                 return self._direct_write(inode, offset, data)
@@ -778,31 +769,26 @@ class ByteFS:
         if page is None:
             return
         page.data[off:off + len(chunk)] = chunk
-        if page.duplicate is not None and not page.dirty:
-            page.set_duplicate(None)
-        elif page.duplicate is not None:
+        if page.duplicate is not None:
             dup = bytearray(page.duplicate)
             dup[off:off + len(chunk)] = chunk
             page.set_duplicate(bytes(dup))
 
     # -- writeback and sync ------------------------------------------------
 
-    def _writeback_page(self, inode: Inode, page: CachedPage) -> str:
-        """Persist one dirty page; returns the interface chosen."""
-        if not page.dirty:
-            return "none"
+    def _writeback_page(self, inode: Inode, page: CachedPage) -> None:
+        """Persist one dirty page."""
         dirty = page.dirty_cachelines()
         if not dirty:
             page.clear_dirty()
-            return "none"
+            return
         bs = self.sb.block_size
         lba, new = self._ensure_block(inode, page.index)
         if new:
             self._persist_extents(inode)
             self._meta_dirty.setdefault(inode.ino, set()).add("size")
         total_cl = bs // CACHELINE
-        use_byte = (self.mode == "full"
-                    and dirty and len(dirty) * WRITEBACK_BYTE_DEN
+        use_byte = (self.mode == "full" and len(dirty) * WRITEBACK_BYTE_DEN
                     < total_cl * WRITEBACK_BYTE_NUM)
         if use_byte:
             txid = self._txn.device_txid()
@@ -811,15 +797,11 @@ class ByteFS:
                     txid, lba * bs + cl * CACHELINE,
                     bytes(page.data[cl * CACHELINE:(cl + 1) * CACHELINE]),
                     category="data")
-            choice = "byte"
+        elif self.journal_mode == "data":
+            self._txn.journaled.append((lba, bytes(page.data)))
         else:
-            if self.journal_mode == "data":
-                self._txn.journaled.append((lba, bytes(page.data)))
-            else:
-                self.mssd.block_write(lba, bytes(page.data), category="data")
-            choice = "block"
+            self.mssd.block_write(lba, bytes(page.data), category="data")
         page.clear_dirty()
-        return choice
 
     def _evict_writeback(self, page: CachedPage) -> None:
         self._flush_inode(self._load_inode(page.ino), [page], data_only=False)
@@ -846,7 +828,7 @@ class ByteFS:
         self._fsync_common(fd, data_only=True)
 
     def _fsync_common(self, fd: int, data_only: bool) -> None:
-        with self._lock:
+        with self._locked():
             handle, inode = self._file(fd)
             dirty = self.cache.dirty_pages(inode.ino)
             # a clean file opens no transaction at all
@@ -855,7 +837,7 @@ class ByteFS:
 
     def sync(self) -> None:
         """Writeback every dirty page and flush pending metadata."""
-        with self._lock:
+        with self._locked():
             for ino in sorted(self.cache.by_ino.keys() | self._meta_dirty):
                 if self._bit(self._ibmp, ino):
                     self._flush_inode(self._load_inode(ino),
@@ -913,8 +895,7 @@ class ByteFS:
 
     def fsck(self) -> list[str]:
         """Walk the namespace and cross-check bitmaps and extents."""
-        with self._lock:
-            self._check_mounted()
+        with self._locked():
             problems: list[str] = []
             sb = self.sb
             seen_inos: set[int] = set()
@@ -965,9 +946,11 @@ class ByteFS:
 
     # ------------------------------------------------------------------
 
-    def _check_mounted(self) -> None:
+    def _locked(self) -> threading.RLock:
+        """The lock every public operation but `mount` holds, if mounted."""
         if not self.mounted:
             raise StateError("not mounted")
+        return self._lock
 
 
 def recover_fs(mssd: Mssd, mode: str = "full", journal: str = "ordered",

@@ -8,13 +8,15 @@ clean or a recovery only clears the TxLog.  The host interface is
 accounted here, with or without a write log: a byte access charges the
 latency of each cacheline it touches and 64B of traffic per cacheline
 (`_byte_write_page`, `_byte_read_page`), a block access its page of
-traffic.  Flash latency is charged by `FlashDevice` alone.
+traffic.  Flash latency is charged by `FlashDevice` alone.  Each host
+access is checked here, before it changes anything, and split into
+page-local pieces that start on a cacheline, which the write log takes.
 """
 
 from __future__ import annotations
 
 from .device import (
-    CACHELINE, DeviceConfig, FlashDevice, TrafficCounters, spans,
+    CACHELINE, CATEGORIES, DeviceConfig, FlashDevice, TrafficCounters, spans,
 )
 from .errors import AddressFault, InvalidArgument
 from .txn import TxLog, TxManager, recover
@@ -103,6 +105,8 @@ class Mssd:
             raise InvalidArgument("empty write")
         if addr < 0 or addr + len(data) > self.config.capacity_bytes:
             raise AddressFault("byte write out of device range")
+        if category not in CATEGORIES:
+            raise InvalidArgument(f"unknown traffic category {category!r}")
         page_size = self.config.page_size
         for lpa, off, take, pos in spans(addr, len(data), page_size):
             self._byte_write_page(lpa, off, data[pos:pos + take], txid,
@@ -118,8 +122,7 @@ class Mssd:
             data = self._byte_read_page(lpa, off, head_pad, category,
                                         reader=txid) + data
         if self.log_enabled:
-            self.writelog.byte_write(lpa * page_size + off, data, txid=txid,
-                                     category=category)
+            self.writelog.byte_write(lpa, off, data, txid, category)
         else:
             # Page-granular device buffer: read-modify-write the flash page.
             page = bytearray(self.device.read_lpa(lpa, category))
@@ -142,8 +145,7 @@ class Mssd:
     def _byte_read_page(self, lpa: int, off: int, length: int,
                         category: str, reader: int | None = None) -> bytes:
         if self.log_enabled:
-            data = self.writelog.byte_read(lpa * self.config.page_size + off,
-                                           length, category, reader)
+            data = self.writelog.byte_read(lpa, off, length, category, reader)
         else:
             data = self.device.read_lpa(lpa, category)[off:off + length]
         ncl = (off + length - 1) // CACHELINE - off // CACHELINE + 1
@@ -166,6 +168,8 @@ class Mssd:
         page_size = self.config.page_size
         if len(data) != page_size:
             raise InvalidArgument("block write must be one full page")
+        if category not in CATEGORIES:
+            raise InvalidArgument(f"unknown traffic category {category!r}")
         self._shadow_write(lpa * page_size, data)
         for writes in self._shadow_tx.values():  # superseded by this block
             writes[:] = [(a, d) for a, d in writes if a // page_size != lpa]

@@ -25,9 +25,10 @@ DUPLICATE_CAP_FRACTION = 0.25
 
 class CachedPage:
     """A cached page; `cache` is the PageCache holding it, if any, whose
-    count of duplicated pages `set_duplicate` keeps."""
+    count of duplicated pages `set_duplicate` keeps.  A page holds a
+    duplicate exactly while it is dirty."""
 
-    __slots__ = ("ino", "index", "data", "duplicate", "dirty", "cache")
+    __slots__ = ("ino", "index", "data", "duplicate", "cache")
 
     def __init__(self, ino: int, index: int, data: bytearray,
                  cache: "PageCache | None" = None):
@@ -35,8 +36,11 @@ class CachedPage:
         self.index = index
         self.data = data
         self.duplicate: bytes | None = None
-        self.dirty = False
         self.cache = cache
+
+    @property
+    def dirty(self) -> bool:
+        return self.duplicate is not None
 
     def set_duplicate(self, duplicate: bytes | None) -> None:
         if self.cache is not None:
@@ -47,7 +51,6 @@ class CachedPage:
     def note_modify(self) -> None:
         if self.duplicate is None:
             self.set_duplicate(bytes(self.data))
-        self.dirty = True
 
     def dirty_cachelines(self) -> list[int]:
         """Indices of 64B chunks that differ from the duplicate."""
@@ -60,7 +63,6 @@ class CachedPage:
 
     def clear_dirty(self) -> None:
         self.set_duplicate(None)
-        self.dirty = False
 
 
 class PageCache:
@@ -100,7 +102,8 @@ class PageCache:
 
     def dirty_pages(self, ino: int) -> list[CachedPage]:
         """The inode's dirty pages, least recently used first."""
-        return [p for p in self.by_ino.get(ino, {}).values() if p.dirty]
+        return [p for p in self.by_ino.get(ino, {}).values()
+                if p.duplicate is not None]
 
     def _enforce_limits(self) -> None:
         while len(self.pages) > self.capacity_pages:
@@ -117,6 +120,5 @@ class PageCache:
         if excess > 0:
             dups = (p for p in self.pages.values() if p.duplicate is not None)
             for victim in list(islice(dups, excess)):
-                if victim.dirty:
-                    self.writeback_cb(victim)
+                self.writeback_cb(victim)
                 victim.clear_dirty()

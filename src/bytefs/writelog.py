@@ -30,9 +30,11 @@ holds, and only then switches to a fresh generation that carries the
 entries of active transactions, so a power loss in the middle of a clean
 leaves the draining generation recoverable.
 
-The log keeps no clock and counts no host traffic: `Mssd` charges the
-cachelines of a byte access, and `FlashDevice` the flash pages that
-reads, cleaning and recovery touch.
+The log checks no host access, keeps no clock and counts no host
+traffic: `Mssd` checks and splits each access, so the log receives
+page-local pieces that start on a cacheline, and charges their
+cachelines; `FlashDevice` charges the flash pages that reads, cleaning
+and recovery touch.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import CACHELINE, CATEGORIES, FlashDevice, MiB
-from .errors import AddressFault, BackPressure, InvalidArgument
+from .errors import BackPressure
 from .skiplist import SkipList
 
 PARTITION_BYTES = 16 * MiB
@@ -101,7 +103,6 @@ class CleanReport:
     pages_flushed: int = 0
     entries_migrated: int = 0
     flash_reads: int = 0
-    flash_writes: int = 0
 
 
 class LogGeneration:
@@ -252,31 +253,15 @@ class WriteLog:
 
     # -- write path --------------------------------------------------------
 
-    def byte_write(self, addr: int, data: bytes, txid: int = 0,
-                   category: str = "untagged") -> None:
-        """Append one cacheline-aligned write, one entry per cacheline.
-
-        The caller aligns writes to cachelines and splits them at page
-        boundaries; the payload may end short of a cacheline boundary.
-        """
-        if not data:
-            raise InvalidArgument("empty write")
-        if addr % CACHELINE:
-            raise InvalidArgument("byte writes must start on a cacheline boundary")
-        if addr < 0 or addr + len(data) > self.cfg.capacity_bytes:
-            raise AddressFault("byte write out of device range")
-        page_size = self.cfg.page_size
-        if addr // page_size != (addr + len(data) - 1) // page_size:
-            raise InvalidArgument("byte write crosses a page boundary")
-        cat = _CATEGORY_ID.get(category)
-        if cat is None:
-            raise InvalidArgument(f"unknown traffic category {category!r}")
-
-        lpa = addr // page_size
-        page_off = addr % page_size
+    def byte_write(self, lpa: int, off: int, data: bytes, txid: int,
+                   category: str) -> None:
+        """Append a piece that `Mssd` checked and split, starting on a
+        cacheline of page `lpa`: one entry per cacheline, the last one
+        possibly short."""
+        cat = _CATEGORY_ID[category]
         committed_flag = FLAG_COMMITTED_AT_WRITE if txid == 0 else 0
         for pos in range(0, len(data), CACHELINE):
-            self._append(lpa, (page_off + pos) // CACHELINE,
+            self._append(lpa, (off + pos) // CACHELINE,
                          data[pos:pos + CACHELINE], committed_flag, txid, cat)
         if (self.utilization() > self.cfg.clean_threshold
                 and self.auto_clean_cb is not None and not self._cleaning):
@@ -335,18 +320,10 @@ class WriteLog:
             src = slot * CACHELINE
             page[start:start + length] = buf[src:src + length]
 
-    def byte_read(self, addr: int, length: int, category: str = "untagged",
-                  reader: int | None = None) -> bytes:
-        """Read within one page; `reader` as in `page_entries`."""
-        if length <= 0:
-            raise InvalidArgument("empty read")
-        if addr < 0 or addr + length > self.cfg.capacity_bytes:
-            raise AddressFault("byte read out of device range")
-        page_size = self.cfg.page_size
-        if addr // page_size != (addr + length - 1) // page_size:
-            raise InvalidArgument("byte read crosses a page boundary")
-        lpa = addr // page_size
-        page_off = addr % page_size
+    def byte_read(self, lpa: int, page_off: int, length: int,
+                  category: str, reader: int | None) -> bytes:
+        """Read `length` bytes at offset `page_off` of page `lpa`, a piece
+        `Mssd` has checked; `reader` as in `page_entries`."""
         first_cl = page_off // CACHELINE
         last_cl = (page_off + length - 1) // CACHELINE
 
@@ -363,7 +340,7 @@ class WriteLog:
             from_log = longest.pop(last_cl) >= tail and all(
                 n == CACHELINE for n in longest.values())
         if from_log:
-            page = bytearray(page_size)
+            page = bytearray(self.cfg.page_size)
         else:
             page = bytearray(self.device.read_lpa(lpa, category))
         self._overlay(page, entries)
@@ -375,8 +352,6 @@ class WriteLog:
         return bytes(page)
 
     def block_write(self, lpa: int, data: bytes, category: str = "untagged") -> None:
-        if len(data) != self.cfg.page_size:
-            raise InvalidArgument("block write must be one full page")
         self.device.write_lpa(lpa, data, category)
         # Written-back blocks are up to date: invalidate buffered entries.
         dropped = self.index.drop_page(lpa)
@@ -520,7 +495,6 @@ class WriteLog:
             durable = visible & (key < ACTIVE_KEY)
             report.pages_flushed, report.flash_reads = \
                 self.merge_and_flush(durable, key)
-            report.flash_writes = report.pages_flushed
             carry = np.flatnonzero(visible & ~durable)
             self.new_generation(carry)
             report.entries_migrated = int(carry.size)

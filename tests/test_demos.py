@@ -51,3 +51,20 @@ def test_model_digest_tool_runs():
     assert "fsck=0" in lines[0].split()
     assert total == "all " + hashlib.sha256(
         "\n".join(lines).encode()).hexdigest()
+
+
+def test_unreached_tool_runs():
+    tool = ROOT / "tools" / "unreached.py"
+    result = subprocess.run(
+        [sys.executable, str(tool), "-q", "-p", "no:cacheprovider",
+         str(ROOT / "tests" / "test_skiplist.py")],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    report = {line.split(":")[0]: line for line in result.stdout.splitlines()
+              if line.startswith(("src/", "total:"))}
+    modules = sorted((ROOT / "src" / "bytefs").glob("*.py"))
+    assert len(report) == len(modules) + 1
+    # the skip list's tests run all of it; nothing imports the CLI
+    assert report["src/bytefs/skiplist.py"].split()[1] == "0"
+    cli = report["src/bytefs/cli.py"].split()
+    assert cli[1] == cli[3] != "0"

@@ -61,6 +61,15 @@ def test_wrong_size_write_rejected():
         dev.flash_write_page(0, b"short")
 
 
+def test_batch_with_unknown_category_stores_no_page():
+    dev = make_device()
+    with pytest.raises(InvalidArgument):
+        dev.write_pages([(0, bytes(4096), "data"), (1, bytes(4096), "bogus")])
+    assert dev.pages == {}
+    assert dev.clock.now_ns == 0
+    assert dev.traffic.flash_write_bytes == 0
+
+
 def test_out_of_range_ppa_faults():
     dev = make_device()
     with pytest.raises(AddressFault):
@@ -166,3 +175,48 @@ def test_spans_tile_the_range_without_crossing_a_boundary(offset, length,
     assert got == want
     for unit, off, take, pos in pieces:
         assert take > 0 and off + take <= size
+
+
+def _device_state(mssd):
+    """Everything a host access may change: clock, traffic, flash and
+    FTL, the write log and the shadow oracle."""
+    gen = mssd.writelog.active_gen if mssd.log_enabled else None
+    return (mssd.clock_ns, mssd.traffic_snapshot().by_category,
+            {ppa: bytes(page) for ppa, page in mssd.device.pages.items()},
+            dict(mssd.device.ftl.lpa_to_ppa),
+            gen and (gen.gen_id, gen.tail_slots, bytes(gen.buf)),
+            {lpa: bytes(page) for lpa, page in mssd.shadow.items()})
+
+
+# each refused before it pads, splits, maps, stores or charges anything;
+# the write log checks none of them
+REFUSED_ACCESSES = {
+    "empty_byte_write": (lambda m: m.byte_write(64, b""), InvalidArgument),
+    "empty_read": (lambda m: m.byte_read(64, 0), InvalidArgument),
+    "byte_write_out_of_range": (
+        lambda m: m.byte_write(m.config.capacity_bytes - 32, b"\x01" * 64),
+        AddressFault),
+    "byte_read_out_of_range": (lambda m: m.byte_read(-1, 64), AddressFault),
+    "short_block_write": (lambda m: m.block_write(5, bytes(100)),
+                          InvalidArgument),
+    "byte_write_unknown_category": (
+        lambda m: m.byte_write(10, b"\x01" * 5, category="bogus"),
+        InvalidArgument),
+    "block_write_unknown_category": (
+        lambda m: m.block_write(5, bytes(4096), category="bogus"),
+        InvalidArgument),
+}
+
+
+@pytest.mark.parametrize("log_enabled", [True, False],
+                         ids=["write_log", "no_write_log"])
+@pytest.mark.parametrize("access", REFUSED_ACCESSES)
+def test_refused_host_access_changes_nothing(access, log_enabled):
+    mssd = Mssd(small_config(), log_enabled=log_enabled, shadow_oracle=True)
+    mssd.block_write(3, b"\x11" * 4096)
+    mssd.byte_write(0, b"\x22" * 100)
+    before = _device_state(mssd)
+    call, error = REFUSED_ACCESSES[access]
+    with pytest.raises(error):
+        call(mssd)
+    assert _device_state(mssd) == before

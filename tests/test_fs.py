@@ -10,7 +10,7 @@ from bytefs import bench, image
 from bytefs.device import CACHELINE, TrafficCounters
 from bytefs.errors import (
     AlreadyExists, DirectoryNotEmpty, FsError, InvalidArgument, IsADirectory,
-    NotADirectory, NotFound, SpaceExhausted,
+    NotADirectory, NotFound, SpaceExhausted, StateError,
 )
 from bytefs.fs import (
     MODES, ByteFS, _first_clear, _set_bits, make_mssd, mkfs, recover_fs,
@@ -84,6 +84,41 @@ def test_contents_survive_remount(mode):
     fs2 = remount(fs)
     assert read_file(fs2, "/d/f", 0, 10000) == b"\xab" * 10000
     assert fs2.lookup("/d/f").size == 10000
+
+
+# every public operation but mount, called on a file system not mounted
+UNMOUNTED_CALLS = {
+    "lookup": lambda fs: fs.lookup("/"),
+    "exists": lambda fs: fs.exists("/"),
+    "readdir": lambda fs: fs.readdir("/"),
+    "create": lambda fs: fs.create("/f"),
+    "mkdir": lambda fs: fs.mkdir("/d"),
+    "unlink": lambda fs: fs.unlink("/f"),
+    "rmdir": lambda fs: fs.rmdir("/d"),
+    "rename": lambda fs: fs.rename("/f", "/g"),
+    "open": lambda fs: fs.open("/f"),
+    "close": lambda fs: fs.close(3),
+    "read": lambda fs: fs.read(3, 0, 1),
+    "write": lambda fs: fs.write(3, 0, b"x"),
+    "fsync": lambda fs: fs.fsync(3),
+    "fdatasync": lambda fs: fs.fdatasync(3),
+    "sync": lambda fs: fs.sync(),
+    "fsck": lambda fs: fs.fsck(),
+}
+
+
+def test_unmounted_calls_cover_every_public_operation():
+    public = {name for name in dir(ByteFS) if not name.startswith("_")
+              and callable(getattr(ByteFS, name))}
+    assert public == set(UNMOUNTED_CALLS) | {"mount"}
+
+
+@pytest.mark.parametrize("call", UNMOUNTED_CALLS)
+def test_unmounted_fs_raises_state_error(call):
+    mssd = make_mssd(small_config(), "full")
+    mkfs(mssd)
+    with pytest.raises(StateError, match="not mounted"):
+        UNMOUNTED_CALLS[call](ByteFS(mssd))
 
 
 def test_create_existing_raises_and_writes_nothing():
@@ -361,8 +396,9 @@ def test_unsynced_data_absent_after_crash():
     assert after.fsck() == []
 
 
-def test_data_journal_record_replayed_after_crash():
-    fs = make_fs("full", journal="data")
+@pytest.mark.parametrize("mode", MODES)
+def test_data_journal_record_replayed_after_crash(mode):
+    fs = make_fs(mode, journal="data")
     fs.create("/f")
     write_file(fs, "/f", 0, b"x" * 4096)
     fsync_file(fs, "/f")
@@ -371,13 +407,82 @@ def test_data_journal_record_replayed_after_crash():
     pending = types.SimpleNamespace(journaled=[(lba, b"\x77" * 4096)],
                                     txid=None)
     fs._journal_write(pending)
-    after, _report = recover_fs(crash_clone(fs.mssd), mode="full",
+    after, _report = recover_fs(crash_clone(fs.mssd), mode=mode,
                                 journal="data")
     assert read_file(after, "/f", 0, 4096) == b"\x77" * 4096
     assert after.fsck() == []
     # replay retired the record: a second recovery changes nothing
-    again, _ = recover_fs(crash_clone(after.mssd), mode="full", journal="data")
+    again, _ = recover_fs(crash_clone(after.mssd), mode=mode, journal="data")
     assert read_file(again, "/f", 0, 4096) == b"\x77" * 4096
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_fdatasync_leaves_a_change_of_times_alone(mode):
+    fs = make_fs(mode)
+    fs.create("/f")
+    fd = fs.open("/f")
+    fs.write(fd, 0, b"a" * 4096)
+    fs.fsync(fd)
+
+    def inode_bytes(sync, offset, data):
+        fs.write(fd, offset, data)
+        before = fs.mssd.traffic_snapshot()
+        sync(fd)
+        delta = fs.mssd.traffic_snapshot().delta(before)
+        return delta.by_category["host_to_ssd"]["inode"]
+
+    # the inode's lower cacheline, or its whole block in block_only
+    inode_write = 4096 if mode == "block_only" else 64
+    assert inode_bytes(fs.fdatasync, 100, b"b" * 10) == 0
+    assert inode_bytes(fs.fsync, 200, b"c" * 10) == inode_write
+    assert inode_bytes(fs.fdatasync, 4096, b"d" * 10) == inode_write  # grows
+    fs.close(fd)
+    after, _report = recover_fs(crash_clone(fs.mssd), mode=mode)
+    expected = bytearray(b"a" * 4096)
+    expected[100:110] = b"b" * 10
+    expected[200:210] = b"c" * 10
+    assert after.lookup("/f").size == 4106
+    assert read_file(after, "/f", 0, 4106) == bytes(expected) + b"d" * 10
+    assert after.fsck() == []
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_directory_pads_a_block_tail_no_record_fits(mode):
+    fs = make_fs(mode)
+    fs.mkdir("/d")
+    # one 64 B record, then 256 B records: fifteen fill the first block to
+    # 3904 B, and the sixteenth follows a 192 B pad in a second block
+    names = ["a"] + [f"{i:02d}" + "x" * 198 for i in range(16)]
+    for name in names:
+        fs.create("/d/" + name)
+    assert fs.lookup("/d").size == 4352
+    after, _report = recover_fs(crash_clone(fs.mssd), mode=mode)
+    assert after.lookup("/d").size == 4352
+    assert after.readdir("/d") == sorted(names)
+    assert after.fsck() == []
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_direct_write_patches_a_dirty_cached_page(mode):
+    fs = make_fs(mode)
+    fs.create("/f")
+    write_file(fs, "/f", 0, b"A" * 4096)
+    fsync_file(fs, "/f")
+    fd = fs.open("/f")
+    fs.write(fd, 0, b"B" * 64)  # dirties cacheline 0 of the cached page
+    direct = fs.open("/f", direct=True)
+    fs.write(direct, 640, b"C" * 64)  # cacheline 10, written through
+    fs.close(direct)
+    # the direct write patched the page and its duplicate alike
+    page = fs.cache.get(fs.lookup("/f").ino, 0)
+    assert page.dirty_cachelines() == [0]
+    fs.fsync(fd)
+    fs.close(fd)
+    expected = b"B" * 64 + b"A" * 576 + b"C" * 64 + b"A" * 3392
+    assert read_file(fs, "/f", 0, 4096) == expected
+    after, _report = recover_fs(crash_clone(fs.mssd), mode=mode)
+    assert read_file(after, "/f", 0, 4096) == expected
+    assert after.fsck() == []
 
 
 def test_data_journal_roundtrip_many_syncs():
