@@ -16,6 +16,8 @@ import time
 from dataclasses import dataclass, field, fields
 from functools import partial
 
+import numpy as np
+
 from .device import (
     CATEGORIES, DeviceConfig, GiB, KiB, MiB, TrafficCounters,
 )
@@ -493,9 +495,11 @@ class DurabilityOracle:
                 fs.close(fd)
                 new = bytes(latest[:size])
                 old = synced.ljust(size, b"\0")  # a hole past the synced end
-                if got != new and any(g != a and g != b
-                                      for g, a, b in zip(got, new, old)):
-                    verdict.corrupt.append(f"{path} content mismatch")
+                if got != new:
+                    g, a, b = (np.frombuffer(x, dtype=np.uint8)
+                               for x in (got, new, old))
+                    if not ((g == a) | (g == b)).all():
+                        verdict.corrupt.append(f"{path} content mismatch")
         seen = self.dirs | self.files
         verdict.unexpected = [p for p in _walk_paths(fs)
                               if p not in seen]

@@ -190,22 +190,18 @@ class FlashDevice:
     def __init__(self, config: DeviceConfig | None = None):
         self.config = config or DeviceConfig()
         self.config.validate()
+        self.page_count = self.config.page_count
+        self.phys_page_count = self.config.phys_page_count
+        self._erased = bytes(self.config.page_size)  # erased flash: zeros
         self.pages: dict[int, bytearray] = {}
-        self.ftl = FtlMap(self.config.phys_page_count)
+        self.ftl = FtlMap(self.phys_page_count)
         self.clock = SimClock()
         self.traffic = TrafficCounters()
 
     # -- address helpers ---------------------------------------------------
 
-    def channel_of(self, ppa: int) -> int:
-        return ppa % self.config.channel_count
-
-    def _check_ppa(self, ppa: int) -> None:
-        if not (0 <= ppa < self.config.phys_page_count):
-            raise AddressFault(f"PPA {ppa} out of range")
-
     def ftl_translate(self, lpa: int) -> int:
-        if not (0 <= lpa < self.config.page_count):
+        if not (0 <= lpa < self.page_count):
             raise AddressFault(f"LPA {lpa} out of range")
         ppa = self.ftl.lpa_to_ppa.get(lpa)
         if ppa is None:
@@ -218,12 +214,6 @@ class FlashDevice:
 
     # -- page access -------------------------------------------------------
 
-    def _page_bytes(self, ppa: int) -> bytes:
-        page = self.pages.get(ppa)
-        if page is None:
-            return bytes(self.config.page_size)
-        return bytes(page)
-
     def flash_read_page(self, ppa: int, category: str = "untagged") -> bytes:
         return self.read_pages([(ppa, category)])[0]
 
@@ -231,42 +221,52 @@ class FlashDevice:
         self.write_pages([(ppa, data, category)])
 
     def read_pages(self, requests: list[tuple[int, str]]) -> list[bytes]:
-        """Batch page read; distinct channels overlap fully."""
+        """Batch page read; distinct channels overlap fully.  A page is
+        on channel `ppa % channel_count`."""
+        channels = self.config.channel_count
+        page_size = self.config.page_size
+        pages, erased, record = self.pages, self._erased, self.traffic.record
         per_channel: dict[int, int] = {}
         out = []
         for ppa, category in requests:
-            self._check_ppa(ppa)
-            out.append(self._page_bytes(ppa))
-            self.traffic.record("flash_read", category, self.config.page_size)
-            ch = self.channel_of(ppa)
-            per_channel[ch] = per_channel.get(ch, 0) + self.config.flash_read_latency_ns
+            if not (0 <= ppa < self.phys_page_count):
+                raise AddressFault(f"PPA {ppa} out of range")
+            page = pages.get(ppa)
+            out.append(erased if page is None else bytes(page))
+            record("flash_read", category, page_size)
+            ch = ppa % channels
+            per_channel[ch] = per_channel.get(ch, 0) + 1
         if per_channel:
-            self.clock.advance(max(per_channel.values()))
+            self.clock.advance(max(per_channel.values())
+                               * self.config.flash_read_latency_ns)
         return out
 
     def write_pages(self, requests: list[tuple[int, bytes, str]]) -> None:
         """Batch page write; distinct channels overlap fully."""
         for ppa, data, category in requests:
-            self._check_ppa(ppa)
+            if not (0 <= ppa < self.phys_page_count):
+                raise AddressFault(f"PPA {ppa} out of range")
             if len(data) != self.config.page_size:
                 raise InvalidArgument(
                     f"page write must be exactly {self.config.page_size} bytes"
                 )
             if category not in CATEGORIES:
                 raise InvalidArgument(f"unknown traffic category {category!r}")
+        channels = self.config.channel_count
         per_channel: dict[int, int] = {}
         for ppa, data, category in requests:
             self.pages[ppa] = bytearray(data)
             self.traffic.record("flash_write", category, self.config.page_size)
-            ch = self.channel_of(ppa)
-            per_channel[ch] = per_channel.get(ch, 0) + self.config.flash_write_latency_ns
+            ch = ppa % channels
+            per_channel[ch] = per_channel.get(ch, 0) + 1
         if per_channel:
-            self.clock.advance(max(per_channel.values()))
+            self.clock.advance(max(per_channel.values())
+                               * self.config.flash_write_latency_ns)
 
     # -- logical-page convenience (translate + access) ---------------------
 
     def read_lpa(self, lpa: int, category: str = "untagged") -> bytes:
-        return self.flash_read_page(self.ftl_translate(lpa), category)
+        return self.read_pages([(self.ftl_translate(lpa), category)])[0]
 
     def write_lpa(self, lpa: int, data: bytes, category: str = "untagged") -> None:
         self.flash_write_page(self.ftl_translate(lpa), data, category)

@@ -66,10 +66,19 @@ def _first_clear(bitmap: bytearray, lo: int, hi: int) -> int | None:
 
 
 def _set_bits(bitmap: bytearray, lo: int, hi: int) -> list[int]:
-    """Indices of the set bits in [lo, hi) of `bitmap`, ascending."""
-    bits = np.unpackbits(np.frombuffer(bitmap, dtype=np.uint8),
-                         count=hi, bitorder="little")
-    return (np.flatnonzero(bits[lo:]) + lo).tolist()
+    """Indices of the set bits in [lo, hi) of `bitmap`, ascending.  Only
+    the non-zero 64-bit words that meet the range, and the bytes past the
+    last whole word, are unpacked: a sparse bitmap costs what is set."""
+    raw = np.frombuffer(bitmap, dtype=np.uint8)
+    words = raw[:raw.size // 8 * 8].reshape(-1, 8)
+    first = lo // 64
+    nonzero = np.flatnonzero(
+        words[first:(hi + 63) // 64].view(np.uint64)) + first
+    row, col = np.nonzero(np.unpackbits(words[nonzero], axis=1,
+                                        bitorder="little"))
+    tail = np.flatnonzero(np.unpackbits(raw[words.size:], bitorder="little"))
+    idx = np.concatenate((nonzero[row] * 64 + col, tail + words.size * 8))
+    return idx[(idx >= lo) & (idx < hi)].tolist()
 
 
 def make_mssd(config: DeviceConfig | None = None, mode: str = "full",
@@ -112,16 +121,16 @@ def mkfs(mssd: Mssd, inode_count: int | None = None,
     mssd.block_write(0, sb.pack(), category="superblock")
 
     # inodes 0 and 1 are reserved and 2 is the root; the metadata region
-    # is allocated
-    for start, nblocks, used in ((ibmp_start, ibmp_blocks, ROOT_INO + 1),
-                                 (bbmp_start, bbmp_blocks, data_start)):
-        bitmap = bytearray(nblocks * bs)
-        for idx in range(used):
-            bitmap[idx // 8] |= 1 << (idx % 8)
-        for i in range(nblocks):
-            block = bytes(bitmap[i * bs:(i + 1) * bs])
-            if any(block):  # erased flash reads back zeros
-                mssd.block_write(start + i, block, category="bitmap")
+    # is allocated.  Only the blocks that hold these bits are written:
+    # erased flash reads back zeros.
+    for start, used in ((ibmp_start, ROOT_INO + 1), (bbmp_start, data_start)):
+        bitmap = bytearray((used + 8 * bs - 1) // (8 * bs) * bs)
+        bitmap[:used // 8] = b"\xff" * (used // 8)
+        if used % 8:
+            bitmap[used // 8] = (1 << used % 8) - 1
+        for i in range(len(bitmap) // bs):
+            mssd.block_write(start + i, bytes(bitmap[i * bs:(i + 1) * bs]),
+                             category="bitmap")
 
     root = Inode(ino=ROOT_INO, itype=ITYPE_DIR, links=2, mode=0o755)
     itab_page0 = bytearray(bs)
@@ -191,13 +200,15 @@ class ByteFS:
         if self.sb.block_size != bs:
             raise InvalidArgument("superblock block size mismatch")
         sb = self.sb
-        self._ibmp, self._bbmp = bytearray(), bytearray()
+        # each bitmap, read into a buffer of its final size
+        self._ibmp, self._bbmp = (
+            bytearray().join([self.mssd.block_read(blk, category="bitmap")
+                              for blk in range(start, start + count)])
+            for start, count in ((sb.ibmp_start, sb.ibmp_blocks),
+                                 (sb.bbmp_start, sb.bbmp_blocks)))
         # each bitmap with its first block and block count
         self._bitmaps = ((self._ibmp, sb.ibmp_start, sb.ibmp_blocks),
                          (self._bbmp, sb.bbmp_start, sb.bbmp_blocks))
-        for bitmap, start, count in self._bitmaps:
-            for blk in range(start, start + count):
-                bitmap += self.mssd.block_read(blk, category="bitmap")
         # mirrors of inode-table, directory, spill and journal blocks
         self._blocks: dict[int, bytearray] = {}
         self._inodes: dict[int, Inode] = {}

@@ -138,6 +138,8 @@ class Mssd:
             raise InvalidArgument("empty read")
         if addr < 0 or addr + length > self.config.capacity_bytes:
             raise AddressFault("byte read out of device range")
+        if category not in CATEGORIES:
+            raise InvalidArgument(f"unknown traffic category {category!r}")
         return b"".join(self._byte_read_page(lpa, off, take, category)
                         for lpa, off, take, _ in spans(addr, length,
                                                        self.config.page_size))
@@ -156,6 +158,9 @@ class Mssd:
     # -- block interface ---------------------------------------------------
 
     def block_read(self, lpa: int, category: str = "untagged") -> bytes:
+        # the FTL refuses an LPA out of range before anything changes
+        if category not in CATEGORIES:
+            raise InvalidArgument(f"unknown traffic category {category!r}")
         if self.log_enabled:
             page = self.writelog.block_read(lpa, category)
         else:
@@ -168,6 +173,8 @@ class Mssd:
         page_size = self.config.page_size
         if len(data) != page_size:
             raise InvalidArgument("block write must be one full page")
+        if not (0 <= lpa < self.device.page_count):
+            raise AddressFault(f"LPA {lpa} out of range")
         if category not in CATEGORIES:
             raise InvalidArgument(f"unknown traffic category {category!r}")
         self._shadow_write(lpa * page_size, data)

@@ -347,8 +347,12 @@ class WriteLog:
         return bytes(page[page_off:page_off + length])
 
     def block_read(self, lpa: int, category: str = "untagged") -> bytes:
-        page = bytearray(self.device.read_lpa(lpa, category))
-        self._overlay(page, self.page_entries(lpa))
+        page = self.device.read_lpa(lpa, category)
+        entries = self.page_entries(lpa)
+        if not entries:  # the flash page as it is
+            return page
+        page = bytearray(page)
+        self._overlay(page, entries)
         return bytes(page)
 
     def block_write(self, lpa: int, data: bytes, category: str = "untagged") -> None:

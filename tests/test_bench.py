@@ -217,6 +217,52 @@ def test_durability_oracle_reports_lost_synced_byte():
     assert oracle.check(recovered).corrupt == [f"{path} content mismatch"]
 
 
+def _synced_then_grown():
+    """A file "/f" synced at 8 KiB, then rewritten from 4 KiB to 12 KiB
+    without a sync, with the oracle that tracks it: bytes [0, 4096) must
+    hold their one value, [4096, 8192) the synced or the latest one, and
+    [8192, 12288) the latest one or a hole's zero."""
+    fs = bench.format_and_mount(small_config(), "full", "ordered")
+    oracle = bench.DurabilityOracle()
+    fds: dict[str, int] = {}
+    for rec in (TraceRecord("create", "/f"),
+                TraceRecord("write", "/f", 0, 8192, fsync=True),
+                TraceRecord("write", "/f", 4096, 8192)):
+        bench.apply_record(fs, rec, fds)
+        oracle.apply(rec)
+    assert oracle.check(fs).ok
+    return fs, oracle, bytes(oracle.pending["/f"])
+
+
+def _overwrite(fs, offset, data):
+    fd = fs.open("/f")
+    fs.write(fd, offset, data)
+    fs.close(fd)
+
+
+def test_durability_oracle_reports_one_flipped_synced_byte():
+    fs, oracle, latest = _synced_then_grown()
+    _overwrite(fs, 100, bytes([latest[100] ^ 0x01]))
+    assert oracle.check(fs).corrupt == ["/f content mismatch"]
+
+
+def test_durability_oracle_accepts_synced_bytes_and_holes():
+    fs, oracle, latest = _synced_then_grown()
+    synced = oracle.synced["/f"]
+    _overwrite(fs, 4096, synced[4096:8192])   # the synced value
+    _overwrite(fs, 8192, bytes(4096))         # a hole past the synced end
+    assert latest[4096:] != synced[4096:] + bytes(4096)
+    assert oracle.check(fs).ok
+
+
+def test_durability_oracle_rejects_a_byte_past_the_synced_end():
+    fs, oracle, latest = _synced_then_grown()
+    wrong = 0x55 if latest[9000] == 0xAA else 0xAA  # neither latest nor zero
+    _overwrite(fs, 8192, bytes(4096))
+    _overwrite(fs, 9000, bytes([wrong]))
+    assert oracle.check(fs).corrupt == ["/f content mismatch"]
+
+
 # ---------------------------------------------------------------------------
 # sweeps and reports
 

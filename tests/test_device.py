@@ -205,6 +205,18 @@ REFUSED_ACCESSES = {
     "block_write_unknown_category": (
         lambda m: m.block_write(5, bytes(4096), category="bogus"),
         InvalidArgument),
+    # the write log serves this read, so the clock would move first
+    "byte_read_unknown_category": (
+        lambda m: m.byte_read(0, 64, category="bogus"), InvalidArgument),
+    # LPA 7 is unmapped, so the FTL would map it first
+    "block_read_unknown_category": (
+        lambda m: m.block_read(7, category="bogus"), InvalidArgument),
+    "block_read_out_of_range": (
+        lambda m: m.block_read(m.config.page_count), AddressFault),
+    # the shadow oracle would take the page first
+    "block_write_out_of_range": (
+        lambda m: m.block_write(m.config.page_count, b"\x33" * 4096),
+        AddressFault),
 }
 
 
@@ -220,3 +232,30 @@ def test_refused_host_access_changes_nothing(access, log_enabled):
     with pytest.raises(error):
         call(mssd)
     assert _device_state(mssd) == before
+
+
+def _two_devices():
+    """Two devices in one state: page 3 written, LPA 9 mapped but never
+    written."""
+    devs = []
+    for _ in range(2):
+        dev = FlashDevice(small_config())
+        dev.write_lpa(3, b"\x5a" * 4096, "data")
+        dev.ftl_translate(9)
+        devs.append(dev)
+    return devs
+
+
+def _flash_state(dev):
+    return (dev.clock.now_ns, dev.traffic.by_category,
+            dict(dev.ftl.lpa_to_ppa), dev.ftl._next_unused)
+
+
+@pytest.mark.parametrize("lpa", [3, 9, 12], ids=["written", "mapped",
+                                               "unmapped"])
+def test_read_lpa_charges_what_one_read_pages_request_charges(lpa):
+    by_lpa, by_batch = _two_devices()
+    got = by_lpa.read_lpa(lpa, "inode")
+    want = by_batch.read_pages([(by_batch.ftl_translate(lpa), "inode")])
+    assert [got] == want
+    assert _flash_state(by_lpa) == _flash_state(by_batch)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from bytefs import bench, image
-from bytefs.device import CACHELINE, TrafficCounters
+from bytefs.device import CACHELINE, DeviceConfig, TrafficCounters
 from bytefs.errors import (
     AlreadyExists, DirectoryNotEmpty, FsError, InvalidArgument, IsADirectory,
     NotADirectory, NotFound, SpaceExhausted, StateError,
@@ -544,6 +544,65 @@ def test_fsck_reports_each_bitmap_fault_exactly():
     ]
 
 
+@pytest.mark.parametrize("capacity_blocks, inode_count", [
+    (8_388_608, None),       # the default layout: no padding bit
+    (8_388_603, 1_000_000),  # both bitmaps end inside their last block
+], ids=["default", "padded"])
+def test_fsck_reports_each_bitmap_fault_exactly_at_32_gib(capacity_blocks,
+                                                          inode_count):
+    mssd = make_mssd(DeviceConfig(capacity_bytes=capacity_blocks * 4096))
+    mkfs(mssd, inode_count=inode_count)
+    fs = ByteFS(mssd)
+    fs.mount()
+    for path in ("/a", "/b"):
+        fs.create(path)
+        write_file(fs, path, 0, b"x" * 8192)
+        fsync_file(fs, path)
+    sb = fs.sb
+    a, b = fs.lookup("/a"), fs.lookup("/b")
+    assert (sb.total_blocks, a.ino, b.ino) == (capacity_blocks, 3, 4)
+    assert a.all_blocks() == [sb.data_start + 1, sb.data_start + 2]
+    padding = [(fs._ibmp, range(sb.inode_count, 8 * len(fs._ibmp))),
+               (fs._bbmp, range(sb.total_blocks, 8 * len(fs._bbmp)))]
+    assert [len(pad) for _, pad in padding] == (
+        [0, 0] if inode_count is None else [15_808, 5])
+    fs._set_bit(fs._ibmp, b.ino, False)               # reachable, not allocated
+    fs._set_bit(fs._ibmp, 40, True)                   # allocated, unreachable
+    fs._set_bit(fs._ibmp, sb.inode_count - 1, True)   # ... the last inode
+    fs._set_bit(fs._bbmp, a.all_blocks()[1], False)   # referenced, not allocated
+    fs._set_bit(fs._bbmp, sb.data_start + 100, True)  # allocated, unreferenced
+    fs._set_bit(fs._bbmp, sb.total_blocks - 1, True)  # ... the last block
+    for bitmap, pad in padding:                       # neither inode nor block
+        for idx in pad:
+            fs._set_bit(bitmap, idx, True)
+    assert fs.fsck() == [
+        "inode 4 in use but not allocated (/b)",
+        "inode 40 allocated but unreachable",
+        f"inode {sb.inode_count - 1} allocated but unreachable",
+        f"block {sb.data_start + 2} referenced but not allocated",
+        f"block {sb.data_start + 100} allocated but unreferenced",
+        f"block {sb.total_blocks - 1} allocated but unreferenced",
+    ]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_mkfs_output_at_default_config_is_pinned(mode):
+    """mkfs on a default 32 GiB device writes the superblock, the bitmap
+    blocks that hold a set bit (one of the inode bitmap, two of the block
+    bitmap) and the root inode's block, and nothing else."""
+    mssd = make_mssd(mode=mode)
+    mkfs(mssd)
+    dev = mssd.device
+    digest = hashlib.sha256()
+    for ppa in sorted(dev.pages):
+        digest.update(ppa.to_bytes(8, "little") + dev.pages[ppa])
+    for lpa, ppa in sorted(dev.ftl.lpa_to_ppa.items()):
+        digest.update(lpa.to_bytes(8, "little") + ppa.to_bytes(8, "little"))
+    assert sorted(dev.ftl.lpa_to_ppa) == [0, 1, 33, 34, 289]
+    assert (mssd.clock_ns, digest.hexdigest()) == (300_000, (
+        "3a09df36f462fdb54f49348d7329c2b87ad4eac46b56137c386abef01dca169d"))
+
+
 # ---------------------------------------------------------------------------
 # allocation policy against a reference scan
 
@@ -571,10 +630,17 @@ def first_fit_ref(bitmap, start, stop, wrap_from=None):
     return None
 
 
+# bitmaps of up to 512 bytes, of any length, built from runs: long zero
+# runs (whole 64-bit words of them), full bytes and random bytes
+BITMAPS = st.lists(
+    st.one_of(st.integers(1, 200).map(bytes),
+              st.integers(1, 24).map(lambda n: b"\xff" * n),
+              st.binary(min_size=1, max_size=24)),
+    max_size=12).map(lambda runs: bytearray(b"".join(runs)[:512]))
+
+
 @settings(max_examples=300, deadline=None)
-@given(bitmap=st.lists(st.one_of(st.just(0xff), st.integers(0, 255)),
-                       max_size=40).map(bytearray),
-       data=st.data())
+@given(bitmap=BITMAPS, data=st.data())
 def test_bitmap_scans_match_bit_loops(bitmap, data):
     lo = data.draw(st.integers(0, 8 * len(bitmap)), label="lo")
     hi = data.draw(st.integers(0, 8 * len(bitmap)), label="hi")

@@ -78,6 +78,17 @@ def test_newest_version_wins_on_same_cacheline(mssd):
     assert mssd.block_read(0)[:64] == b"\x02" * 64
 
 
+def test_block_read_without_log_entries_is_the_flash_page(mssd):
+    mssd.block_write(2, b"\x44" * 4096)
+    mssd.byte_write(4 * 4096, b"\x55" * 64)  # an entry on another page
+    for lpa in (2, 3):
+        assert mssd.writelog.page_entries(lpa) == []
+        flash = mssd.device.pages.get(mssd.device.ftl_translate(lpa),
+                                      bytes(4096))
+        assert mssd.writelog.block_read(lpa) == flash
+    assert mssd.writelog.block_read(2) == b"\x44" * 4096
+
+
 def test_block_write_invalidates_log_entries(mssd):
     mssd.byte_write(0, b"\x01" * 64)
     mssd.block_write(0, b"\x55" * 4096)
