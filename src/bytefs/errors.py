@@ -26,7 +26,7 @@ class StateError(ByteFSError):
 
 
 class TxAborted(ByteFSError):
-    """Transaction aborted (conflict-lock timeout)."""
+    """Transaction aborted by a write conflict with another transaction."""
 
 
 class RecoveryFailed(ByteFSError):

@@ -19,14 +19,13 @@ from __future__ import annotations
 import contextlib
 import re
 import struct
-import threading
 
 import numpy as np
 
 from .device import CACHELINE, DeviceConfig, GiB, spans
 from .errors import (
     AlreadyExists, DirectoryNotEmpty, FsError, InvalidArgument, IsADirectory,
-    NotADirectory, NotFound, SpaceExhausted, StateError,
+    NotADirectory, NotFound, SpaceExhausted, StateError, TxAborted,
 )
 from .layout import (
     INLINE_EXTENTS, INODE_SIZE, ITYPE_DIR, ITYPE_FILE, JOURNAL_COMMIT_MAGIC,
@@ -182,7 +181,6 @@ class ByteFS:
         self.cache_bytes = cache_bytes
         self.mounted = False
         self.sb: Superblock | None = None
-        self._lock = threading.RLock()
         self._txn: _Txn | None = None
 
     # ------------------------------------------------------------------
@@ -236,8 +234,9 @@ class ByteFS:
         txn = self._txn = _Txn(self.mssd)
         try:
             yield txn
-        except BaseException:
-            if txn.txid is not None:
+        except BaseException as exc:
+            # a write conflict has already ended the transaction
+            if txn.txid is not None and not isinstance(exc, TxAborted):
                 self.mssd.tx_abort(txn.txid)
             raise
         finally:
@@ -550,8 +549,8 @@ class ByteFS:
     # namespace operations
 
     def lookup(self, path: str) -> Inode:
-        with self._locked():
-            return self._resolve(path)
+        self._require_mounted()
+        return self._resolve(path)
 
     def exists(self, path: str) -> bool:
         try:
@@ -561,11 +560,11 @@ class ByteFS:
             return False
 
     def readdir(self, path: str) -> list[str]:
-        with self._locked():
-            inode = self._resolve(path)
-            if inode.itype != ITYPE_DIR:
-                raise NotADirectory(path)
-            return sorted(n.decode() for n in self._load_dir(inode.ino))
+        self._require_mounted()
+        inode = self._resolve(path)
+        if inode.itype != ITYPE_DIR:
+            raise NotADirectory(path)
+        return sorted(n.decode() for n in self._load_dir(inode.ino))
 
     def create(self, path: str) -> int:
         return self._create_common(path, ITYPE_FILE)
@@ -574,7 +573,8 @@ class ByteFS:
         return self._create_common(path, ITYPE_DIR)
 
     def _create_common(self, path: str, itype: int) -> int:
-        with self._locked(), self._op():
+        self._require_mounted()
+        with self._op():
             parent, name = self._resolve_parent(path)
             if name in self._load_dir(parent.ino):
                 raise AlreadyExists(path)
@@ -595,7 +595,8 @@ class ByteFS:
             return ino
 
     def unlink(self, path: str) -> None:
-        with self._locked(), self._op():
+        self._require_mounted()
+        with self._op():
             parent, name = self._resolve_parent(path)
             target = self._lookup_child(parent, name)
             if target.itype == ITYPE_DIR:
@@ -603,7 +604,8 @@ class ByteFS:
             self._remove_inode(parent, name, target)
 
     def rmdir(self, path: str) -> None:
-        with self._locked(), self._op():
+        self._require_mounted()
+        with self._op():
             parent, name = self._resolve_parent(path)
             target = self._lookup_child(parent, name)
             if target.itype != ITYPE_DIR:
@@ -628,7 +630,8 @@ class ByteFS:
         self.cache.drop_inode(target.ino)
 
     def rename(self, old: str, new: str) -> None:
-        with self._locked(), self._op():
+        self._require_mounted()
+        with self._op():
             old_parent, old_name = self._resolve_parent(old)
             target = self._lookup_child(old_parent, old_name)
             new_parent, new_name = self._resolve_parent(new)
@@ -658,19 +661,19 @@ class ByteFS:
     # file I/O
 
     def open(self, path: str, direct: bool = False) -> int:
-        with self._locked():
-            inode = self._resolve(path)
-            if inode.itype != ITYPE_FILE:
-                raise IsADirectory(path)
-            fd = self._next_fd
-            self._next_fd += 1
-            self._fds[fd] = _OpenFile(inode.ino, direct)
-            return fd
+        self._require_mounted()
+        inode = self._resolve(path)
+        if inode.itype != ITYPE_FILE:
+            raise IsADirectory(path)
+        fd = self._next_fd
+        self._next_fd += 1
+        self._fds[fd] = _OpenFile(inode.ino, direct)
+        return fd
 
     def close(self, fd: int) -> None:
-        with self._locked():
-            if self._fds.pop(fd, None) is None:
-                raise StateError(f"bad fd {fd}")
+        self._require_mounted()
+        if self._fds.pop(fd, None) is None:
+            raise StateError(f"bad fd {fd}")
 
     def _file(self, fd: int) -> tuple[_OpenFile, Inode]:
         handle = self._fds.get(fd)
@@ -691,34 +694,33 @@ class ByteFS:
         return self.cache.insert(inode.ino, index, data)
 
     def read(self, fd: int, offset: int, length: int) -> bytes:
-        with self._locked():
-            handle, inode = self._file(fd)
-            if handle.direct:
-                return self._direct_read(inode, offset, length)
-            if offset >= inode.size:
-                return b""
-            length = min(length, inode.size - offset)
-            out = bytearray()
-            for index, off, take, _ in spans(offset, length,
-                                             self.sb.block_size):
-                out += self._get_page(inode, index).data[off:off + take]
-            return bytes(out)
+        self._require_mounted()
+        handle, inode = self._file(fd)
+        if handle.direct:
+            return self._direct_read(inode, offset, length)
+        if offset >= inode.size:
+            return b""
+        length = min(length, inode.size - offset)
+        out = bytearray()
+        for index, off, take, _ in spans(offset, length, self.sb.block_size):
+            out += self._get_page(inode, index).data[off:off + take]
+        return bytes(out)
 
     def write(self, fd: int, offset: int, data: bytes) -> int:
-        with self._locked():
-            handle, inode = self._file(fd)
-            if handle.direct:
-                return self._direct_write(inode, offset, data)
-            for index, off, take, pos in spans(offset, len(data),
-                                               self.sb.block_size):
-                page = self._get_page(inode, index)
-                page.note_modify()
-                page.data[off:off + take] = data[pos:pos + take]
-            grew = offset + len(data) > inode.size
-            if grew:
-                inode.size = offset + len(data)
-            self._touch(inode, size_changed=grew)
-            return len(data)
+        self._require_mounted()
+        handle, inode = self._file(fd)
+        if handle.direct:
+            return self._direct_write(inode, offset, data)
+        for index, off, take, pos in spans(offset, len(data),
+                                           self.sb.block_size):
+            page = self._get_page(inode, index)
+            page.note_modify()
+            page.data[off:off + take] = data[pos:pos + take]
+        grew = offset + len(data) > inode.size
+        if grew:
+            inode.size = offset + len(data)
+        self._touch(inode, size_changed=grew)
+        return len(data)
 
     # -- direct I/O --------------------------------------------------------
 
@@ -839,21 +841,21 @@ class ByteFS:
         self._fsync_common(fd, data_only=True)
 
     def _fsync_common(self, fd: int, data_only: bool) -> None:
-        with self._locked():
-            handle, inode = self._file(fd)
-            dirty = self.cache.dirty_pages(inode.ino)
-            # a clean file opens no transaction at all
-            if dirty or self._metadata_pending(inode.ino, data_only):
-                self._flush_inode(inode, dirty, data_only)
+        self._require_mounted()
+        handle, inode = self._file(fd)
+        dirty = self.cache.dirty_pages(inode.ino)
+        # a clean file opens no transaction at all
+        if dirty or self._metadata_pending(inode.ino, data_only):
+            self._flush_inode(inode, dirty, data_only)
 
     def sync(self) -> None:
         """Writeback every dirty page and flush pending metadata."""
-        with self._locked():
-            for ino in sorted(self.cache.by_ino.keys() | self._meta_dirty):
-                if self._bit(self._ibmp, ino):
-                    self._flush_inode(self._load_inode(ino),
-                                      self.cache.dirty_pages(ino),
-                                      data_only=False)
+        self._require_mounted()
+        for ino in sorted(self.cache.by_ino.keys() | self._meta_dirty):
+            if self._bit(self._ibmp, ino):
+                self._flush_inode(self._load_inode(ino),
+                                  self.cache.dirty_pages(ino),
+                                  data_only=False)
 
     # ------------------------------------------------------------------
     # data journaling
@@ -906,62 +908,60 @@ class ByteFS:
 
     def fsck(self) -> list[str]:
         """Walk the namespace and cross-check bitmaps and extents."""
-        with self._locked():
-            problems: list[str] = []
-            sb = self.sb
-            seen_inos: set[int] = set()
-            block_refs: dict[int, int] = {}
+        self._require_mounted()
+        problems: list[str] = []
+        sb = self.sb
+        seen_inos: set[int] = set()
+        block_refs: dict[int, int] = {}
 
-            def visit(ino: int, path: str):
-                if ino in seen_inos:
-                    problems.append(f"inode {ino} reached twice ({path})")
-                    return
-                seen_inos.add(ino)
-                if not self._bit(self._ibmp, ino):
-                    problems.append(f"inode {ino} in use but not allocated "
-                                    f"({path})")
-                inode = self._load_inode(ino)
-                for blk in inode.all_blocks():
-                    block_refs[blk] = block_refs.get(blk, 0) + 1
-                    if not (sb.data_start <= blk < sb.total_blocks):
-                        problems.append(f"inode {ino} references block {blk} "
-                                        "outside the data region")
-                if inode.spill_block:
-                    block_refs[inode.spill_block] = \
-                        block_refs.get(inode.spill_block, 0) + 1
-                if inode.itype == ITYPE_DIR:
-                    subdirs = 0
-                    for name, entry in self._load_dir(ino).items():
-                        child_ino, ftype = entry[0], entry[1]
-                        if ftype == ITYPE_DIR:
-                            subdirs += 1
-                        visit(child_ino, f"{path}/{name.decode(errors='replace')}")
-                    if inode.links != 2 + subdirs:
-                        problems.append(
-                            f"dir inode {ino} links {inode.links}, expected "
-                            f"{2 + subdirs}")
+        def visit(ino: int, path: str):
+            if ino in seen_inos:
+                problems.append(f"inode {ino} reached twice ({path})")
+                return
+            seen_inos.add(ino)
+            if not self._bit(self._ibmp, ino):
+                problems.append(f"inode {ino} in use but not allocated "
+                                f"({path})")
+            inode = self._load_inode(ino)
+            for blk in inode.all_blocks():
+                block_refs[blk] = block_refs.get(blk, 0) + 1
+                if not (sb.data_start <= blk < sb.total_blocks):
+                    problems.append(f"inode {ino} references block {blk} "
+                                    "outside the data region")
+            if inode.spill_block:
+                block_refs[inode.spill_block] = \
+                    block_refs.get(inode.spill_block, 0) + 1
+            if inode.itype == ITYPE_DIR:
+                subdirs = 0
+                for name, entry in self._load_dir(ino).items():
+                    child_ino, ftype = entry[0], entry[1]
+                    if ftype == ITYPE_DIR:
+                        subdirs += 1
+                    visit(child_ino, f"{path}/{name.decode(errors='replace')}")
+                if inode.links != 2 + subdirs:
+                    problems.append(f"dir inode {ino} links {inode.links}, "
+                                    f"expected {2 + subdirs}")
 
-            visit(ROOT_INO, "")
-            for ino in _set_bits(self._ibmp, ROOT_INO, sb.inode_count):
-                if ino not in seen_inos:
-                    problems.append(f"inode {ino} allocated but unreachable")
-            for blk, count in block_refs.items():
-                if count > 1:
-                    problems.append(f"block {blk} referenced {count} times")
-                if not self._bit(self._bbmp, blk):
-                    problems.append(f"block {blk} referenced but not allocated")
-            for blk in _set_bits(self._bbmp, sb.data_start, sb.total_blocks):
-                if blk not in block_refs:
-                    problems.append(f"block {blk} allocated but unreferenced")
-            return problems
+        visit(ROOT_INO, "")
+        for ino in _set_bits(self._ibmp, ROOT_INO, sb.inode_count):
+            if ino not in seen_inos:
+                problems.append(f"inode {ino} allocated but unreachable")
+        for blk, count in block_refs.items():
+            if count > 1:
+                problems.append(f"block {blk} referenced {count} times")
+            if not self._bit(self._bbmp, blk):
+                problems.append(f"block {blk} referenced but not allocated")
+        for blk in _set_bits(self._bbmp, sb.data_start, sb.total_blocks):
+            if blk not in block_refs:
+                problems.append(f"block {blk} allocated but unreferenced")
+        return problems
 
     # ------------------------------------------------------------------
 
-    def _locked(self) -> threading.RLock:
-        """The lock every public operation but `mount` holds, if mounted."""
+    def _require_mounted(self) -> None:
+        """Every public operation but `mount` starts with this check."""
         if not self.mounted:
             raise StateError("not mounted")
-        return self._lock
 
 
 def recover_fs(mssd: Mssd, mode: str = "full", journal: str = "ordered",

@@ -6,12 +6,16 @@ committed transaction ids and does, together with the stamp each commit
 drew.  Recovery scans the whole log region, discards entries whose
 transaction never reached the TxLog, and flushes the rest with the
 routine cleaning uses, under the same visibility rule.
+
+Conflicts follow NO_WAIT two-phase locking: a write that touches a
+cacheline another active transaction has written aborts the writer's own
+transaction at once, so no transaction ever waits.  The simulator is
+single-threaded: an `Mssd`, and the file system on it, is used from one
+thread.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass
 
 from .device import CACHELINE
@@ -58,53 +62,41 @@ class RecoveryReport:
 
 
 class TxManager:
-    """Host-side transaction table with per-cacheline conflict locking.
+    """Host-side transaction table with per-cacheline conflict locks.
 
-    A writer that collides with another active transaction blocks until
-    that transaction finishes, or aborts after `lock_timeout_s` of wall
-    time.
+    A transaction holds the lock of every cacheline it wrote until it
+    commits or aborts.  A write that needs a lock another transaction
+    holds takes none, writes nothing and aborts its transaction.
     """
 
-    def __init__(self, mssd, lock_timeout_s: float = 5.0):
+    def __init__(self, mssd):
         self.mssd = mssd
-        self.lock_timeout_s = lock_timeout_s
         self.table: dict[int, set[int]] = {}  # active txid -> its locks
         self.next_txid = 1  # 0 is reserved for non-transactional writes
         self._lock_owner: dict[int, int] = {}  # cacheline -> txid
-        # reentrant: tx_commit may trigger a clean that queries active txs
-        self._cond = threading.Condition(threading.RLock())
 
     def active_txids(self) -> set[int]:
-        with self._cond:
-            return set(self.table)
+        return set(self.table)
 
     def tx_begin(self) -> int:
-        with self._cond:
-            if self.next_txid >= 2 ** 32:
-                raise SpaceExhausted("TxId space exhausted")
-            txid = self.next_txid
-            self.next_txid += 1
-            self.table[txid] = set()
-            return txid
+        if self.next_txid >= 2 ** 32:
+            raise SpaceExhausted("TxId space exhausted")
+        txid = self.next_txid
+        self.next_txid += 1
+        self.table[txid] = set()
+        return txid
 
     def _acquire(self, txid: int, keys: range) -> None:
-        with self._cond:
-            locks = self._require_active(txid)
-            deadline = None
-            pending = [k for k in keys if self._lock_owner.get(k, txid) != txid]
-            while pending:
-                if deadline is None:
-                    deadline = time.monotonic() + self.lock_timeout_s
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self._cond.wait(timeout=remaining):
-                    self._end(txid, committed=False)
-                    raise TxAborted(f"tx {txid} timed out waiting for locks")
-                locks = self._require_active(txid)
-                pending = [k for k in keys
-                           if self._lock_owner.get(k, txid) != txid]
-            for k in keys:
-                self._lock_owner[k] = txid
-            locks.update(keys)
+        locks = self._require_active(txid)
+        for k in keys:
+            holder = self._lock_owner.get(k, txid)
+            if holder != txid:
+                self._end(txid, committed=False)
+                raise TxAborted(f"tx {txid} aborted: cacheline {k} is "
+                                f"locked by tx {holder}")
+        for k in keys:
+            self._lock_owner[k] = txid
+        locks.update(keys)
 
     def _require_active(self, txid: int) -> set[int]:
         locks = self.table.get(txid)
@@ -116,7 +108,6 @@ class TxManager:
         """Forget a finished transaction and release its locks."""
         for k in self.table.pop(txid):
             del self._lock_owner[k]
-        self._cond.notify_all()
         self.mssd.shadow_tx_end(txid, committed)
 
     def tx_write(self, txid: int, addr: int, data: bytes,
@@ -126,18 +117,16 @@ class TxManager:
         self.mssd.byte_write(addr, data, txid=txid, category=category)
 
     def tx_commit(self, txid: int) -> None:
-        with self._cond:
-            self._require_active(txid)
-            txlog = self.mssd.txlog
-            if txlog.full:
-                self.mssd.clean()
-            txlog.append(txid, self.mssd.next_stamp())
-            self._end(txid, committed=True)
+        self._require_active(txid)
+        txlog = self.mssd.txlog
+        if txlog.full:
+            self.mssd.clean()
+        txlog.append(txid, self.mssd.next_stamp())
+        self._end(txid, committed=True)
 
     def tx_abort(self, txid: int) -> None:
-        with self._cond:
-            self._require_active(txid)
-            self._end(txid, committed=False)
+        self._require_active(txid)
+        self._end(txid, committed=False)
 
 
 def recover(mssd) -> RecoveryReport:

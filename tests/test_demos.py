@@ -23,6 +23,8 @@ def test_demo_runs(demo):
     result = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+    if demo.stem == "03_transactions_and_recovery":
+        assert "second writer: TxAborted" in result.stdout
 
 
 def test_cut_phases_tool_runs():

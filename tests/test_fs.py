@@ -10,7 +10,7 @@ from bytefs import bench, image
 from bytefs.device import CACHELINE, DeviceConfig, TrafficCounters
 from bytefs.errors import (
     AlreadyExists, DirectoryNotEmpty, FsError, InvalidArgument, IsADirectory,
-    NotADirectory, NotFound, SpaceExhausted, StateError,
+    NotADirectory, NotFound, SpaceExhausted, StateError, TxAborted,
 )
 from bytefs.fs import (
     MODES, ByteFS, _first_clear, _set_bits, make_mssd, mkfs, recover_fs,
@@ -129,6 +129,17 @@ def test_create_existing_raises_and_writes_nothing():
         fs.create("/f")
     delta = fs.mssd.traffic_snapshot().delta(before)
     assert delta.host_to_ssd_bytes == 0
+
+
+def test_write_conflict_inside_an_operation_raises_tx_aborted():
+    fs = make_fs()
+    fs.create("/a")
+    mssd, bs = fs.mssd, fs.sb.block_size
+    t = mssd.tx_begin()
+    mssd.tx_write(t, fs.sb.itab_start * bs, bytes(bs))  # first inode block
+    with pytest.raises(TxAborted):
+        fs.create("/b")
+    assert mssd.txmgr.active_txids() == {t}
 
 
 def test_namespace_errors():

@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 
@@ -24,19 +22,7 @@ def test_first_txid_is_one(mssd):
 
 
 def test_thousand_begins_unique(mssd):
-    ids = set()
-    threads = []
-
-    def worker():
-        for _ in range(100):
-            ids.add(mssd.tx_begin())
-
-    for _ in range(10):
-        threads.append(threading.Thread(target=worker))
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    ids = {mssd.tx_begin() for _ in range(1000)}
     assert len(ids) == 1000
 
 
@@ -72,33 +58,55 @@ def test_disjoint_cachelines_do_not_block(mssd):
     mssd.tx_commit(t2)
 
 
-def test_same_cacheline_blocks_until_commit():
-    mssd = Mssd(small_config())
+def test_same_cacheline_conflict_aborts_at_once(mssd):
     t1 = mssd.tx_begin()
     t2 = mssd.tx_begin()
+    mssd.tx_write(t2, 64, b"\x02" * 64)
     mssd.tx_write(t1, 0, b"\x01" * 64)
-    order = []
-
-    def blocked_writer():
-        mssd.tx_write(t2, 0, b"\x02" * 64)
-        order.append("t2-wrote")
-
-    th = threading.Thread(target=blocked_writer)
-    th.start()
-    th.join(timeout=0.2)
-    assert th.is_alive()  # still blocked on t1's lock
-    order.append("t1-commit")
+    entries = mssd.writelog.active_gen.tail_slots
+    clock = mssd.clock_ns
+    traffic = mssd.traffic_snapshot().by_category
+    shadow = {lpa: bytes(page) for lpa, page in mssd.shadow.items()}
+    with pytest.raises(TxAborted, match=f"locked by tx {t1}"):
+        mssd.tx_write(t2, 0, b"\x22" * 64)
+    # the conflicting write changed nothing
+    assert mssd.writelog.active_gen.tail_slots == entries
+    assert mssd.clock_ns == clock
+    assert mssd.traffic_snapshot().by_category == traffic
+    assert {lpa: bytes(page) for lpa, page in mssd.shadow.items()} == shadow
+    # t1's write stays visible; t2's earlier write went with its abort
+    assert mssd.shadow_read(0, 128) == b"\x01" * 64 + bytes(64)
+    assert mssd.byte_read(0, 128) == b"\x01" * 64 + bytes(64)
+    # the requester is no longer active
+    assert mssd.txmgr.active_txids() == {t1}
+    with pytest.raises(StateError):
+        mssd.tx_write(t2, 128, b"\x02" * 64)
+    with pytest.raises(StateError):
+        mssd.tx_commit(t2)
+    # its earlier lock is released: a third transaction takes it
+    t3 = mssd.tx_begin()
+    mssd.tx_write(t3, 64, b"\x03" * 64)
+    mssd.tx_commit(t3)
     mssd.tx_commit(t1)
-    th.join(timeout=5)
-    assert not th.is_alive()
-    assert order == ["t1-commit", "t2-wrote"]
-    mssd.tx_commit(t2)
-    assert mssd.block_read(0)[:64] == b"\x02" * 64
+    assert mssd.block_read(0)[:128] == b"\x01" * 64 + b"\x03" * 64
 
 
-def test_conflict_timeout_aborts_younger():
+def test_write_over_two_cachelines_locks_neither_on_conflict(mssd):
+    t1 = mssd.tx_begin()
+    t2 = mssd.tx_begin()
+    mssd.tx_write(t1, 64, b"\x01" * 64)
+    with pytest.raises(TxAborted):
+        mssd.tx_write(t2, 32, b"\x02" * 64)  # cachelines 0 and 1
+    assert mssd.txmgr._lock_owner == {1: t1}
+    t3 = mssd.tx_begin()
+    mssd.tx_write(t3, 0, b"\x03" * 64)  # cacheline 0 is free
+    mssd.tx_commit(t3)
+    mssd.tx_commit(t1)
+    assert mssd.block_read(0)[:128] == b"\x03" * 64 + b"\x01" * 64
+
+
+def test_conflict_aborts_requester_and_holder_commits():
     mssd = Mssd(small_config())
-    mssd.txmgr.lock_timeout_s = 0.05
     t1 = mssd.tx_begin()
     t2 = mssd.tx_begin()
     mssd.tx_write(t1, 0, b"\x01" * 64)
@@ -234,7 +242,6 @@ def test_recovery_matches_reference_merge():
 
     rng = random.Random(1)
     mssd = Mssd(small_config(), auto_clean=False)
-    mssd.txmgr.lock_timeout_s = 0  # a lock conflict aborts at once
     writers = {}  # cacheline -> kinds of writes since its page's last block write
     open_txs = {}  # txid -> addresses written, for up to three at once
     for _ in range(300):

@@ -108,7 +108,6 @@ class VisibilityMachine(RuleBasedStateMachine):
         super().__init__()
         self.mssd = Mssd(small_config(log_region_bytes=2 * KiB, txlog_bytes=8),
                          shadow_oracle=True)
-        self.mssd.txmgr.lock_timeout_s = 0  # a lock conflict aborts at once
         self.active: list[int] = []
         self.tx_lines: dict[int, set[int]] = {}  # cachelines each tx wrote
 

@@ -323,7 +323,6 @@ def test_merge_order_matches_lexsort_on_a_live_log(ops):
     committed in any order; a clean carries the entries of open ones.  A
     `tx` write goes to a new transaction when `n` picks none open."""
     mssd = Mssd(small_config(), auto_clean=False)
-    mssd.txmgr.lock_timeout_s = 0  # a lock conflict aborts at once
     open_txs = []
     for op, n in ops:
         addr = (n % 8) * 4096 + (n // 8 % 4) * CACHELINE
