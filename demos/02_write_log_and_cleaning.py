@@ -2,9 +2,10 @@
 
 Byte writes land in a log-structured region of device DRAM, indexed by
 partitioned skip lists so reads can be served from the log.  When the
-region fills past its threshold, cleaning merges committed entries back
-to flash (batched to exploit channel parallelism) and switches to a
-fresh log generation.
+region fills past its threshold, the log cleans itself: it merges
+committed entries back to flash (batched to exploit channel parallelism)
+and switches to a fresh log generation.  `Mssd.clean` runs a clean at
+once.
 """
 
 from bytefs.device import DeviceConfig, KiB, MiB
@@ -12,7 +13,7 @@ from bytefs.mssd import Mssd
 
 cfg = DeviceConfig(capacity_bytes=8 * MiB, log_region_bytes=64 * KiB,
                    txlog_bytes=1 * KiB, write_buffer_bytes=16 * KiB)
-mssd = Mssd(cfg, auto_clean=False)
+mssd = Mssd(cfg)
 
 print("== small writes absorb into the log; flash stays untouched ==")
 before = mssd.traffic_snapshot()
@@ -47,3 +48,15 @@ mssd.clean()
 page = mssd.block_read(5)
 print(f"  page5[128:132]={page[128:132].hex()} (new),"
       f" page5[0:4]={page[0:4].hex()} (preserved)")
+
+print("== the log cleans itself once it passes its threshold ==")
+gen = mssd.writelog.active_gen.gen_id
+slots = mssd.writelog.active_gen.capacity_slots
+for i in range(slots):
+    mssd.byte_write((64 + i // 64) * 4096 + i % 64 * 64, b"\x22" * 64)
+    if mssd.writelog.active_gen.gen_id != gen:
+        break
+print(f"  cleaned by write {i + 1} of a {slots}-slot log"
+      f" (threshold {cfg.clean_threshold:.0%}): generation {gen} ->"
+      f" {mssd.writelog.active_gen.gen_id},"
+      f" utilization {mssd.utilization():.0%}")

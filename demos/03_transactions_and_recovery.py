@@ -3,8 +3,9 @@
 Writes can be grouped into transactions.  The firmware TxLog records
 committed transaction ids durably; at cleaning or recovery time, only
 entries whose transaction committed reach flash, ordered by commit.
-Recovery after a simulated crash scans the whole log region, discards
-uncommitted entries, and flushes the rest — idempotently.  A write to a
+Recovery after a simulated crash is a clean of the log region that
+survived: no transaction is open any more, so it discards the uncommitted
+entries and flushes the rest — idempotently.  A write to a
 cacheline another open transaction has written aborts the writer's
 transaction at once (NO_WAIT): nothing waits, so every run is the same.
 """
@@ -16,7 +17,7 @@ from bytefs.mssd import Mssd
 
 cfg = DeviceConfig(capacity_bytes=8 * MiB, log_region_bytes=64 * KiB,
                    txlog_bytes=1 * KiB, write_buffer_bytes=16 * KiB)
-mssd = Mssd(cfg, auto_clean=False)
+mssd = Mssd(cfg)
 
 print("== committed vs uncommitted writes ==")
 ta = mssd.tx_begin()

@@ -628,6 +628,9 @@ class ByteFS:
         self._dir_tombstones.pop(target.ino, None)
         self._meta_dirty.pop(target.ino, None)
         self.cache.drop_inode(target.ino)
+        # an fd left open must not reach an inode that reuses the number
+        self._fds = {fd: h for fd, h in self._fds.items()
+                     if h.ino != target.ino}
 
     def rename(self, old: str, new: str) -> None:
         self._require_mounted()
@@ -635,6 +638,9 @@ class ByteFS:
             old_parent, old_name = self._resolve_parent(old)
             target = self._lookup_child(old_parent, old_name)
             new_parent, new_name = self._resolve_parent(new)
+            old_parts = self._split_path(old)
+            if self._split_path(new)[:-1][:len(old_parts)] == old_parts:
+                raise InvalidArgument(f"cannot move {old} into itself")
             entries = self._load_dir(new_parent.ino)
             if new_name in entries:
                 existing = self._load_inode(entries[new_name][0])
@@ -695,6 +701,8 @@ class ByteFS:
 
     def read(self, fd: int, offset: int, length: int) -> bytes:
         self._require_mounted()
+        if offset < 0 or length < 0:
+            raise InvalidArgument("negative offset or length")
         handle, inode = self._file(fd)
         if handle.direct:
             return self._direct_read(inode, offset, length)
@@ -708,7 +716,11 @@ class ByteFS:
 
     def write(self, fd: int, offset: int, data: bytes) -> int:
         self._require_mounted()
+        if offset < 0:
+            raise InvalidArgument("negative offset")
         handle, inode = self._file(fd)
+        if not data:
+            return 0
         if handle.direct:
             return self._direct_write(inode, offset, data)
         for index, off, take, pos in spans(offset, len(data),

@@ -1,6 +1,7 @@
 """Facade over the emulated M-SSD: dual byte/block interface, firmware
 write log, transaction log, and optional shadow oracle for testing.
 
+The write log cleans itself; `recover` is a clean run after a crash.
 With the log disabled (`log_enabled=False`) there is no write log: byte
 writes are applied with a page-granular read-modify-write, emulating a
 device that keeps only a write-through page buffer in its DRAM, and a
@@ -25,8 +26,7 @@ from .writelog import CleanReport, WriteLog
 
 class Mssd:
     def __init__(self, config: DeviceConfig | None = None, *,
-                 log_enabled: bool = True, shadow_oracle: bool = False,
-                 auto_clean: bool = True):
+                 log_enabled: bool = True, shadow_oracle: bool = False):
         self.device = FlashDevice(config)
         self.config = self.device.config
         self.log_enabled = log_enabled
@@ -36,8 +36,6 @@ class Mssd:
         self.writelog = (WriteLog(self.device, self.next_stamp, self.txlog,
                                   self.txmgr.active_txids)
                          if log_enabled else None)
-        if auto_clean and log_enabled:
-            self.writelog.auto_clean_cb = self.clean
         # committed bytes per page, and each active transaction's writes
         self.shadow: dict[int, bytearray] | None = {} if shadow_oracle else None
         self._shadow_tx: dict[int, list[tuple[int, bytes]]] = {}

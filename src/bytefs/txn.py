@@ -3,9 +3,9 @@
 The TxTable lives host-side, holds only active transactions and does not
 survive a crash; the TxLog is a firmware append-only list of 4-byte
 committed transaction ids and does, together with the stamp each commit
-drew.  Recovery scans the whole log region, discards entries whose
-transaction never reached the TxLog, and flushes the rest with the
-routine cleaning uses, under the same visibility rule.
+drew.  Recovery is a clean of the log region that survived: after a
+crash no transaction is open, so the clean flushes every visible entry
+and discards those whose transaction never reached the TxLog.
 
 Conflicts follow NO_WAIT two-phase locking: a write that touches a
 cacheline another active transaction has written aborts the writer's own
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from .device import CACHELINE
 from .errors import SpaceExhausted, StateError, TxAborted
-from .writelog import ACTIVE_KEY
 
 
 class TxLog:
@@ -130,24 +129,16 @@ class TxManager:
 
 
 def recover(mssd) -> RecoveryReport:
-    """Full log-region scan after a crash: flush the visible, committed
-    entries to flash in (key, seq) order, discard the rest, then clear the
-    log region and TxLog.  Exclusive; no concurrent foreground traffic.
-    Without a write log there is nothing to merge; only the TxLog is
-    cleared.
+    """Recovery after a crash: a clean of a device with no open
+    transaction.  Every entry of the surviving log region is scanned; the
+    visible ones are flushed to flash and the rest discarded, which
+    empties the log region and the TxLog.  Without a write log there is
+    nothing to scan, and only the TxLog is cleared.
     """
-    if not mssd.log_enabled:
-        mssd.txlog.clear()
-        return RecoveryReport()
     start_ns = mssd.device.clock.now_ns
-    log = mssd.writelog
-    visible, key = log.visibility()
-    durable = visible & (key < ACTIVE_KEY)
-    log.merge_and_flush(durable, key)
-    mssd.reset_log()
-    mssd.txlog.clear()
-    flushed = int(durable.sum())
+    scanned = mssd.writelog.active_gen.tail_slots if mssd.log_enabled else 0
+    flushed = mssd.clean().entries_flushed
     return RecoveryReport(
-        entries_scanned=durable.size, entries_discarded=durable.size - flushed,
+        entries_scanned=scanned, entries_discarded=scanned - flushed,
         entries_flushed=flushed,
         elapsed_sim_ns=mssd.device.clock.now_ns - start_ns)

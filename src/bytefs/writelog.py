@@ -22,9 +22,12 @@ list per partition keyed by LPA, and per page one list of slots in
 append order.  It is rebuilt from the sidecar on first use after a clean
 or an image load.
 
-Cleaning and recovery share one routine, `WriteLog.merge_and_flush`, that
-merges the visible entries below `ACTIVE_KEY` into their pages and writes
-the pages to flash in write-buffer batches.  Double buffering: a clean
+The log cleans itself after a piece that takes it past `clean_threshold`
+and before an entry when it is full (`BackPressure` if the entries of
+active transactions alone fill it).  A clean merges the visible entries
+below `ACTIVE_KEY` into their pages and writes the pages to flash in
+write-buffer batches (`merge_and_flush`); recovery is a clean of a device
+with no open transaction, so it carries nothing.  Double buffering: a clean
 drains the active generation while it is still the one the device image
 holds, and only then switches to a fresh generation that carries the
 entries of active transactions, so a power loss in the middle of a clean
@@ -101,6 +104,7 @@ class ChunkEntry:
 @dataclass
 class CleanReport:
     pages_flushed: int = 0
+    entries_flushed: int = 0
     entries_migrated: int = 0
     flash_reads: int = 0
 
@@ -224,8 +228,6 @@ class WriteLog:
         self.active_txids = active_txids
         self.active_gen = LogGeneration(0, self.cfg.log_region_bytes)
         self._index: LogIndex | None = LogIndex(self.cfg.page_size)
-        self.auto_clean_cb = None  # set by the owning device facade
-        self._cleaning = False
 
     @property
     def index(self) -> LogIndex:
@@ -263,18 +265,15 @@ class WriteLog:
         for pos in range(0, len(data), CACHELINE):
             self._append(lpa, (off + pos) // CACHELINE,
                          data[pos:pos + CACHELINE], committed_flag, txid, cat)
-        if (self.utilization() > self.cfg.clean_threshold
-                and self.auto_clean_cb is not None and not self._cleaning):
-            self.auto_clean_cb()
+        if self.utilization() > self.cfg.clean_threshold:
+            self.clean()
 
     def _append(self, lpa, block_offset, payload, flags, txid, cat) -> None:
+        if self.active_gen.full:
+            self.clean()
         gen = self.active_gen
-        if gen.full:
-            if self.auto_clean_cb is not None and not self._cleaning:
-                self.auto_clean_cb()
-                gen = self.active_gen
-            if gen.full:
-                raise BackPressure("write log full")
+        if gen.full:  # the active transactions' entries fill it alone
+            raise BackPressure("write log full")
         index = self.index  # built before the append so it is not indexed twice
         slot = gen.append((lpa, block_offset, len(payload), flags, cat, txid,
                            self.stamp()), payload)
@@ -371,7 +370,7 @@ class WriteLog:
     def utilization(self) -> float:
         return self.active_gen.tail_slots / self.active_gen.capacity_slots
 
-    # -- merge and flush (shared by cleaning and recovery) -----------------
+    # -- merge and flush ---------------------------------------------------
 
     def visibility(self) -> tuple[np.ndarray, np.ndarray]:
         """Per entry of the active generation: whether it is visible, and
@@ -492,17 +491,12 @@ class WriteLog:
         entries (those of active transactions); the rest are dropped.  The
         drained generation stays active, and the TxLog intact, until every
         page is written."""
-        report = CleanReport()
-        self._cleaning = True
-        try:
-            visible, key = self.visibility()
-            durable = visible & (key < ACTIVE_KEY)
-            report.pages_flushed, report.flash_reads = \
-                self.merge_and_flush(durable, key)
-            carry = np.flatnonzero(visible & ~durable)
-            self.new_generation(carry)
-            report.entries_migrated = int(carry.size)
-            self.txlog.clear()
-        finally:
-            self._cleaning = False
-        return report
+        visible, key = self.visibility()
+        durable = visible & (key < ACTIVE_KEY)
+        pages, reads = self.merge_and_flush(durable, key)
+        carry = np.flatnonzero(visible & ~durable)
+        self.new_generation(carry)
+        self.txlog.clear()
+        return CleanReport(pages_flushed=pages,
+                           entries_flushed=int(np.count_nonzero(durable)),
+                           entries_migrated=int(carry.size), flash_reads=reads)

@@ -20,8 +20,3 @@ def small_config(**overrides) -> DeviceConfig:
 @pytest.fixture
 def mssd():
     return Mssd(small_config(), shadow_oracle=True)
-
-
-@pytest.fixture
-def mssd_noauto():
-    return Mssd(small_config(), shadow_oracle=True, auto_clean=False)

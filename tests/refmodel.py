@@ -20,6 +20,12 @@ class RefNode:
         self.data = bytearray()
 
 
+def _holds(tree: RefNode, node: RefNode) -> bool:
+    """Whether `node` is `tree` or lies below it."""
+    return node is tree or tree.is_dir and any(
+        _holds(child, node) for child in tree.children.values())
+
+
 class RefFS:
     def __init__(self):
         self.root = RefNode(is_dir=True)
@@ -99,6 +105,8 @@ class RefFS:
         if node is None:
             raise NotFound(old)
         new_parent, new_name = self._parent(new)
+        if _holds(node, new_parent):
+            raise InvalidArgument(f"cannot move {old} into itself")
         existing = new_parent.children.get(new_name)
         if existing is not None:
             if existing is node:
@@ -117,6 +125,10 @@ class RefFS:
         node = self._resolve(path)
         if node.is_dir:
             raise IsADirectory(path)
+        if offset < 0:
+            raise InvalidArgument("negative offset")
+        if not data:
+            return
         if offset > len(node.data):
             node.data += bytes(offset - len(node.data))
         node.data[offset:offset + len(data)] = data
@@ -125,6 +137,8 @@ class RefFS:
         node = self._resolve(path)
         if node.is_dir:
             raise IsADirectory(path)
+        if offset < 0 or length < 0:
+            raise InvalidArgument("negative offset or length")
         return bytes(node.data[offset:offset + length])
 
     def size(self, path: str) -> int:

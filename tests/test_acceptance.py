@@ -289,7 +289,7 @@ def test_criterion_07_skiplist_against_sorted_map():
 def test_criterion_08_sim_time_matches_analytic_sum():
     desc = "1000-op scripted sequence: simulated time equals the analytic sum"
     cfg = small_config()
-    mssd = Mssd(cfg, auto_clean=False)
+    mssd = Mssd(cfg)
     start = mssd.clock_ns
     for i in range(500):                     # one 64B slot each
         mssd.byte_write(i * 64, bytes([i % 255 + 1]) * 64)
@@ -310,7 +310,7 @@ def test_criterion_08_sim_time_matches_analytic_sum():
 
 def test_criterion_09_clean_commit_order_and_migration():
     desc = "scripted clean: commit-order winners flushed, uncommitted migrated"
-    mssd = Mssd(small_config(), auto_clean=False)
+    mssd = Mssd(small_config())
     ta = mssd.tx_begin()
     mssd.tx_write(ta, 0, b"\xa1" * 64)
     mssd.tx_commit(ta)
@@ -332,6 +332,7 @@ def test_criterion_09_clean_commit_order_and_migration():
           and page[128:192] == bytes(64)           # uncommitted not flushed
           and page[192:256] == bytes(64))          # aborted dropped
     ok &= rep.entries_migrated == 1
+    ok &= rep.entries_flushed == 4                 # ta, c2, tb and c1
     slots = mssd.writelog.index.slots(0)
     entries = mssd.writelog.active_gen.entries
     ok &= slots is not None and len(slots) == 1 \
@@ -348,7 +349,7 @@ def test_criterion_10_full_log_recovery_under_5s():
     from bytefs.writelog import SIDECAR_DTYPE, LogGeneration
 
     cfg = DeviceConfig()                     # 256 MiB log region
-    mssd = Mssd(cfg, auto_clean=False)
+    mssd = Mssd(cfg)
     n = cfg.log_region_bytes // CACHELINE    # 4,194,304 slots
     cl_per_page = cfg.cachelines_per_page
 

@@ -23,6 +23,8 @@ def test_demo_runs(demo):
     result = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+    if demo.stem == "02_write_log_and_cleaning":
+        assert "cleaned by write 871 of a 1024-slot log" in result.stdout
     if demo.stem == "03_transactions_and_recovery":
         assert "second writer: TxAborted" in result.stdout
 
@@ -47,10 +49,14 @@ def test_model_digest_tool_runs():
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     *lines, total = result.stdout.splitlines()
-    # 2 profiles x 2 modes x 2 page caches x 2 journal modes
-    assert len(lines) == 16
+    # 2 profiles x 2 modes x 2 page caches x 2 journal modes, then the
+    # log mode's 2 x 2 x 2 again on the small-log device
+    assert len(lines) == 24
     assert lines[0].split()[0] == "oltp/block_only/default/ordered"
     assert "fsck=0" in lines[0].split()
+    label, gen = lines[16].split()[:2]
+    assert label == "oltp/full/default/ordered/small-log"
+    assert gen.startswith("gen=")
     assert total == "all " + hashlib.sha256(
         "\n".join(lines).encode()).hexdigest()
 

@@ -178,6 +178,118 @@ def test_unlink_restores_bitmaps():
     assert fs.fsck() == []
 
 
+def _device_state(fs):
+    """What a refused call must leave as it was: clock, traffic, dirty
+    pages and the log's entry count."""
+    log = fs.mssd.writelog
+    return (fs.mssd.clock_ns,
+            sorted(fs.mssd.traffic_snapshot().by_category.items()),
+            {ino: len(fs.cache.dirty_pages(ino)) for ino in fs.cache.by_ino},
+            log.active_gen.tail_slots if log else 0)
+
+
+@pytest.mark.parametrize("mode", ["full", "block_only"])
+def test_fd_open_across_unlink_ends_with_its_file(mode):
+    fs = make_fs(mode)
+    ino = fs.create("/f")
+    fd = fs.open("/f")
+    fs.write(fd, 0, b"x" * 4096)
+    fs.fsync(fd)
+    fs.unlink("/f")
+    assert fs.mkdir("/d") == ino  # the directory reuses the number
+    before = _device_state(fs)
+    for call in (lambda: fs.write(fd, 0, b"y" * 4096), lambda: fs.fsync(fd),
+                 lambda: fs.read(fd, 0, 10), lambda: fs.close(fd)):
+        with pytest.raises(StateError, match="bad fd"):
+            call()
+    assert _device_state(fs) == before
+    assert fs.fsck() == []
+    recovered, _ = recover_fs(crash_clone(fs.mssd), mode=mode)
+    assert recovered.readdir("/d") == []
+    assert recovered.fsck() == []
+
+
+def test_rename_over_a_file_ends_fds_on_the_replaced_file():
+    fs = make_fs()
+    fs.create("/a")
+    fs.create("/b")
+    fd_a, fd_b = fs.open("/a"), fs.open("/b")
+    fs.rename("/a", "/b")
+    with pytest.raises(StateError, match="bad fd"):
+        fs.write(fd_b, 0, b"z")
+    assert fs.write(fd_a, 0, b"a") == 1
+    assert read_file(fs, "/b", 0, 1) == b"a"
+
+
+def test_rename_directory_into_its_own_subtree_is_refused():
+    fs, ref = make_fs(), RefFS()
+    for fsys in (fs, ref):
+        fsys.mkdir("/a")
+        fsys.mkdir("/a/b")
+    before = _device_state(fs)
+    for new in ("/a/b/c", "/a/c", "/a/b", "/a/b/c/d"):
+        for fsys in (fs, ref):
+            with pytest.raises(NotFound if new == "/a/b/c/d"
+                               else InvalidArgument):
+                fsys.rename("/a", new)
+    assert _device_state(fs) == before
+    fs.rename("/a", "/a")  # the same name: nothing to do
+    for fsys in (fs, ref):
+        assert fsys.readdir("/") == ["a"]
+        assert fsys.readdir("/a") == ["b"]
+    assert fs.fsck() == []
+
+
+def test_rename_directory_over_an_empty_directory():
+    fs, ref = make_fs(), RefFS()
+    for fsys in (fs, ref):
+        for d in ("/a", "/a/x", "/a/y", "/b", "/b/z", "/b/full"):
+            fsys.mkdir(d)
+        fsys.create("/a/x/f")
+        fsys.create("/b/full/g")
+        fsys.create("/b/file")
+        fsys.rename("/a/x", "/a/y")        # in the same parent
+        fsys.rename("/a/y", "/b/z")        # across parents
+        for old, new, error in (("/b/z", "/b/full", DirectoryNotEmpty),
+                                ("/b/file", "/b/z", IsADirectory),
+                                ("/b/z", "/b/file", NotADirectory)):
+            with pytest.raises(error):
+                fsys.rename(old, new)
+        assert fsys.readdir("/a") == []
+        assert fsys.readdir("/b") == ["file", "full", "z"]
+        assert fsys.readdir("/b/z") == ["f"]
+    assert fs.lookup("/a").links == 2
+    assert fs.lookup("/b").links == 4
+    assert fs.fsck() == []
+    recovered, _ = recover_fs(crash_clone(fs.mssd))
+    assert recovered.readdir("/b/z") == ["f"]
+    assert recovered.fsck() == []
+
+
+@pytest.mark.parametrize("direct", [False, True])
+def test_negative_offsets_and_empty_writes_change_nothing(direct):
+    fs = make_fs()
+    fs.create("/f")
+    fd = fs.open("/f", direct=direct)
+    fs.write(fd, 0, b"a" * 100)
+    fs.fsync(fd)
+    before = _device_state(fs)
+    for call in (lambda: fs.read(fd, -5, 10), lambda: fs.read(fd, 0, -1),
+                 lambda: fs.write(fd, -10, b"zz"),
+                 lambda: fs.write(fd, -64, b"z" * 64)):
+        with pytest.raises(InvalidArgument):
+            call()
+    assert fs.write(fd, 200, b"") == 0
+    assert fs.lookup("/f").size == 100
+    assert _device_state(fs) == before
+    fs.fsync(fd)
+    assert fs.read(fd, 0, 200) == b"a" * 100
+    assert fs.fsck() == []
+    recovered, _ = recover_fs(crash_clone(fs.mssd))
+    assert read_file(recovered, "/f", 0, 200) == b"a" * 100
+    assert recovered.fsck() == []
+
+
 def test_rename_within_and_across_dirs():
     fs = make_fs()
     fs.mkdir("/a")

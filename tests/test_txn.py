@@ -189,6 +189,43 @@ def test_recover_honors_txlog_commit_order(mssd):
     assert after.block_read(0)[:64] == b"\x02" * 64
 
 
+def _flash_state(mssd):
+    dev = mssd.device
+    return ({ppa: bytes(page) for ppa, page in dev.pages.items()},
+            dict(dev.ftl.lpa_to_ppa), mssd.writelog.active_gen.gen_id)
+
+
+def test_recovery_is_a_clean_of_a_device_with_no_open_transaction(mssd):
+    mssd.byte_write(0, b"\x01" * 100)                      # plain writes
+    mssd.byte_write(4096 + 10, b"\x02" * 70)
+    committed = mssd.tx_begin()
+    mssd.tx_write(committed, 8192, b"\x03" * 200)
+    mssd.tx_write(committed, 64, b"\x04" * 64)
+    aborted = mssd.tx_begin()
+    mssd.tx_write(aborted, 12288, b"\x05" * 64)
+    open_tx = mssd.tx_begin()
+    mssd.tx_write(open_tx, 16384, b"\x06" * 128)
+    mssd.tx_commit(committed)
+    mssd.tx_abort(aborted)
+    mssd.byte_write(20480, b"\x07" * 64)
+    mssd.block_write(5, b"\x08" * 4096)                   # supersedes 20480
+    recovered, cleaned = crash_clone(mssd), crash_clone(mssd)
+    scanned = recovered.writelog.active_gen.tail_slots
+    report = recovered.recover()
+    clean_report = cleaned.clean()
+    assert _flash_state(recovered) == _flash_state(cleaned)
+    assert recovered.writelog.active_gen.gen_id == 1
+    assert recovered.clock_ns == cleaned.clock_ns
+    assert recovered.txlog.entries == cleaned.txlog.entries == []
+    # 2 + 2 plain entries and the committed transaction's 4 + 1
+    assert report.entries_flushed == clean_report.entries_flushed == 9
+    assert (report.entries_scanned, clean_report.entries_migrated) \
+        == (scanned, 0)
+    assert recovered.block_read(2)[:256] == b"\x03" * 200 + bytes(56)
+    assert recovered.block_read(3) == recovered.block_read(4) == bytes(4096)
+    assert recovered.block_read(5) == b"\x08" * 4096
+
+
 def test_random_crash_points_match_committed_prefix_oracle():
     # scripted workload: each tx writes its id to a distinct cacheline
     for crash_at in range(0, 20, 3):
@@ -241,7 +278,7 @@ def test_recovery_matches_reference_merge():
     import random
 
     rng = random.Random(1)
-    mssd = Mssd(small_config(), auto_clean=False)
+    mssd = Mssd(small_config())
     writers = {}  # cacheline -> kinds of writes since its page's last block write
     open_txs = {}  # txid -> addresses written, for up to three at once
     for _ in range(300):
@@ -294,7 +331,7 @@ def test_recovery_matches_reference_merge():
 
 
 def test_recover_orders_plain_write_after_earlier_commit():
-    mssd = Mssd(small_config(), auto_clean=False)
+    mssd = Mssd(small_config())
     t = mssd.tx_begin()
     mssd.tx_write(t, 0, b"\x01" * 64)
     mssd.tx_commit(t)
@@ -309,7 +346,7 @@ def test_power_cut_inside_clean_keeps_committed_pages():
     class PowerCut(Exception):
         pass
 
-    mssd = Mssd(small_config(write_buffer_bytes=4096), auto_clean=False)
+    mssd = Mssd(small_config(write_buffer_bytes=4096))
     for lpa in range(4):
         mssd.byte_write(lpa * 4096, bytes([lpa + 1]) * 64)
     clone = crash_clone(mssd)

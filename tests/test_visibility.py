@@ -36,8 +36,7 @@ def committed_reads(mssd: Mssd) -> list[bytes]:
     return reads(lambda lpa: read(lpa * 4096, 4096), read)
 
 
-def test_aborted_write_is_never_visible(mssd_noauto):
-    mssd = mssd_noauto
+def test_aborted_write_is_never_visible(mssd):
     mssd.byte_write(0, b"\x11" * 64)
     t = mssd.tx_begin()
     mssd.tx_write(t, 0, b"\xaa" * 64)
@@ -49,10 +48,9 @@ def test_aborted_write_is_never_visible(mssd_noauto):
     assert mssd.block_read(0) == mssd.shadow_read(0, 4096)
 
 
-def test_commit_order_is_read_order(mssd_noauto):
+def test_commit_order_is_read_order(mssd):
     # a transaction's write, a later plain write, then the commit: the
     # transaction wins before the commit, after it, and after a clean
-    mssd = mssd_noauto
     tb = mssd.tx_begin()
     mssd.tx_write(tb, 0, b"\xb1" * 64)
     mssd.byte_write(0, b"\xc1" * 64)
@@ -64,11 +62,10 @@ def test_commit_order_is_read_order(mssd_noauto):
     assert mssd.block_read(0) == mssd.shadow_read(0, 4096)
 
 
-def test_padding_holds_no_other_transactions_bytes(mssd_noauto):
+def test_padding_holds_no_other_transactions_bytes(mssd):
     # a plain write inside a cacheline that an open transaction wrote is
     # padded with committed bytes, so the abort leaves none of the
     # transaction's bytes behind
-    mssd = mssd_noauto
     t = mssd.tx_begin()
     mssd.tx_write(t, 0, b"\xaa" * 64)
     mssd.byte_write(10, b"\x22" * 5)
@@ -82,8 +79,7 @@ def test_padding_holds_no_other_transactions_bytes(mssd_noauto):
     assert mssd.byte_read(0, 16) == mssd.shadow_read(0, 16) == want
 
 
-def test_index_lookup_skips_aborted_entries(mssd_noauto):
-    mssd = mssd_noauto
+def test_index_lookup_skips_aborted_entries(mssd):
     mssd.byte_write(64, b"\x01" * 64)
     t = mssd.tx_begin()
     mssd.tx_write(t, 128, b"\x02" * 64)

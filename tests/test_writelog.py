@@ -96,8 +96,7 @@ def test_block_write_invalidates_log_entries(mssd):
     assert mssd.writelog.index_lookup(0) == []
 
 
-def test_block_write_page_skipped_by_cleaning(mssd_noauto):
-    mssd = mssd_noauto
+def test_block_write_page_skipped_by_cleaning(mssd):
     mssd.byte_write(0, b"\x01" * 64)
     mssd.block_write(0, b"\x55" * 4096)
     report = mssd.clean()
@@ -137,8 +136,7 @@ def test_index_lookup_sorted_by_block_offset(mssd):
     assert [e.block_offset for e in entries] == [1, 3, 5]
 
 
-def test_index_random_ops_match_sorted_map_oracle(mssd_noauto):
-    mssd = mssd_noauto
+def test_index_random_ops_match_sorted_map_oracle(mssd):
     rng = random.Random(7)
     oracle = {}  # (lpa, off) -> payload
     for step in range(900):
@@ -165,7 +163,7 @@ def test_utilization_fresh_log_is_zero(mssd):
 
 
 def test_cleaning_triggered_strictly_above_threshold():
-    mssd = Mssd(small_config(), auto_clean=True)
+    mssd = Mssd(small_config())
     slots = mssd.writelog.active_gen.capacity_slots
     target = int(slots * mssd.config.clean_threshold)
     for i in range(target):
@@ -176,8 +174,7 @@ def test_cleaning_triggered_strictly_above_threshold():
     assert mssd.writelog.active_gen.gen_id == 1  # cleaned and swapped
 
 
-def test_clean_single_committed_entry_one_read_one_write(mssd_noauto):
-    mssd = mssd_noauto
+def test_clean_single_committed_entry_one_read_one_write(mssd):
     mssd.byte_write(3 * 4096, b"\x77" * 64)
     report = mssd.clean()
     assert report.flash_reads == 1
@@ -187,8 +184,7 @@ def test_clean_single_committed_entry_one_read_one_write(mssd_noauto):
     assert mssd.block_read(3) == mssd.shadow_read(3 * 4096, 4096)
 
 
-def test_clean_fully_covered_page_skips_flash_read(mssd_noauto):
-    mssd = mssd_noauto
+def test_clean_fully_covered_page_skips_flash_read(mssd):
     for off in range(64):
         mssd.byte_write(4096 + off * 64, bytes([off]) * 64)
     report = mssd.clean()
@@ -196,8 +192,7 @@ def test_clean_fully_covered_page_skips_flash_read(mssd_noauto):
     assert report.pages_flushed == 1
 
 
-def test_uncommitted_entries_survive_cleaning(mssd_noauto):
-    mssd = mssd_noauto
+def test_uncommitted_entries_survive_cleaning(mssd):
     txid = mssd.tx_begin()
     mssd.tx_write(txid, 0, b"\xcd" * 64)
     report = mssd.clean()
@@ -209,8 +204,7 @@ def test_uncommitted_entries_survive_cleaning(mssd_noauto):
     assert mssd.device.read_lpa(0)[:64] == bytes(64)
 
 
-def test_aborted_tx_entries_dropped_at_cleaning(mssd_noauto):
-    mssd = mssd_noauto
+def test_aborted_tx_entries_dropped_at_cleaning(mssd):
     txid = mssd.tx_begin()
     mssd.tx_write(txid, 0, b"\xcd" * 64)
     mssd.tx_abort(txid)
@@ -219,8 +213,7 @@ def test_aborted_tx_entries_dropped_at_cleaning(mssd_noauto):
     assert mssd.byte_read(0, 64) == bytes(64)
 
 
-def test_clean_after_clean_leaves_only_uncommitted(mssd_noauto):
-    mssd = mssd_noauto
+def test_clean_after_clean_leaves_only_uncommitted(mssd):
     txid = mssd.tx_begin()
     mssd.tx_write(txid, 64, b"\x01" * 64)
     mssd.byte_write(128, b"\x02" * 64)
@@ -230,8 +223,7 @@ def test_clean_after_clean_leaves_only_uncommitted(mssd_noauto):
     assert gen.entries["txid"][0] == txid
 
 
-def test_commit_order_wins_at_flush(mssd_noauto):
-    mssd = mssd_noauto
+def test_commit_order_wins_at_flush(mssd):
     t1 = mssd.tx_begin()
     mssd.tx_write(t1, 0, b"\x01" * 64)
     mssd.tx_commit(t1)
@@ -243,7 +235,7 @@ def test_commit_order_wins_at_flush(mssd_noauto):
 
 
 def test_back_pressure_when_log_cannot_drain():
-    mssd = Mssd(small_config(), auto_clean=True)
+    mssd = Mssd(small_config())
     slots = mssd.writelog.active_gen.capacity_slots
     txid = mssd.tx_begin()
     with pytest.raises(BackPressure):
@@ -287,7 +279,7 @@ def test_shadow_oracle_randomized_mixed_ops(mssd):
 def test_clean_merges_partial_entry_over_older_full_entry():
     # an older full-cacheline entry followed by a newer short entry for the
     # same cacheline: the flushed page must contain the merged bytes
-    mssd = Mssd(small_config(), auto_clean=False)
+    mssd = Mssd(small_config())
     mssd.byte_write(0, b"\xaa" * 64)
     mssd.byte_write(0, b"\xbb" * 13)
     mssd.clean()
@@ -322,7 +314,7 @@ def test_merge_order_matches_lexsort_on_a_live_log(ops):
     """Sidecars from plain writes and up to three open transactions
     committed in any order; a clean carries the entries of open ones.  A
     `tx` write goes to a new transaction when `n` picks none open."""
-    mssd = Mssd(small_config(), auto_clean=False)
+    mssd = Mssd(small_config())
     open_txs = []
     for op, n in ops:
         addr = (n % 8) * 4096 + (n // 8 % 4) * CACHELINE

@@ -8,6 +8,10 @@ For each profile x mount mode x page cache (the default size, 64 KiB) x
 journal mode (ordered, data), replays the seed-1 workload of N records
 (default 1000) on a 32 MiB device with a 1 MiB write log and a 256 KiB
 write buffer.  With every profile and mode that is 160 configurations.
+None of them fills the log far enough to clean it, so the grid of the
+two log modes runs once more on a small-log device (64 KiB write log,
+1 KiB TxLog, 16 KiB write buffer), where every run cleans; those 80
+lines end in ``/small-log`` and give the generation the log ended in.
 Each prints one line: the configuration, ``sim_ns``, the fsck problem
 count, the log utilization, and sha256 prefixes of the traffic by
 direction and category, of the flash pages plus FTL map, of the device
@@ -29,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 CACHES = (None, 64 * 1024)   # None: the file system's default page cache
+LOG_MODES = ("dual_log", "full")
 
 
 def _sha(*parts: bytes) -> str:
@@ -47,13 +52,19 @@ def _flash_parts(mssd):
 
 
 def config_line(profile: str, mode: str, cache, journal: str,
-                ops: int) -> str:
+                ops: int, small_log: bool = False) -> str:
     from bytefs import bench, image
     from bytefs.device import DeviceConfig, KiB, MiB
     from bytefs.fs import recover_fs
 
-    config = DeviceConfig(capacity_bytes=32 * MiB, log_region_bytes=1 * MiB,
-                          write_buffer_bytes=256 * KiB)
+    if small_log:
+        config = DeviceConfig(capacity_bytes=32 * MiB,
+                              log_region_bytes=64 * KiB, txlog_bytes=1 * KiB,
+                              write_buffer_bytes=16 * KiB)
+    else:
+        config = DeviceConfig(capacity_bytes=32 * MiB,
+                              log_region_bytes=1 * MiB,
+                              write_buffer_bytes=256 * KiB)
     spec = bench.WorkloadSpec(profile, seed=1, ops=ops)
     fs, report, _ = bench.run(spec, config, mode=mode, journal=journal,
                               cache_bytes=cache)
@@ -63,8 +74,11 @@ def config_line(profile: str, mode: str, cache, journal: str,
                                      journal=journal,
                                      cache_bytes=fs.cache_bytes)
     crash = _sha(repr(recovery).encode(), *_flash_parts(recovered.mssd))
+    label = f"{profile}/{mode}/{cache or 'default'}/{journal}"
+    if small_log:
+        label += f"/small-log gen={fs.mssd.writelog.active_gen.gen_id}"
     return " ".join((
-        f"{profile}/{mode}/{cache or 'default'}/{journal}",
+        label,
         f"sim_ns={report.sim_ns}",
         f"fsck={report.fsck_problems}",
         f"util={report.log_utilization:.6f}",
@@ -85,11 +99,18 @@ def main(argv=None) -> int:
     parser.add_argument("--profiles", default=",".join(PROFILES))
     parser.add_argument("--modes", default=",".join(MODES))
     args = parser.parse_args(argv)
+    profiles, modes = args.profiles.split(","), args.modes.split(",")
     lines = [config_line(profile, mode, cache, journal, args.ops)
-             for profile in args.profiles.split(",")
-             for mode in args.modes.split(",")
+             for profile in profiles
+             for mode in modes
              for cache in CACHES
              for journal in JOURNAL_MODES]
+    lines += [config_line(profile, mode, cache, journal, args.ops,
+                          small_log=True)
+              for profile in profiles
+              for mode in modes if mode in LOG_MODES
+              for cache in CACHES
+              for journal in JOURNAL_MODES]
     for line in lines:
         print(line)
     print(f"all {hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}")
