@@ -304,10 +304,11 @@ class ByteFS:
         else:
             bitmap[idx // 8] &= ~(1 << (idx % 8))
 
-    def _persist_bitmap_group(self, bitmap: bytearray, start: int,
-                              idx: int) -> None:
-        """Persist the 64B group that holds bit `idx` of `bitmap`, whose
-        first block is `start`."""
+    def _mark(self, bitmap: bytearray, start: int, idx: int,
+              used: bool) -> None:
+        """Set bit `idx` of `bitmap`, whose first block is `start`, to
+        `used` and persist the 64B group that holds it."""
+        self._set_bit(bitmap, idx, used)
         lo = idx // (CACHELINE * 8) * CACHELINE
         self._meta_write(start * self.sb.block_size + lo,
                          bytes(bitmap[lo:lo + CACHELINE]), "bitmap")
@@ -316,13 +317,8 @@ class ByteFS:
         ino = _first_clear(self._ibmp, ROOT_INO + 1, self.sb.inode_count)
         if ino is None:
             raise SpaceExhausted("no free inodes")
-        self._set_bit(self._ibmp, ino, True)
-        self._persist_bitmap_group(self._ibmp, self.sb.ibmp_start, ino)
+        self._mark(self._ibmp, self.sb.ibmp_start, ino, True)
         return ino
-
-    def _free_ino(self, ino: int) -> None:
-        self._set_bit(self._ibmp, ino, False)
-        self._persist_bitmap_group(self._ibmp, self.sb.ibmp_start, ino)
 
     def _alloc_block(self) -> int:
         """First free block at or after the hint, else from the start of
@@ -333,14 +329,12 @@ class ByteFS:
             blk = _first_clear(self._bbmp, sb.data_start, self._alloc_hint)
         if blk is None:
             raise SpaceExhausted("no free blocks")
-        self._set_bit(self._bbmp, blk, True)
-        self._persist_bitmap_group(self._bbmp, self.sb.bbmp_start, blk)
+        self._mark(self._bbmp, sb.bbmp_start, blk, True)
         self._alloc_hint = blk + 1
         return blk
 
     def _free_block(self, blk: int) -> None:
-        self._set_bit(self._bbmp, blk, False)
-        self._persist_bitmap_group(self._bbmp, self.sb.bbmp_start, blk)
+        self._mark(self._bbmp, self.sb.bbmp_start, blk, False)
         self._blocks.pop(blk, None)
 
     # ------------------------------------------------------------------
@@ -622,7 +616,7 @@ class ByteFS:
             self._free_block(blk)
         if target.spill_block:
             self._free_block(target.spill_block)
-        self._free_ino(target.ino)
+        self._mark(self._ibmp, self.sb.ibmp_start, target.ino, False)
         self._inodes.pop(target.ino, None)
         self._dirs.pop(target.ino, None)
         self._dir_tombstones.pop(target.ino, None)

@@ -10,8 +10,10 @@ accounted here, with or without a write log: a byte access charges the
 latency of each cacheline it touches and 64B of traffic per cacheline
 (`_byte_write_page`, `_byte_read_page`), a block access its page of
 traffic.  Flash latency is charged by `FlashDevice` alone.  Each host
-access is checked here, before it changes anything, and split into
-page-local pieces that start on a cacheline, which the write log takes.
+access is checked here, before it takes a lock or changes anything, and
+split into page-local pieces that start on a cacheline, which the write
+log takes; a plain byte write is a write of transaction 0.  Commit and
+abort are stated here too.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from .device import (
     CACHELINE, CATEGORIES, DeviceConfig, FlashDevice, TrafficCounters, spans,
 )
-from .errors import AddressFault, InvalidArgument
+from .errors import AddressFault, InvalidArgument, TxAborted
 from .txn import TxLog, TxManager, recover
 from .writelog import CleanReport, WriteLog
 
@@ -32,7 +34,7 @@ class Mssd:
         self.log_enabled = log_enabled
         self._stamp = 0
         self.txlog = TxLog(self.config.txlog_bytes)
-        self.txmgr = TxManager(self)
+        self.txmgr = TxManager()
         self.writelog = (WriteLog(self.device, self.next_stamp, self.txlog,
                                   self.txmgr.active_txids)
                          if log_enabled else None)
@@ -77,13 +79,6 @@ class Mssd:
         page = self.shadow.setdefault(lpa, bytearray(self.config.page_size))
         page[off:off + len(data)] = data
 
-    def shadow_tx_end(self, txid: int, committed: bool) -> None:
-        """A transaction committed or aborted (called by the TxManager)."""
-        writes = self._shadow_tx.pop(txid, ())
-        if committed:
-            for addr, data in writes:
-                self._shadow_write(addr, data)
-
     def shadow_read(self, addr: int, length: int) -> bytes:
         out = bytearray()
         for lpa, off, take, _ in spans(addr, length, self.config.page_size):
@@ -92,21 +87,33 @@ class Mssd:
 
     # -- byte interface ----------------------------------------------------
 
-    def byte_write(self, addr: int, data: bytes, txid: int = 0,
-                   category: str = "untagged") -> None:
-        """Cacheline-granular write; writes crossing page boundaries are
-        split.  A write that starts inside a cacheline is padded with the
-        bytes before it that the writer may read: the committed ones and
-        its own transaction's, never another active transaction's.
-        """
-        if not data:
-            raise InvalidArgument("empty write")
-        if addr < 0 or addr + len(data) > self.config.capacity_bytes:
-            raise AddressFault("byte write out of device range")
+    def _check_bytes(self, addr: int, length: int, category: str,
+                     what: str) -> None:
+        if length <= 0:
+            raise InvalidArgument(f"empty {what}")
+        if addr < 0 or addr + length > self.config.capacity_bytes:
+            raise AddressFault(f"byte {what} out of device range")
         if category not in CATEGORIES:
             raise InvalidArgument(f"unknown traffic category {category!r}")
-        page_size = self.config.page_size
-        for lpa, off, take, pos in spans(addr, len(data), page_size):
+
+    def byte_write(self, addr: int, data: bytes,
+                   category: str = "untagged") -> None:
+        """A plain write: committed at write, as transaction 0."""
+        self._write(0, addr, data, category)
+
+    def _write(self, txid: int, addr: int, data: bytes, category: str
+               ) -> None:
+        """Check, lock (transaction 0 takes no lock), split and write.  A
+        write that starts inside a cacheline is padded with the bytes
+        before it that the writer may read."""
+        self._check_bytes(addr, len(data), category, "write")
+        conflict = txid and self.txmgr.tx_write(txid, addr, len(data))
+        if conflict:  # NO_WAIT: the requester ends, having written nothing
+            self.tx_abort(txid)
+            raise TxAborted(f"tx {txid} aborted: cacheline {conflict[0]} is "
+                            f"locked by tx {conflict[1]}")
+        for lpa, off, take, pos in spans(addr, len(data),
+                                         self.config.page_size):
             self._byte_write_page(lpa, off, data[pos:pos + take], txid,
                                   category)
 
@@ -132,12 +139,7 @@ class Mssd:
 
     def byte_read(self, addr: int, length: int, category: str = "untagged"
                   ) -> bytes:
-        if length <= 0:
-            raise InvalidArgument("empty read")
-        if addr < 0 or addr + length > self.config.capacity_bytes:
-            raise AddressFault("byte read out of device range")
-        if category not in CATEGORIES:
-            raise InvalidArgument(f"unknown traffic category {category!r}")
+        self._check_bytes(addr, length, category, "read")
         return b"".join(self._byte_read_page(lpa, off, take, category)
                         for lpa, off, take, _ in spans(addr, length,
                                                        self.config.page_size))
@@ -168,6 +170,8 @@ class Mssd:
 
     def block_write(self, lpa: int, data: bytes, category: str = "untagged"
                     ) -> None:
+        """Write one full page.  The page's buffered writes of active
+        transactions go with it: their commit makes none of them durable."""
         page_size = self.config.page_size
         if len(data) != page_size:
             raise InvalidArgument("block write must be one full page")
@@ -176,7 +180,7 @@ class Mssd:
         if category not in CATEGORIES:
             raise InvalidArgument(f"unknown traffic category {category!r}")
         self._shadow_write(lpa * page_size, data)
-        for writes in self._shadow_tx.values():  # superseded by this block
+        for writes in self._shadow_tx.values():
             writes[:] = [(a, d) for a, d in writes if a // page_size != lpa]
         if self.log_enabled:
             self.writelog.block_write(lpa, data, category)
@@ -217,10 +221,20 @@ class Mssd:
 
     def tx_write(self, txid: int, addr: int, data: bytes,
                  category: str = "untagged") -> None:
-        self.txmgr.tx_write(txid, addr, data, category)
+        self.txmgr.require_active(txid)  # 0 is never active
+        self._write(txid, addr, data, category)
 
     def tx_commit(self, txid: int) -> None:
+        """Stamp `txid` into the TxLog, cleaning first if it is full (the
+        clean must carry the still-active transaction's entries)."""
+        self.txmgr.require_active(txid)
+        if self.txlog.full:
+            self.clean()
+        self.txlog.append(txid, self.next_stamp())
         self.txmgr.tx_commit(txid)
+        for addr, data in self._shadow_tx.pop(txid, ()):
+            self._shadow_write(addr, data)
 
     def tx_abort(self, txid: int) -> None:
-        self.txmgr.tx_abort(txid)
+        self.txmgr.tx_abort(txid)  # its entries are never visible again
+        self._shadow_tx.pop(txid, None)

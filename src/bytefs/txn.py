@@ -1,11 +1,13 @@
 """Transaction identity, commit ordering, and post-crash recovery.
 
-The TxTable lives host-side, holds only active transactions and does not
-survive a crash; the TxLog is a firmware append-only list of 4-byte
-committed transaction ids and does, together with the stamp each commit
-drew.  Recovery is a clean of the log region that survived: after a
-crash no transaction is open, so the clean flushes every visible entry
-and discards those whose transaction never reached the TxLog.
+The transaction table (`TxManager`) lives host-side, holds only the
+active transactions, their cacheline locks and the txid counter, refers
+to no device and does not survive a crash; the TxLog is a firmware
+append-only list of 4-byte committed transaction ids and does, together
+with the stamp each commit drew.  Recovery is a clean of the log region
+that survived: after a crash no transaction is open, so the clean
+flushes every visible entry and discards those whose transaction never
+reached the TxLog.
 
 Conflicts follow NO_WAIT two-phase locking: a write that touches a
 cacheline another active transaction has written aborts the writer's own
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .device import CACHELINE
-from .errors import SpaceExhausted, StateError, TxAborted
+from .errors import SpaceExhausted, StateError
 
 
 class TxLog:
@@ -64,12 +66,12 @@ class TxManager:
     """Host-side transaction table with per-cacheline conflict locks.
 
     A transaction holds the lock of every cacheline it wrote until it
-    commits or aborts.  A write that needs a lock another transaction
-    holds takes none, writes nothing and aborts its transaction.
+    commits or aborts.  The table holds no reference to the device: `Mssd`
+    checks each write before it asks for its locks, and ends a transaction
+    whose write conflicts.
     """
 
-    def __init__(self, mssd):
-        self.mssd = mssd
+    def __init__(self):
         self.table: dict[int, set[int]] = {}  # active txid -> its locks
         self.next_txid = 1  # 0 is reserved for non-transactional writes
         self._lock_owner: dict[int, int] = {}  # cacheline -> txid
@@ -85,47 +87,32 @@ class TxManager:
         self.table[txid] = set()
         return txid
 
-    def _acquire(self, txid: int, keys: range) -> None:
-        locks = self._require_active(txid)
-        for k in keys:
-            holder = self._lock_owner.get(k, txid)
-            if holder != txid:
-                self._end(txid, committed=False)
-                raise TxAborted(f"tx {txid} aborted: cacheline {k} is "
-                                f"locked by tx {holder}")
-        for k in keys:
-            self._lock_owner[k] = txid
-        locks.update(keys)
-
-    def _require_active(self, txid: int) -> set[int]:
+    def require_active(self, txid: int) -> set[int]:
         locks = self.table.get(txid)
         if locks is None:
             raise StateError(f"tx {txid} is not active")
         return locks
 
-    def _end(self, txid: int, committed: bool) -> None:
-        """Forget a finished transaction and release its locks."""
-        for k in self.table.pop(txid):
+    def tx_write(self, txid: int, addr: int, length: int
+                 ) -> tuple[int, int] | None:
+        """Lock the cachelines of a checked write, or take none and return
+        the first (cacheline, holder) that another transaction holds."""
+        locks = self.require_active(txid)
+        keys = range(addr // CACHELINE, (addr + length - 1) // CACHELINE + 1)
+        for k in keys:
+            holder = self._lock_owner.get(k, txid)
+            if holder != txid:
+                return k, holder
+        self._lock_owner.update(dict.fromkeys(keys, txid))
+        locks.update(keys)
+
+    def _release(self, txid: int) -> None:
+        """All a commit or an abort does to the table."""
+        for k in self.require_active(txid):
             del self._lock_owner[k]
-        self.mssd.shadow_tx_end(txid, committed)
+        del self.table[txid]
 
-    def tx_write(self, txid: int, addr: int, data: bytes,
-                 category: str = "untagged") -> None:
-        self._acquire(txid, range(addr // CACHELINE,
-                                  (addr + len(data) - 1) // CACHELINE + 1))
-        self.mssd.byte_write(addr, data, txid=txid, category=category)
-
-    def tx_commit(self, txid: int) -> None:
-        self._require_active(txid)
-        txlog = self.mssd.txlog
-        if txlog.full:
-            self.mssd.clean()
-        txlog.append(txid, self.mssd.next_stamp())
-        self._end(txid, committed=True)
-
-    def tx_abort(self, txid: int) -> None:
-        self._require_active(txid)
-        self._end(txid, committed=False)
+    tx_commit = tx_abort = _release
 
 
 def recover(mssd) -> RecoveryReport:

@@ -22,9 +22,11 @@ list per partition keyed by LPA, and per page one list of slots in
 append order.  It is rebuilt from the sidecar on first use after a clean
 or an image load.
 
-The log cleans itself after a piece that takes it past `clean_threshold`
-and before an entry when it is full (`BackPressure` if the entries of
-active transactions alone fill it).  A clean merges the visible entries
+The log cleans itself after a piece that takes it across
+`clean_threshold`, not after every piece while it stays above (a clean
+that carries the entries of active transactions may leave it there), and
+before an entry when it is full (`BackPressure` if the entries of active
+transactions alone fill it).  A clean merges the visible entries
 below `ACTIVE_KEY` into their pages and writes the pages to flash in
 write-buffer batches (`merge_and_flush`); recovery is a clean of a device
 with no open transaction, so it carries nothing.  Double buffering: a clean
@@ -262,10 +264,11 @@ class WriteLog:
         possibly short."""
         cat = _CATEGORY_ID[category]
         committed_flag = FLAG_COMMITTED_AT_WRITE if txid == 0 else 0
+        below = self.utilization() <= self.cfg.clean_threshold
         for pos in range(0, len(data), CACHELINE):
             self._append(lpa, (off + pos) // CACHELINE,
                          data[pos:pos + CACHELINE], committed_flag, txid, cat)
-        if self.utilization() > self.cfg.clean_threshold:
+        if below and self.utilization() > self.cfg.clean_threshold:
             self.clean()
 
     def _append(self, lpa, block_offset, payload, flags, txid, cat) -> None:
@@ -355,8 +358,9 @@ class WriteLog:
         return bytes(page)
 
     def block_write(self, lpa: int, data: bytes, category: str = "untagged") -> None:
+        # Program and invalidate are one firmware step: the DRAM log is
+        # power-protected, so no power cut falls between them.
         self.device.write_lpa(lpa, data, category)
-        # Written-back blocks are up to date: invalidate buffered entries.
         dropped = self.index.drop_page(lpa)
         if dropped:
             self.active_gen.side["flags"][dropped] |= FLAG_INVALID

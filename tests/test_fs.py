@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import random
 import types
 
@@ -665,6 +666,54 @@ def test_fsck_reports_each_bitmap_fault_exactly():
         "block 199 allocated but unreferenced",
         "block 2047 allocated but unreferenced",
     ]
+
+
+def test_fsck_reports_each_reference_fault_exactly():
+    fs = make_fs()
+    for path in ("/a", "/b", "/c"):
+        fs.create(path)
+        write_file(fs, path, 0, b"x" * 4096)
+        fsync_file(fs, path)
+    sb = fs.sb
+    a, b, c = (fs.lookup(p) for p in ("/a", "/b", "/c"))
+    assert (a.ino, a.all_blocks(), b.all_blocks(), c.all_blocks()) \
+        == (3, [100], [101], [102])
+    entry = fs._load_dir(ROOT_INO)[b"a"]
+    fs._load_dir(ROOT_INO)[b"z"] = entry            # /a reached again
+    b.extents[0].lba = sb.data_start - 1            # a metadata block
+    c.extents[0].lba = 100                          # /a's block
+    assert fs.fsck() == [
+        "inode 4 references block 98 outside the data region",
+        "inode 3 reached twice (/z)",
+        "block 100 referenced 2 times",
+        "block 101 allocated but unreferenced",
+        "block 102 allocated but unreferenced",
+    ]
+
+
+@pytest.mark.parametrize("mode", ["full", "dual_log"])
+def test_operation_that_runs_out_of_space_is_aborted(mode):
+    """A create that allocates its inode and then finds no block for a
+    second directory block aborts its device transaction: the recovered
+    file system holds nothing of it."""
+    fs = make_fs(mode)
+    fs.mkdir("/d")
+    for i in range(64):                              # one full dentry block
+        fs.create(f"/d/f{i:02d}")
+    assert len(fs.lookup("/d").all_blocks()) == 1
+    fs.create("/big")
+    fd = fs.open("/big")
+    with pytest.raises(SpaceExhausted):
+        for off in itertools.count(0, 4096):
+            fs.write(fd, off, b"z" * 4096)
+            if off % (64 * 4096) == 0:
+                fs.fsync(fd)
+    with pytest.raises(SpaceExhausted):
+        fs.create("/d/extra")
+    after, _ = recover_fs(crash_clone(fs.mssd), mode=mode)
+    assert after.fsck() == []
+    assert not after.exists("/d/extra")
+    assert len(after.readdir("/d")) == 64
 
 
 @pytest.mark.parametrize("capacity_blocks, inode_count", [

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from bytefs.errors import SpaceExhausted, StateError, TxAborted
+from bytefs.device import MiB
+from bytefs.errors import (
+    AddressFault, InvalidArgument, SpaceExhausted, StateError, TxAborted,
+)
 from bytefs.image import crash_clone
 from bytefs.mssd import Mssd
 from bytefs.writelog import (
@@ -103,6 +106,37 @@ def test_write_over_two_cachelines_locks_neither_on_conflict(mssd):
     mssd.tx_commit(t3)
     mssd.tx_commit(t1)
     assert mssd.block_read(0)[:128] == b"\x03" * 64 + b"\x01" * 64
+
+
+@pytest.mark.parametrize("addr, data, category, error", [
+    (64, b"x" * 8, "bogus", InvalidArgument),
+    (8 * MiB, b"x", "untagged", AddressFault),
+    (65, b"", "untagged", InvalidArgument),
+], ids=["unknown_category", "past_the_end", "empty_unaligned"])
+def test_refused_tx_write_takes_no_lock(mssd, addr, data, category, error):
+    a, b = mssd.tx_begin(), mssd.tx_begin()
+    with pytest.raises(error):
+        mssd.tx_write(a, addr, data, category=category)
+    assert mssd.txmgr._lock_owner == {}
+    assert mssd.txmgr.active_txids() == {a, b}
+    line = min(addr, mssd.config.capacity_bytes - 64) // 64 * 64
+    mssd.tx_write(b, line, b"y" * 8)                 # no TxAborted
+    assert mssd.txmgr._lock_owner == {line // 64: b}
+
+
+def test_only_tx_write_carries_a_txid(mssd):
+    with pytest.raises(TypeError):
+        mssd.byte_write(0, b"\x11" * 64, txid=5)
+    # a transaction not yet begun, or txid 0, cannot write
+    for txid in (5, 0):
+        with pytest.raises(StateError):
+            mssd.tx_write(txid, 0, b"\x11" * 64)
+    for _ in range(5):
+        mssd.tx_begin()
+    assert mssd.byte_read(0, 4) == mssd.shadow_read(0, 4) == bytes(4)
+    assert mssd.writelog.active_gen.tail_slots == 0
+    mssd.tx_commit(5)
+    assert mssd.clean().entries_flushed == 0
 
 
 def test_conflict_aborts_requester_and_holder_commits():

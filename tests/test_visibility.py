@@ -79,6 +79,28 @@ def test_padding_holds_no_other_transactions_bytes(mssd):
     assert mssd.byte_read(0, 16) == mssd.shadow_read(0, 16) == want
 
 
+def test_block_write_drops_an_open_transactions_writes_to_its_page(mssd):
+    # the rule: a block write to a page supersedes the buffered writes of
+    # active transactions to that page, so their commit makes nothing of
+    # them durable; the transaction's writes to other pages stay
+    t = mssd.tx_begin()
+    mssd.tx_write(t, 64, b"\xaa" * 64)
+    mssd.tx_write(t, 4096 + 64, b"\xbb" * 64)
+    mssd.block_write(0, b"\x33" * 4096)
+    assert mssd.byte_read(64, 64) == mssd.shadow_read(64, 64) == b"\x33" * 64
+    mssd.tx_commit(t)
+    for lpa, want in ((0, b"\x33" * 64), (1, b"\xbb" * 64)):
+        assert mssd.byte_read(lpa * 4096 + 64, 64) == want
+        assert mssd.shadow_read(lpa * 4096 + 64, 64) == want
+    after = crash_clone(mssd)
+    after.recover()
+    mssd.clean()
+    for dev in (after, mssd):
+        assert dev.block_read(0) == b"\x33" * 4096
+        assert dev.block_read(1) == mssd.shadow_read(4096, 4096)
+        assert dev.block_read(1)[64:128] == b"\xbb" * 64
+
+
 def test_index_lookup_skips_aborted_entries(mssd):
     mssd.byte_write(64, b"\x01" * 64)
     t = mssd.tx_begin()

@@ -174,6 +174,24 @@ def test_cleaning_triggered_strictly_above_threshold():
     assert mssd.writelog.active_gen.gen_id == 1  # cleaned and swapped
 
 
+def test_clean_that_leaves_log_above_threshold_is_not_repeated(mssd):
+    # the first clean carries every entry of the open transaction, which
+    # leaves the log above its threshold; later pieces must not clean again
+    cleans = []
+    clean = mssd.writelog.clean
+    mssd.writelog.clean = lambda: cleans.append(1) or clean()
+    txid = mssd.tx_begin()
+    for i in range(1000):
+        mssd.tx_write(txid, i * 64, bytes([i % 255 + 1]) * 64)
+    assert len(cleans) == 1
+    assert mssd.writelog.active_gen.gen_id == 1
+    assert mssd.utilization() > mssd.config.clean_threshold
+    assert mssd.device.traffic.flash_write_bytes == 0
+    mssd.tx_commit(txid)
+    assert mssd.byte_read(0, 64000) == mssd.shadow_read(0, 64000) == b"".join(
+        bytes([i % 255 + 1]) * 64 for i in range(1000))
+
+
 def test_clean_single_committed_entry_one_read_one_write(mssd):
     mssd.byte_write(3 * 4096, b"\x77" * 64)
     report = mssd.clean()
