@@ -1,7 +1,7 @@
 """Firmware write log and cleaning.
 
 Byte writes land in a log-structured region of device DRAM, indexed by
-partitioned skip lists so reads can be served from the log.  When the
+page so reads can be served from the log.  When the
 region fills past its threshold, the log cleans itself: it merges
 committed entries back to flash (batched to exploit channel parallelism)
 and switches to a fresh log generation.  `Mssd.clean` runs a clean at

@@ -720,7 +720,7 @@ class ByteFS:
         for index, off, take, pos in spans(offset, len(data),
                                            self.sb.block_size):
             page = self._get_page(inode, index)
-            page.note_modify()
+            page.note_modify(off, take)
             page.data[off:off + take] = data[pos:pos + take]
         grew = offset + len(data) > inode.size
         if grew:
@@ -796,10 +796,9 @@ class ByteFS:
     # -- writeback and sync ------------------------------------------------
 
     def _writeback_page(self, inode: Inode, page: CachedPage) -> None:
-        """Persist one dirty page."""
+        """Persist one dirty page; a byte write per run of dirty lines."""
         dirty = page.dirty_cachelines()
         if not dirty:
-            page.clear_dirty()
             return
         bs = self.sb.block_size
         lba, new = self._ensure_block(inode, page.index)
@@ -811,16 +810,17 @@ class ByteFS:
                     < total_cl * WRITEBACK_BYTE_NUM)
         if use_byte:
             txid = self._txn.device_txid()
-            for cl in dirty:
-                self.mssd.tx_write(
-                    txid, lba * bs + cl * CACHELINE,
-                    bytes(page.data[cl * CACHELINE:(cl + 1) * CACHELINE]),
-                    category="data")
+            first = dirty[0]
+            for cl, after in zip(dirty, dirty[1:] + [-1]):
+                if after != cl + 1:  # cachelines first..cl are one run
+                    run = page.data[first * CACHELINE:(cl + 1) * CACHELINE]
+                    self.mssd.tx_write(txid, lba * bs + first * CACHELINE,
+                                       bytes(run), category="data")
+                    first = after
         elif self.journal_mode == "data":
             self._txn.journaled.append((lba, bytes(page.data)))
         else:
             self.mssd.block_write(lba, bytes(page.data), category="data")
-        page.clear_dirty()
 
     def _evict_writeback(self, page: CachedPage) -> None:
         self._flush_inode(self._load_inode(page.ino), [page], data_only=False)
@@ -833,12 +833,14 @@ class ByteFS:
 
     def _flush_inode(self, inode: Inode, pages, data_only: bool) -> None:
         """Write back `pages` of `inode`, then its pending metadata, in one
-        operation."""
+        operation.  The pages stay dirty unless the operation commits."""
         with self._op():
             for page in pages:
                 self._writeback_page(inode, page)
             if self._metadata_pending(inode.ino, data_only):
                 self._persist_inode_lower(inode)
+        for page in pages:
+            page.clear_dirty()
 
     def fsync(self, fd: int) -> None:
         self._fsync_common(fd, data_only=False)

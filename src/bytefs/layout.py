@@ -9,6 +9,7 @@ file offset (8B), logical block address (4B), length in blocks (4B).
 
 from __future__ import annotations
 
+import bisect
 import struct
 from dataclasses import dataclass, field
 
@@ -141,8 +142,12 @@ class Inode:
         return inode, ext_count
 
     def block_for(self, file_offset: int, block_size: int) -> int | None:
-        for leaf in self.extents:
-            if leaf.file_offset <= file_offset < leaf.file_offset + leaf.length * block_size:
+        """The block holding `file_offset`; extents are sorted by offset."""
+        i = bisect.bisect_right(self.extents, file_offset,
+                                key=lambda leaf: leaf.file_offset) - 1
+        if i >= 0:
+            leaf = self.extents[i]
+            if file_offset < leaf.file_offset + leaf.length * block_size:
                 return leaf.lba + (file_offset - leaf.file_offset) // block_size
         return None
 

@@ -42,9 +42,9 @@ class Mssd:
         self.shadow: dict[int, bytearray] | None = {} if shadow_oracle else None
         self._shadow_tx: dict[int, list[tuple[int, bytes]]] = {}
 
-    def next_stamp(self) -> int:
-        self._stamp += 1
-        return self._stamp
+    def next_stamp(self, count: int = 1) -> int:
+        self._stamp += count
+        return self._stamp - count + 1
 
     # -- shadow oracle -----------------------------------------------------
     # The write log's visibility rule, byte by byte: a transaction's writes

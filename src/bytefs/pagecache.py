@@ -2,21 +2,21 @@
 
 A page's pre-modification content is snapshotted into a duplicate on the
 first write after load/writeback; the writeback interface choice XORs
-current against duplicate at 64B granularity.  Eviction is LRU and
-writes back dirty victims through a callback.  Each inode's pages are
-also kept in their own LRU-ordered map, so fsync and unlink touch only
-that inode's pages.  Duplicates are capped at a fraction of cache
-capacity; exceeding the cap forces writeback of the least recently used
-duplicated pages.  The cache counts its duplicated pages, so it looks for
-them only when the count is over the cap.
+current against duplicate at 64B granularity, over the cachelines written
+since the duplicate was taken (the other bytes equal the duplicate's).
+Eviction is LRU and writes back dirty victims through a callback, which
+cleans them.  Each inode's pages are also kept in their own LRU-ordered
+map, so fsync and unlink touch only that inode's pages.  Duplicates are
+capped at a fraction of cache capacity; exceeding the cap forces
+writeback of the least recently used duplicated pages.  The cache counts
+its duplicated pages, so it looks for them only when the count is over
+the cap.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from itertools import islice
-
-import numpy as np
 
 from .device import CACHELINE
 
@@ -26,9 +26,10 @@ DUPLICATE_CAP_FRACTION = 0.25
 class CachedPage:
     """A cached page; `cache` is the PageCache holding it, if any, whose
     count of duplicated pages `set_duplicate` keeps.  A page holds a
-    duplicate exactly while it is dirty."""
+    duplicate exactly while it is dirty, and cachelines [lo, hi) hold
+    every byte written since the duplicate was taken."""
 
-    __slots__ = ("ino", "index", "data", "duplicate", "cache")
+    __slots__ = ("ino", "index", "data", "duplicate", "cache", "lo", "hi")
 
     def __init__(self, ino: int, index: int, data: bytearray,
                  cache: "PageCache | None" = None):
@@ -37,6 +38,7 @@ class CachedPage:
         self.data = data
         self.duplicate: bytes | None = None
         self.cache = cache
+        self.lo = self.hi = 0
 
     @property
     def dirty(self) -> bool:
@@ -48,18 +50,26 @@ class CachedPage:
                                       - (self.duplicate is not None))
         self.duplicate = duplicate
 
-    def note_modify(self) -> None:
+    def note_modify(self, off: int = 0, length: int | None = None) -> None:
+        """Take the duplicate, if the page has none, before a write of
+        `length` bytes at `off` (by default, up to the end of the page)."""
+        end = len(self.data) if length is None else off + length
+        lo, hi = off // CACHELINE, (end + CACHELINE - 1) // CACHELINE
         if self.duplicate is None:
             self.set_duplicate(bytes(self.data))
+        else:
+            lo, hi = min(lo, self.lo), max(hi, self.hi)
+        self.lo, self.hi = lo, hi
 
     def dirty_cachelines(self) -> list[int]:
-        """Indices of 64B chunks that differ from the duplicate."""
-        if self.duplicate is None:
+        """Indices of 64B chunks that differ from the duplicate, in the
+        written range: mostly a few chunks, where slices beat numpy."""
+        data, old = self.data, self.duplicate
+        if old is None:
             return []
-        now = np.frombuffer(self.data, dtype=np.uint8).reshape(-1, CACHELINE)
-        old = np.frombuffer(self.duplicate, dtype=np.uint8).reshape(
-            -1, CACHELINE)
-        return np.flatnonzero((now != old).any(axis=1)).tolist()
+        return [cl for cl in range(self.lo, self.hi)
+                if data[cl * CACHELINE:(cl + 1) * CACHELINE]
+                != old[cl * CACHELINE:(cl + 1) * CACHELINE]]
 
     def clear_dirty(self) -> None:
         self.set_duplicate(None)
@@ -121,4 +131,3 @@ class PageCache:
             dups = (p for p in self.pages.values() if p.duplicate is not None)
             for victim in list(islice(dups, excess)):
                 self.writeback_cb(victim)
-                victim.clear_dirty()

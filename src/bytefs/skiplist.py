@@ -1,8 +1,7 @@
-"""Skip list keyed by integers, used to index the write log per partition.
-
-Keeps a running count of key comparisons so tests can check logarithmic
-lookup growth.  The level generator is seeded per instance for
-reproducibility.
+"""Skip list keyed by integers, with a count of key comparisons so tests
+can check logarithmic lookup growth; levels are seeded per instance.  The
+write log no longer uses it (its index is a dict of pages); it stays for
+acceptance criterion 07 and `perfbench/tracer.py`, which wraps it by name.
 """
 
 from __future__ import annotations

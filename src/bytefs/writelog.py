@@ -16,24 +16,23 @@ transaction: a writer reads its own writes, and a commit does not change
 what a read shows.  `WriteLog.visibility` states the rule for a whole
 generation and `WriteLog.page_entries` for one page.
 
-A three-layer index locates valid entries for the foreground paths: a
-partition table over 16 MiB slices of the logical address space, a skip
-list per partition keyed by LPA, and per page one list of slots in
-append order.  It is rebuilt from the sidecar on first use after a clean
-or an image load.
+An index maps each page to the slots of its valid entries, in append
+order: a dict of lists, rebuilt from the sidecar on first use after a
+clean or an image load.
 
-The log cleans itself after a piece that takes it across
-`clean_threshold`, not after every piece while it stays above (a clean
-that carries the entries of active transactions may leave it there), and
-before an entry when it is full (`BackPressure` if the entries of active
-transactions alone fill it).  A clean merges the visible entries
-below `ACTIVE_KEY` into their pages and writes the pages to flash in
-write-buffer batches (`merge_and_flush`); recovery is a clean of a device
-with no open transaction, so it carries nothing.  Double buffering: a clean
-drains the active generation while it is still the one the device image
-holds, and only then switches to a fresh generation that carries the
-entries of active transactions, so a power loss in the middle of a clean
-leaves the draining generation recoverable.
+A piece's entries are appended in one step, which stops early for a
+clean.  The log cleans right after the entry that takes it from at or
+below `clean_threshold` to above it, not after every entry while it stays
+above (a clean that carries the entries of active transactions may leave
+it there), and before an entry when it is full (`BackPressure` if the
+entries of active transactions alone fill it).  A clean merges the
+visible entries below `ACTIVE_KEY` into their pages and writes the pages
+to flash in write-buffer batches (`merge_and_flush`); recovery is a clean
+of a device with no open transaction, so it carries nothing.  Double
+buffering: a clean drains the active generation while it is still the
+one the device image holds, and only then switches to a fresh generation
+that carries the entries of active transactions, so a power loss in the
+middle of a clean leaves the draining generation recoverable.
 
 The log checks no host access, keeps no clock and counts no host
 traffic: `Mssd` checks and splits each access, so the log receives
@@ -44,15 +43,13 @@ and recovery touch.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .device import CACHELINE, CATEGORIES, FlashDevice, MiB
+from .device import CACHELINE, CATEGORIES, FlashDevice
 from .errors import BackPressure
-from .skiplist import SkipList
-
-PARTITION_BYTES = 16 * MiB
 
 FLAG_COMMITTED_AT_WRITE = 0x1
 FLAG_INVALID = 0x2  # superseded by a later block write; never visible
@@ -143,20 +140,23 @@ class LogGeneration:
         """Sidecar rows of the appended entries (a view)."""
         return self.side[:self.tail_slots]
 
-    def append(self, row: tuple, payload: bytes) -> int:
-        """Store one entry; returns its slot index."""
-        slot = self.tail_slots
-        if slot == len(self.side):
-            grown = np.zeros(min(max(2 * slot, _INITIAL_ROWS),
+    def extend(self, lpa: int, first_cl: int, payload, flags: int, cat: int,
+               txid: int, seq: int) -> None:
+        """Store one entry per 64B of `payload` (the last may be short) for
+        the cachelines of page `lpa` from `first_cl`, seqs from `seq`."""
+        slot, size = self.tail_slots, len(payload)
+        end = slot + (size + CACHELINE - 1) // CACHELINE
+        if end > len(self.side):
+            grown = np.zeros(min(max(2 * len(self.side), end, _INITIAL_ROWS),
                                  self.capacity_slots), dtype=SIDECAR_DTYPE)
-            grown[:slot] = self.side
+            grown[:slot] = self.side[:slot]
             self.side = grown
-        self.side[slot] = row
+        self.side[slot:end] = [
+            (lpa, first_cl + i, min(CACHELINE, size - i * CACHELINE), flags,
+             cat, txid, seq + i) for i in range(end - slot)]
         self.buf += payload
-        if len(payload) < CACHELINE:
-            self.buf += bytes(CACHELINE - len(payload))
-        self.tail_slots = slot + 1
-        return slot
+        self.buf += bytes(-size % CACHELINE)  # the rest of the last slot
+        self.tail_slots = end
 
     def slot_view(self) -> np.ndarray:
         """The payload as a (slots, 64) uint8 array sharing `buf`."""
@@ -164,17 +164,15 @@ class LogGeneration:
 
 
 class LogIndex:
-    """Partitioned skip-list index over the log region: per page, the
-    slots of its valid entries in append order."""
+    """Per page, the slots of its valid entries in append order."""
 
-    def __init__(self, page_size: int):
-        self.page_size = page_size
-        self.partitions: dict[int, SkipList] = {}
+    def __init__(self):
+        self.pages: dict[int, list[int]] = {}
 
     @classmethod
-    def build(cls, page_size: int, entries: np.ndarray) -> "LogIndex":
+    def build(cls, entries: np.ndarray) -> "LogIndex":
         """Index the valid entries of a sidecar array."""
-        index = cls(page_size)
+        index = cls()
         slots = np.flatnonzero((entries["flags"] & FLAG_INVALID) == 0)
         if slots.size == 0:
             return index
@@ -184,42 +182,23 @@ class LogIndex:
         first = _starts(lpa)
         bounds = first.tolist() + [slots.size]
         slot_list = slots.tolist()
-        for page, lo, hi in zip(lpa[first].tolist(), bounds, bounds[1:]):
-            index._partition(page).insert(page, slot_list[lo:hi])
+        index.pages = {page: slot_list[lo:hi] for page, lo, hi
+                       in zip(lpa[first].tolist(), bounds, bounds[1:])}
         return index
 
-    def _partition(self, lpa: int) -> SkipList:
-        pidx = (lpa * self.page_size) // PARTITION_BYTES
-        part = self.partitions.get(pidx)
-        if part is None:
-            part = self.partitions[pidx] = SkipList(seed=pidx)
-        return part
-
     def slots(self, lpa: int) -> list[int] | None:
-        part = self.partitions.get((lpa * self.page_size) // PARTITION_BYTES)
-        return None if part is None else part.get(lpa)
-
-    def insert(self, lpa: int, slot: int) -> None:
-        part = self._partition(lpa)
-        slots = part.get(lpa)
-        if slots is None:
-            part.insert(lpa, [slot])
-        else:
-            slots.append(slot)
+        return self.pages.get(lpa)
 
     def drop_page(self, lpa: int) -> list[int]:
         """Remove every entry for a page (block-write invalidation);
         returns their slots."""
-        slots = self.slots(lpa)
-        if slots is None:
-            return []
-        self._partition(lpa).delete(lpa)
-        return slots
+        return self.pages.pop(lpa, [])
 
 
 class WriteLog:
-    """The write log of one device.  `txlog` is the device's TxLog and
-    `active_txids` returns the set of active transactions."""
+    """The write log of one device.  `stamp_counter(n)` hands out n
+    consecutive append seqs and returns the first, `txlog` is the device's
+    TxLog and `active_txids` returns the set of active transactions."""
 
     def __init__(self, device: FlashDevice, stamp_counter, txlog,
                  active_txids):
@@ -229,13 +208,16 @@ class WriteLog:
         self.txlog = txlog
         self.active_txids = active_txids
         self.active_gen = LogGeneration(0, self.cfg.log_region_bytes)
-        self._index: LogIndex | None = LogIndex(self.cfg.page_size)
+        self._index: LogIndex | None = LogIndex()
+        # the entry count at which `utilization` first exceeds the threshold
+        cap, limit = self.active_gen.capacity_slots, self.cfg.clean_threshold
+        self.clean_at = next(n for n in itertools.count(int(limit * cap) - 1)
+                             if n / cap > limit)
 
     @property
     def index(self) -> LogIndex:
         if self._index is None:
-            self._index = LogIndex.build(self.cfg.page_size,
-                                         self.active_gen.entries)
+            self._index = LogIndex.build(self.active_gen.entries)
         return self._index
 
     def install(self, gen: LogGeneration) -> None:
@@ -261,26 +243,29 @@ class WriteLog:
                    category: str) -> None:
         """Append a piece that `Mssd` checked and split, starting on a
         cacheline of page `lpa`: one entry per cacheline, the last one
-        possibly short."""
+        possibly short, in one step unless the log cleans in between."""
         cat = _CATEGORY_ID[category]
-        committed_flag = FLAG_COMMITTED_AT_WRITE if txid == 0 else 0
-        below = self.utilization() <= self.cfg.clean_threshold
-        for pos in range(0, len(data), CACHELINE):
-            self._append(lpa, (off + pos) // CACHELINE,
-                         data[pos:pos + CACHELINE], committed_flag, txid, cat)
-        if below and self.utilization() > self.cfg.clean_threshold:
-            self.clean()
-
-    def _append(self, lpa, block_offset, payload, flags, txid, cat) -> None:
-        if self.active_gen.full:
-            self.clean()
-        gen = self.active_gen
-        if gen.full:  # the active transactions' entries fill it alone
-            raise BackPressure("write log full")
-        index = self.index  # built before the append so it is not indexed twice
-        slot = gen.append((lpa, block_offset, len(payload), flags, cat, txid,
-                           self.stamp()), payload)
-        index.insert(lpa, slot)
+        flags = FLAG_COMMITTED_AT_WRITE if txid == 0 else 0
+        count = (len(data) + CACHELINE - 1) // CACHELINE
+        done = 0
+        while done < count:
+            if self.active_gen.full:
+                self.clean()
+            gen = self.active_gen
+            if gen.full:  # the active transactions' entries fill it alone
+                raise BackPressure("write log full")
+            # up to the entry that crosses the threshold, or a full log
+            tail = gen.tail_slots
+            stop = self.clean_at if tail < self.clean_at else gen.capacity_slots
+            n = min(stop, gen.capacity_slots, tail + count - done) - tail
+            # the index is built, if it must be, before the generation grows
+            self.index.pages.setdefault(lpa, []).extend(range(tail, tail + n))
+            gen.extend(lpa, off // CACHELINE + done,
+                       data[done * CACHELINE:(done + n) * CACHELINE], flags,
+                       cat, txid, self.stamp(n))
+            done += n
+            if gen.tail_slots == self.clean_at:
+                self.clean()
 
     # -- read path ---------------------------------------------------------
 

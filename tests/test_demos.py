@@ -61,6 +61,25 @@ def test_model_digest_tool_runs():
         "\n".join(lines).encode()).hexdigest()
 
 
+# The last line of `tools/model_digest.py` over the log modes' grid of
+# three profiles.  A change to the model updates it, and says so.
+LOG_MODES_DIGEST = ("all b28d5ca71f7f0cdf6879165d04464e4dacac3bbbfea55928"
+                    "bc404d89b3275bdf")
+
+
+def test_model_outputs_of_the_log_modes_pinned():
+    """sim_ns, traffic, flash, image and recovery of oltp, kvstore and
+    fileserver in full and dual_log, on both devices, both caches and
+    both journal modes (48 configurations of 400 records)."""
+    tool = ROOT / "tools" / "model_digest.py"
+    result = subprocess.run(
+        [sys.executable, str(tool), "--ops", "400",
+         "--profiles", "oltp,kvstore,fileserver", "--modes", "full,dual_log"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == LOG_MODES_DIGEST
+
+
 def test_unreached_tool_runs():
     tool = ROOT / "tools" / "unreached.py"
     result = subprocess.run(

@@ -10,14 +10,15 @@ from hypothesis import event, given, settings, strategies as st
 from bytefs import bench, image
 from bytefs.device import CACHELINE, DeviceConfig, TrafficCounters
 from bytefs.errors import (
-    AlreadyExists, DirectoryNotEmpty, FsError, InvalidArgument, IsADirectory,
-    NotADirectory, NotFound, SpaceExhausted, StateError, TxAborted,
+    AlreadyExists, BackPressure, DirectoryNotEmpty, FsError, InvalidArgument,
+    IsADirectory, NotADirectory, NotFound, SpaceExhausted, StateError,
+    TxAborted,
 )
 from bytefs.fs import (
     MODES, ByteFS, _first_clear, _set_bits, make_mssd, mkfs, recover_fs,
 )
 from bytefs.image import crash_clone
-from bytefs.layout import ROOT_INO
+from bytefs.layout import ITYPE_FILE, ROOT_INO, ExtentLeaf, Inode
 
 from conftest import small_config
 from refmodel import RefFS
@@ -716,6 +717,56 @@ def test_operation_that_runs_out_of_space_is_aborted(mode):
     assert len(after.readdir("/d")) == 64
 
 
+def test_failed_fsync_leaves_its_pages_dirty():
+    """A page stops being dirty when its flush commits.  147 pages with 7
+    byte-path cachelines each need 1029 log entries in one transaction,
+    more than the test config's 1024-entry log holds: the fsync fails,
+    and so must a retry, since nothing of the first attempt is durable."""
+    fs = make_fs("full")
+    fs.create("/f")
+    fd = fs.open("/f")
+    first = bytes(range(256)) * (147 * 4096 // 256)
+    fs.write(fd, 0, first)
+    fs.fsync(fd)
+    ino = fs.lookup("/f").ino
+    for page in range(147):
+        for cl in range(0, 63, 9):                   # 7 distinct cachelines
+            fs.write(fd, page * 4096 + cl * CACHELINE + 5, b"\xee")
+    for _ in range(2):
+        with pytest.raises(BackPressure):
+            fs.fsync(fd)
+        assert len(fs.cache.dirty_pages(ino)) == 147
+    after, _ = recover_fs(crash_clone(fs.mssd), mode="full")
+    assert read_file(after, "/f", 0, len(first)) == first
+    assert after.fsck() == []
+
+
+def test_writeback_writes_each_run_of_dirty_cachelines_once():
+    fs = make_fs("full")
+    fs.create("/f")
+    write_file(fs, "/f", 0, b"\x01" * 4096)
+    fsync_file(fs, "/f")
+    fd = fs.open("/f")
+    for off in (70, 130, 200, 330, 3000, 3100):     # runs 1-3, 5, 46-48
+        fs.write(fd, off, b"\x99" * 30)
+    calls = []
+    tx_write = fs.mssd.tx_write
+    fs.mssd.tx_write = lambda txid, addr, data, category: (
+        calls.append((addr, len(data), category))
+        or tx_write(txid, addr, data, category))
+    fs.fsync(fd)
+    lba = fs.lookup("/f").all_blocks()[0]
+    data_calls = [c for c in calls if c[2] == "data"]
+    assert data_calls == [(lba * 4096 + 64, 192, "data"),
+                          (lba * 4096 + 320, 64, "data"),
+                          (lba * 4096 + 2944, 192, "data")]
+    expected = bytearray(b"\x01" * 4096)
+    for off in (70, 130, 200, 330, 3000, 3100):
+        expected[off:off + 30] = b"\x99" * 30
+    after, _ = recover_fs(crash_clone(fs.mssd), mode="full")
+    assert read_file(after, "/f", 0, 4096) == expected
+
+
 @pytest.mark.parametrize("capacity_blocks, inode_count", [
     (8_388_608, None),       # the default layout: no padding bit
     (8_388_603, 1_000_000),  # both bitmaps end inside their last block
@@ -819,6 +870,31 @@ def test_bitmap_scans_match_bit_loops(bitmap, data):
     assert _first_clear(bitmap, lo, hi) == first_fit_ref(bitmap, lo, hi)
     assert _set_bits(bitmap, lo, hi) == [
         i for i in range(lo, hi) if bitmap[i // 8] >> (i % 8) & 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(extents=st.lists(st.tuples(st.integers(0, 4), st.integers(1, 6)),
+                        max_size=10),
+       offsets=st.lists(st.integers(0, 80 * 4096), min_size=1, max_size=30))
+def test_block_for_matches_a_linear_scan(extents, offsets):
+    """Sorted extents separated by holes of 0 to 4 blocks; any byte offset,
+    in a hole, in an extent or past the last one."""
+    bs = 4096
+    inode = Inode(ino=5, itype=ITYPE_FILE)
+    page = 0
+    for i, (hole, length) in enumerate(extents):
+        page += hole
+        inode.extents.append(ExtentLeaf(page * bs, 1000 + 97 * i, length))
+        page += length
+
+    def linear(off):
+        for leaf in inode.extents:
+            if leaf.file_offset <= off < leaf.file_offset + leaf.length * bs:
+                return leaf.lba + (off - leaf.file_offset) // bs
+        return None
+
+    for off in offsets:
+        assert inode.block_for(off, bs) == linear(off)
 
 
 def check_allocations(fs):

@@ -127,3 +127,28 @@ def test_dirty_cachelines_match_a_per_cacheline_loop(writes):
             if page.data[cl * CACHELINE:(cl + 1) * CACHELINE]
             != page.duplicate[cl * CACHELINE:(cl + 1) * CACHELINE]]
     assert page.dirty_cachelines() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, PAGE - 1),
+                          st.binary(min_size=1, max_size=300)),
+                max_size=10))
+def test_dirty_cachelines_of_the_written_range_match_the_whole_page(writes):
+    """A write through the cache calls `note_modify(off, length)` first; a
+    direct write patches the page and its duplicate alike.  Comparing the
+    written range only finds what a loop over the whole page finds."""
+    page = CachedPage(1, 0, bytearray(range(256)) * (PAGE // 256))
+    for through_cache, off, data in writes:
+        data = data[:PAGE - off]
+        if through_cache:
+            page.note_modify(off, len(data))
+        elif page.duplicate is not None:
+            dup = bytearray(page.duplicate)
+            dup[off:off + len(data)] = data
+            page.set_duplicate(bytes(dup))
+        page.data[off:off + len(data)] = data
+    want = [cl for cl in range(PAGE // CACHELINE)
+            if page.duplicate is not None
+            and page.data[cl * CACHELINE:(cl + 1) * CACHELINE]
+            != page.duplicate[cl * CACHELINE:(cl + 1) * CACHELINE]]
+    assert page.dirty_cachelines() == want

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bytefs import bench
 from bytefs.device import CACHELINE
 from bytefs.errors import (
     AddressFault, BackPressure, TxAborted,
@@ -190,6 +191,81 @@ def test_clean_that_leaves_log_above_threshold_is_not_repeated(mssd):
     mssd.tx_commit(txid)
     assert mssd.byte_read(0, 64000) == mssd.shadow_read(0, 64000) == b"".join(
         bytes([i % 255 + 1]) * 64 for i in range(1000))
+
+
+def record_cleans(mssd):
+    """The `CleanReport` of every clean of `mssd`'s write log, in order."""
+    reports = []
+    clean = mssd.writelog.clean
+    mssd.writelog.clean = lambda: reports.append(clean()) or reports[-1]
+    return reports
+
+
+def test_piece_that_crosses_the_threshold_cleans_after_the_crossing_entry(
+        mssd):
+    # the 871st entry of the 1024-slot log is the first above 85%
+    for i in range(869):
+        mssd.byte_write((i % 64) * 64 + (i // 64) * 4096, b"\x01" * 64)
+    reports = record_cleans(mssd)
+    mssd.byte_write(20 * 4096, bytes(range(1, 5)) * 64)   # 4 cachelines
+    # entries 870 and 871 went in, the log cleaned, then entries 872-873
+    assert [(r.entries_flushed, r.entries_migrated) for r in reports] == [
+        (871, 0)]
+    gen = mssd.writelog.active_gen
+    assert (gen.gen_id, gen.tail_slots) == (1, 2)
+    assert gen.entries["block_offset"].tolist() == [2, 3]
+    assert mssd.device.read_lpa(20)[:256] == (
+        bytes(range(1, 5)) * 32 + bytes(128))
+    assert mssd.byte_read(20 * 4096, 4096) == mssd.shadow_read(20 * 4096, 4096)
+
+
+def test_piece_larger_than_the_free_room_cleans_at_the_full_generation(mssd):
+    reports = record_cleans(mssd)
+    txid = mssd.tx_begin()
+    for i in range(1000):  # the clean at entry 871 carries all 871
+        mssd.tx_write(txid, i * 64, bytes([i % 255 + 1]) * 64)
+    assert [(r.entries_flushed, r.entries_migrated) for r in reports] == [
+        (0, 871)]
+    # 64 entries with room for 24: the log fills, cleans out the plain
+    # entries and carries the transaction's, twice, and takes the rest
+    mssd.byte_write(100 * 4096, b"\x5a" * 4096)
+    assert [(r.entries_flushed, r.entries_migrated) for r in reports[1:]] == [
+        (24, 1000), (24, 1000)]
+    gen = mssd.writelog.active_gen
+    assert (gen.gen_id, gen.tail_slots) == (3, 1016)
+    for i in range(1000, 1024):  # the log fills again, with 16 plain entries
+        mssd.tx_write(txid, i * 64, bytes([i % 255 + 1]) * 64)
+    assert [(r.entries_flushed, r.entries_migrated) for r in reports[3:]] == [
+        (16, 1008)]
+    assert mssd.writelog.active_gen.tail_slots == 1024
+    # the transaction's entries now fill the log alone
+    with pytest.raises(BackPressure):
+        mssd.tx_write(txid, 1024 * 64, b"\x01" * 64)
+    with pytest.raises(BackPressure):
+        mssd.byte_write(101 * 4096, b"\x02" * 64)
+    mssd.tx_abort(txid)
+    mssd.byte_write(101 * 4096, b"\x02" * 64)
+    assert mssd.writelog.active_gen.tail_slots == 1
+    assert mssd.byte_read(0, 102 * 4096) == mssd.shadow_read(0, 102 * 4096)
+
+
+@pytest.mark.parametrize("cache_bytes, want", [
+    (None, [(40, 736, 3, 40), (33, 496, 1, 33), (30, 404, 1, 30),
+            (24, 344, 1, 24)]),
+    (64 * 1024, [(44, 726, 3, 44), (33, 506, 3, 33), (32, 416, 1, 32),
+                 (27, 350, 1, 27)]),
+])
+def test_self_clean_reports_of_a_kvstore_replay_pinned(cache_bytes, want):
+    """(pages flushed, entries flushed, entries migrated, flash reads) of
+    each self-clean of a 2000-record kvstore replay in full mode, as
+    recorded before the write path appended a piece in one step."""
+    fs = bench.format_and_mount(small_config(), "full", "ordered",
+                                cache_bytes)
+    reports = record_cleans(fs.mssd)
+    bench.replay(fs, bench.build_workload(
+        bench.WorkloadSpec("kvstore", seed=1, ops=2000)))
+    assert [(r.pages_flushed, r.entries_flushed, r.entries_migrated,
+             r.flash_reads) for r in reports] == want
 
 
 def test_clean_single_committed_entry_one_read_one_write(mssd):
