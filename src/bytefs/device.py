@@ -37,16 +37,19 @@ CATEGORIES = (
 OVERPROVISION_DIVISOR = 16
 
 
-def spans(offset: int, length: int, size: int):
-    """Split the range [offset, offset + length) at multiples of `size`.
-    Yields (unit index, offset in unit, length, offset in range) per piece,
-    in address order."""
-    pos = 0
-    while pos < length:
-        unit, off = divmod(offset + pos, size)
-        take = min(size - off, length - pos)
-        yield unit, off, take, pos
-        pos += take
+def spans(offset: int, length: int, size: int
+          ) -> list[tuple[int, int, int, int]]:
+    """Split the range [offset, offset + length) at multiples of `size`:
+    (unit index, offset in unit, length, offset in range) per piece, in
+    address order.  A list, as most ranges fit in one unit."""
+    unit, off = divmod(offset, size)
+    take = min(size - off, length)
+    out = [(unit, off, take, 0)] if take > 0 else []
+    while take < length:
+        unit += 1
+        out.append((unit, 0, min(size, length - take), take))
+        take += size
+    return out
 
 
 @dataclass

@@ -16,7 +16,6 @@ cache hits produce zero device traffic.
 
 from __future__ import annotations
 
-import contextlib
 import re
 import struct
 
@@ -148,15 +147,20 @@ class _OpenFile:
 
 
 class _Txn:
-    """Per-operation transaction context.
+    """One transaction for one file-system operation, which runs in it as
+    a context (`with _Txn(fs):`).  Byte modes lazily open a device
+    transaction at the first metadata write; block_only collects dirty
+    metadata blocks and writes them whole when the operation closes.
 
-    Byte modes lazily open a device transaction at the first metadata
-    write; block_only collects dirty metadata blocks and writes them
-    whole when the operation closes.
+    Operations never nest: the page cache evicts, and so writes back, only
+    in `read` and `write`, which run outside any operation.  Aborted if the
+    operation raises, else journaled, committed (or its dirty metadata
+    blocks written) and checkpointed when it ends.
     """
 
-    def __init__(self, mssd: Mssd):
-        self.mssd = mssd
+    def __init__(self, fs: "ByteFS"):
+        self.fs = fs
+        self.mssd = fs.mssd
         self.txid: int | None = None
         self.blocks: dict[int, str] = {}  # blk -> category (block_only)
         self.journaled: list[tuple[int, bytes]] = []
@@ -165,6 +169,28 @@ class _Txn:
         if self.txid is None:
             self.txid = self.mssd.tx_begin()
         return self.txid
+
+    def __enter__(self) -> "_Txn":
+        self.fs._txn = self
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        fs = self.fs
+        fs._txn = None
+        if exc_type is not None:
+            # a write conflict has already ended the transaction
+            if self.txid is not None and not issubclass(exc_type, TxAborted):
+                self.mssd.tx_abort(self.txid)
+            return
+        if self.journaled:
+            base = fs._journal_write(self)
+        if fs.byte_metadata:
+            if self.txid is not None:
+                self.mssd.tx_commit(self.txid)
+        else:
+            fs._flush_block_txn(self)
+        if self.journaled:
+            fs._journal_checkpoint(self, base)
 
 
 class ByteFS:
@@ -177,6 +203,7 @@ class ByteFS:
             raise InvalidArgument(f"unknown journal mode {journal!r}")
         self.mssd = mssd
         self.mode = mode
+        self.byte_metadata = mode != "block_only"
         self.journal_mode = journal
         self.cache_bytes = cache_bytes
         self.mounted = False
@@ -184,11 +211,7 @@ class ByteFS:
         self._txn: _Txn | None = None
 
     # ------------------------------------------------------------------
-    # mount / mode
-
-    @property
-    def byte_metadata(self) -> bool:
-        return self.mode != "block_only"
+    # mount
 
     def mount(self) -> None:
         if self.mounted:
@@ -224,33 +247,6 @@ class ByteFS:
     # ------------------------------------------------------------------
     # transaction plumbing
 
-    @contextlib.contextmanager
-    def _op(self):
-        """One transaction for one file-system operation.  Operations never
-        nest: the page cache evicts, and so writes back, only in `read`
-        and `write`, which run outside any operation.  Aborted if the
-        operation raises, else journaled, committed (or its dirty metadata
-        blocks written) and checkpointed when it ends."""
-        txn = self._txn = _Txn(self.mssd)
-        try:
-            yield txn
-        except BaseException as exc:
-            # a write conflict has already ended the transaction
-            if txn.txid is not None and not isinstance(exc, TxAborted):
-                self.mssd.tx_abort(txn.txid)
-            raise
-        finally:
-            self._txn = None
-        if txn.journaled:
-            base = self._journal_write(txn)
-        if self.byte_metadata:
-            if txn.txid is not None:
-                self.mssd.tx_commit(txn.txid)
-        else:
-            self._flush_block_txn(txn)
-        if txn.journaled:
-            self._journal_checkpoint(txn, base)
-
     def _meta_write(self, addr: int, data: bytes, category: str) -> None:
         """Update the host mirror and persist per the mount mode."""
         self._mirror_write(addr, data)
@@ -266,6 +262,9 @@ class ByteFS:
             self._block_mirror(blk)[off:off + take] = data[pos:pos + take]
 
     def _block_mirror(self, blk: int) -> bytearray:
+        mirror = self._blocks.get(blk)  # never a bitmap or the superblock
+        if mirror is not None:
+            return mirror
         sb = self.sb
         bs = sb.block_size
         if blk == 0:
@@ -274,16 +273,14 @@ class ByteFS:
             if start <= blk < start + count:
                 i = blk - start
                 return memoryview(bitmap)[i * bs:(i + 1) * bs]
-        mirror = self._blocks.get(blk)
-        if mirror is None:
-            if sb.itab_start <= blk < sb.itab_start + sb.itab_blocks:
-                category = "inode"
-            elif sb.journal_start <= blk < sb.journal_start + sb.journal_blocks:
-                category = "journal"
-            else:
-                category = "dentry"
-            mirror = self._blocks[blk] = bytearray(
-                self.mssd.block_read(blk, category=category))
+        if sb.itab_start <= blk < sb.itab_start + sb.itab_blocks:
+            category = "inode"
+        elif sb.journal_start <= blk < sb.journal_start + sb.journal_blocks:
+            category = "journal"
+        else:
+            category = "dentry"
+        mirror = self._blocks[blk] = bytearray(
+            self.mssd.block_read(blk, category=category))
         return mirror
 
     def _flush_block_txn(self, txn: _Txn) -> None:
@@ -568,7 +565,7 @@ class ByteFS:
 
     def _create_common(self, path: str, itype: int) -> int:
         self._require_mounted()
-        with self._op():
+        with _Txn(self):
             parent, name = self._resolve_parent(path)
             if name in self._load_dir(parent.ino):
                 raise AlreadyExists(path)
@@ -590,7 +587,7 @@ class ByteFS:
 
     def unlink(self, path: str) -> None:
         self._require_mounted()
-        with self._op():
+        with _Txn(self):
             parent, name = self._resolve_parent(path)
             target = self._lookup_child(parent, name)
             if target.itype == ITYPE_DIR:
@@ -599,7 +596,7 @@ class ByteFS:
 
     def rmdir(self, path: str) -> None:
         self._require_mounted()
-        with self._op():
+        with _Txn(self):
             parent, name = self._resolve_parent(path)
             target = self._lookup_child(parent, name)
             if target.itype != ITYPE_DIR:
@@ -628,7 +625,7 @@ class ByteFS:
 
     def rename(self, old: str, new: str) -> None:
         self._require_mounted()
-        with self._op():
+        with _Txn(self):
             old_parent, old_name = self._resolve_parent(old)
             target = self._lookup_child(old_parent, old_name)
             new_parent, new_name = self._resolve_parent(new)
@@ -751,7 +748,7 @@ class ByteFS:
 
     def _direct_write(self, inode: Inode, offset: int, data: bytes) -> int:
         bs = self.sb.block_size
-        with self._op():
+        with _Txn(self):
             use_byte = self.mode == "full" and len(data) <= DIRECT_BYTE_LIMIT
             meta_changed = False
             for index, off, take, pos in spans(offset, len(data), bs):
@@ -834,7 +831,7 @@ class ByteFS:
     def _flush_inode(self, inode: Inode, pages, data_only: bool) -> None:
         """Write back `pages` of `inode`, then its pending metadata, in one
         operation.  The pages stay dirty unless the operation commits."""
-        with self._op():
+        with _Txn(self):
             for page in pages:
                 self._writeback_page(inode, page)
             if self._metadata_pending(inode.ino, data_only):
@@ -976,11 +973,13 @@ def recover_fs(mssd: Mssd, mode: str = "full", journal: str = "ordered",
                cache_bytes: int = DEFAULT_CACHE_BYTES):
     """Post-crash recovery: device-level log replay, then journal replay.
     Returns (filesystem, device recovery report)."""
-    committed = set(mssd.txlog.entries)
+    # the TxLog, which the device's recovery clears, decides which journal
+    # records replay
+    committed = set(mssd.txlog.stamps) if journal == "data" else None
     report = mssd.recover()
     fs = ByteFS(mssd, mode=mode, journal=journal, cache_bytes=cache_bytes)
     fs.mount()
-    if journal == "data":
+    if committed is not None:
         _replay_journal(fs, committed)
     return fs, report
 

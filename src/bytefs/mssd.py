@@ -8,7 +8,7 @@ device that keeps only a write-through page buffer in its DRAM, and a
 clean or a recovery only clears the TxLog.  The host interface is
 accounted here, with or without a write log: a byte access charges the
 latency of each cacheline it touches and 64B of traffic per cacheline
-(`_byte_write_page`, `_byte_read_page`), a block access its page of
+(`_write`, `_byte_read_page`), a block access its page of
 traffic.  Flash latency is charged by `FlashDevice` alone.  Each host
 access is checked here, before it takes a lock or changes anything, and
 split into page-local pieces that start on a cacheline, which the write
@@ -65,8 +65,6 @@ class Mssd:
         return page
 
     def _shadow_write(self, addr: int, data: bytes, txid: int = 0) -> None:
-        if self.shadow is None:
-            return
         head_pad = addr % CACHELINE
         if head_pad:
             lpa, off = divmod(addr - head_pad, self.config.page_size)
@@ -99,43 +97,43 @@ class Mssd:
     def byte_write(self, addr: int, data: bytes,
                    category: str = "untagged") -> None:
         """A plain write: committed at write, as transaction 0."""
-        self._write(0, addr, data, category)
+        self._write(0, addr, data, category, False)
 
-    def _write(self, txid: int, addr: int, data: bytes, category: str
-               ) -> None:
-        """Check, lock (transaction 0 takes no lock), split and write.  A
-        write that starts inside a cacheline is padded with the bytes
-        before it that the writer may read."""
-        self._check_bytes(addr, len(data), category, "write")
-        conflict = txid and self.txmgr.tx_write(txid, addr, len(data))
+    def _write(self, txid: int, addr: int, data: bytes, category: str,
+               locks: bool) -> None:
+        """Check, lock (a plain write takes no lock), split into page-local
+        pieces and write.  A write that starts inside a cacheline is padded
+        with the bytes before it that the writer may read."""
+        size = len(data)
+        self._check_bytes(addr, size, category, "write")
+        conflict = locks and self.txmgr.tx_write(txid, addr, size)
         if conflict:  # NO_WAIT: the requester ends, having written nothing
             self.tx_abort(txid)
             raise TxAborted(f"tx {txid} aborted: cacheline {conflict[0]} is "
                             f"locked by tx {conflict[1]}")
-        for lpa, off, take, pos in spans(addr, len(data),
-                                         self.config.page_size):
-            self._byte_write_page(lpa, off, data[pos:pos + take], txid,
-                                  category)
-
-    def _byte_write_page(self, lpa: int, off: int, data: bytes, txid: int,
-                         category: str) -> None:
-        page_size = self.config.page_size
-        self._shadow_write(lpa * page_size + off, data, txid)
-        head_pad = off % CACHELINE
-        if head_pad:
-            off -= head_pad  # the write starts on a cacheline now
-            data = self._byte_read_page(lpa, off, head_pad, category,
-                                        reader=txid) + data
-        if self.log_enabled:
-            self.writelog.byte_write(lpa, off, data, txid, category)
-        else:
-            # Page-granular device buffer: read-modify-write the flash page.
-            page = bytearray(self.device.read_lpa(lpa, category))
-            page[off:off + len(data)] = data
-            self.device.write_lpa(lpa, bytes(page), category)
-        slots = (len(data) + CACHELINE - 1) // CACHELINE
-        self.device.clock.advance(slots * self.config.cacheline_write_latency_ns)
-        self.device.traffic.record("host_to_ssd", category, slots * CACHELINE)
+        cfg, page_size = self.config, self.config.page_size
+        clock = self.device.clock
+        # the category is checked: charge its counter directly
+        host_in = self.device.traffic.by_category["host_to_ssd"]
+        for lpa, off, take, pos in spans(addr, size, page_size):
+            piece = data[pos:pos + take]
+            if self.shadow is not None:
+                self._shadow_write(lpa * page_size + off, piece, txid)
+            head_pad = off % CACHELINE
+            if head_pad:
+                off -= head_pad  # the piece starts on a cacheline now
+                piece = self._byte_read_page(lpa, off, head_pad, category,
+                                             reader=txid) + piece
+            if self.log_enabled:
+                self.writelog.byte_write(lpa, off, piece, txid, category)
+            else:
+                # Page-granular device buffer: read-modify-write the page.
+                page = bytearray(self.device.read_lpa(lpa, category))
+                page[off:off + len(piece)] = piece
+                self.device.write_lpa(lpa, bytes(page), category)
+            slots = (len(piece) + CACHELINE - 1) // CACHELINE
+            clock.advance(slots * cfg.cacheline_write_latency_ns)
+            host_in[category] += slots * CACHELINE
 
     def byte_read(self, addr: int, length: int, category: str = "untagged"
                   ) -> bytes:
@@ -179,7 +177,8 @@ class Mssd:
             raise AddressFault(f"LPA {lpa} out of range")
         if category not in CATEGORIES:
             raise InvalidArgument(f"unknown traffic category {category!r}")
-        self._shadow_write(lpa * page_size, data)
+        if self.shadow is not None:
+            self._shadow_write(lpa * page_size, data)
         for writes in self._shadow_tx.values():
             writes[:] = [(a, d) for a, d in writes if a // page_size != lpa]
         if self.log_enabled:
@@ -221,8 +220,7 @@ class Mssd:
 
     def tx_write(self, txid: int, addr: int, data: bytes,
                  category: str = "untagged") -> None:
-        self.txmgr.require_active(txid)  # 0 is never active
-        self._write(txid, addr, data, category)
+        self._write(txid, addr, data, category, True)  # 0 is never active
 
     def tx_commit(self, txid: int) -> None:
         """Stamp `txid` into the TxLog, cleaning first if it is full (the

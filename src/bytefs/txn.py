@@ -44,7 +44,7 @@ class TxLog:
         return len(self.stamps) >= self.capacity_entries
 
     def append(self, txid: int, stamp: int) -> None:
-        if self.full:
+        if len(self.stamps) >= self.capacity_entries:
             raise SpaceExhausted("TxLog full")
         if txid in self.stamps:
             raise StateError(f"tx {txid} already committed")
@@ -108,9 +108,11 @@ class TxManager:
 
     def _release(self, txid: int) -> None:
         """All a commit or an abort does to the table."""
-        for k in self.require_active(txid):
+        locks = self.table.pop(txid, None)
+        if locks is None:
+            raise StateError(f"tx {txid} is not active")
+        for k in locks:
             del self._lock_owner[k]
-        del self.table[txid]
 
     tx_commit = tx_abort = _release
 

@@ -44,6 +44,7 @@ and recovery touch.
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,8 @@ SIDECAR_DTYPE = np.dtype([
 ])
 
 _CATEGORY_ID = {c: i for i, c in enumerate(CATEGORIES)}
+
+_ROW = struct.Struct("<IBBBBIQ")  # the bytes of one SIDECAR_DTYPE row
 
 _INITIAL_ROWS = 1024
 
@@ -130,10 +133,7 @@ class LogGeneration:
         else:
             self.tail_slots = len(side)
         self.side = side
-
-    @property
-    def full(self) -> bool:
-        return self.tail_slots >= self.capacity_slots
+        self._rows = memoryview(side.view(np.uint8))  # the sidecar's bytes
 
     @property
     def entries(self) -> np.ndarray:
@@ -151,11 +151,15 @@ class LogGeneration:
                                  self.capacity_slots), dtype=SIDECAR_DTYPE)
             grown[:slot] = self.side[:slot]
             self.side = grown
-        self.side[slot:end] = [
-            (lpa, first_cl + i, min(CACHELINE, size - i * CACHELINE), flags,
-             cat, txid, seq + i) for i in range(end - slot)]
+            self._rows = memoryview(grown.view(np.uint8))
+        pack, rows = _ROW.pack_into, self._rows
+        for i in range(end - slot):
+            pack(rows, (slot + i) * _ROW.size, lpa, first_cl + i,
+                 min(CACHELINE, size - i * CACHELINE), flags, cat, txid,
+                 seq + i)
         self.buf += payload
-        self.buf += bytes(-size % CACHELINE)  # the rest of the last slot
+        if size % CACHELINE:  # the rest of the last slot
+            self.buf += bytes(-size % CACHELINE)
         self.tail_slots = end
 
     def slot_view(self) -> np.ndarray:
@@ -246,25 +250,28 @@ class WriteLog:
         possibly short, in one step unless the log cleans in between."""
         cat = _CATEGORY_ID[category]
         flags = FLAG_COMMITTED_AT_WRITE if txid == 0 else 0
-        count = (len(data) + CACHELINE - 1) // CACHELINE
+        first_cl, size = off // CACHELINE, len(data)
         done = 0
-        while done < count:
-            if self.active_gen.full:
+        while done < size:
+            gen, clean_at = self.active_gen, self.clean_at
+            tail, cap = gen.tail_slots, gen.capacity_slots
+            if tail >= cap:
                 self.clean()
-            gen = self.active_gen
-            if gen.full:  # the active transactions' entries fill it alone
-                raise BackPressure("write log full")
+                gen = self.active_gen
+                tail = gen.tail_slots
+                if tail >= cap:  # the active transactions' entries fill it
+                    raise BackPressure("write log full")
             # up to the entry that crosses the threshold, or a full log
-            tail = gen.tail_slots
-            stop = self.clean_at if tail < self.clean_at else gen.capacity_slots
-            n = min(stop, gen.capacity_slots, tail + count - done) - tail
+            stop = clean_at if tail < clean_at <= cap else cap
+            piece = data[done:done + (stop - tail) * CACHELINE]
+            n = (len(piece) + CACHELINE - 1) // CACHELINE
             # the index is built, if it must be, before the generation grows
-            self.index.pages.setdefault(lpa, []).extend(range(tail, tail + n))
-            gen.extend(lpa, off // CACHELINE + done,
-                       data[done * CACHELINE:(done + n) * CACHELINE], flags,
-                       cat, txid, self.stamp(n))
-            done += n
-            if gen.tail_slots == self.clean_at:
+            (self._index or self.index).pages.setdefault(lpa, []).extend(
+                range(tail, tail + n))
+            gen.extend(lpa, first_cl, piece, flags, cat, txid, self.stamp(n))
+            first_cl += n
+            done += len(piece)
+            if tail + n == clean_at:
                 self.clean()
 
     # -- read path ---------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bytefs.device import MiB
+from bytefs.device import CATEGORIES, MiB
 from bytefs.errors import (
     AddressFault, InvalidArgument, SpaceExhausted, StateError, TxAborted,
 )
@@ -86,6 +86,8 @@ def test_same_cacheline_conflict_aborts_at_once(mssd):
         mssd.tx_write(t2, 128, b"\x02" * 64)
     with pytest.raises(StateError):
         mssd.tx_commit(t2)
+    with pytest.raises(StateError):
+        mssd.tx_abort(t2)
     # its earlier lock is released: a third transaction takes it
     t3 = mssd.tx_begin()
     mssd.tx_write(t3, 64, b"\x03" * 64)
@@ -112,7 +114,9 @@ def test_write_over_two_cachelines_locks_neither_on_conflict(mssd):
     (64, b"x" * 8, "bogus", InvalidArgument),
     (8 * MiB, b"x", "untagged", AddressFault),
     (65, b"", "untagged", InvalidArgument),
-], ids=["unknown_category", "past_the_end", "empty_unaligned"])
+    (8 * MiB - 32, b"x" * 64, "untagged", AddressFault),
+], ids=["unknown_category", "past_the_end", "empty_unaligned",
+        "from_the_last_page_past_the_end"])
 def test_refused_tx_write_takes_no_lock(mssd, addr, data, category, error):
     a, b = mssd.tx_begin(), mssd.tx_begin()
     with pytest.raises(error):
@@ -122,6 +126,43 @@ def test_refused_tx_write_takes_no_lock(mssd, addr, data, category, error):
     line = min(addr, mssd.config.capacity_bytes - 64) // 64 * 64
     mssd.tx_write(b, line, b"y" * 8)                 # no TxAborted
     assert mssd.txmgr._lock_owner == {line // 64: b}
+
+
+def test_tx_write_across_a_page_boundary_into_a_held_line_changes_nothing(
+        mssd):
+    """The conflict is on the second page: the write is refused before
+    its first page gets an entry."""
+    holder, t = mssd.tx_begin(), mssd.tx_begin()
+    mssd.tx_write(holder, 4096, b"\x01" * 64)       # page 1, cacheline 0
+    locks = dict(mssd.txmgr._lock_owner)
+    entries = mssd.writelog.active_gen.entries.copy()
+    clock = mssd.clock_ns
+    traffic = mssd.traffic_snapshot().by_category
+    shadow = {lpa: bytes(page) for lpa, page in mssd.shadow.items()}
+    with pytest.raises(TxAborted, match=f"cacheline 64 is locked by tx "
+                                        f"{holder}"):
+        mssd.tx_write(t, 4096 - 100, b"\x02" * 200)
+    assert mssd.txmgr._lock_owner == locks
+    assert mssd.txmgr.active_txids() == {holder}
+    assert mssd.writelog.active_gen.entries.tolist() == entries.tolist()
+    assert mssd.clock_ns == clock
+    assert mssd.traffic_snapshot().by_category == traffic
+    assert {lpa: bytes(page) for lpa, page in mssd.shadow.items()} == shadow
+    assert mssd._shadow_tx.keys() == {holder}
+
+
+def test_tx_write_across_a_page_boundary_appends_each_cacheline(mssd):
+    t = mssd.tx_begin()
+    mssd.tx_write(t, 4096 - 100, b"\x02" * 200, "dentry")  # lines 62-65
+    rows = mssd.writelog.active_gen.entries
+    assert rows[["lpa", "block_offset", "length"]].tolist() == [
+        (0, 62, 64), (0, 63, 64), (1, 0, 64), (1, 1, 36)]
+    assert rows[["flags", "category", "txid"]].tolist() == [
+        (0, CATEGORIES.index("dentry"), t)] * 4
+    assert np.diff(rows["seq"]).tolist() == [1, 1, 1]
+    assert sorted(mssd.txmgr._lock_owner) == [62, 63, 64, 65]
+    mssd.tx_commit(t)
+    assert mssd.byte_read(4096 - 100, 200) == b"\x02" * 200
 
 
 def test_only_tx_write_carries_a_txid(mssd):

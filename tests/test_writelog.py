@@ -1,10 +1,11 @@
+import io
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bytefs import bench
+from bytefs import bench, image
 from bytefs.device import CACHELINE
 from bytefs.errors import (
     AddressFault, BackPressure, TxAborted,
@@ -456,3 +457,66 @@ def test_merge_order_matches_lexsort_on_wide_cells_and_keys(rows):
     seq = np.arange(len(rows))
     assert merge_order(cell, key).tolist() == \
         reference_order(cell, key, seq).tolist()
+
+
+def _state(mssd):
+    out = io.BytesIO()
+    image.save(mssd, out)
+    return (out.getvalue(), mssd.clock_ns,
+            mssd.traffic_snapshot().by_category)
+
+
+def _by_cacheline(addr, data):
+    """`data` at `addr` as pieces that each stay inside one cacheline."""
+    pos = 0
+    while pos < len(data):
+        take = min(CACHELINE - (addr + pos) % CACHELINE, len(data) - pos)
+        yield addr + pos, data[pos:pos + take]
+        pos += take
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(640, 869), st.lists(
+    st.tuples(st.sampled_from(("plain", "tx", "commit")),
+              st.integers(0, 48 * 4096 - 1),   # unaligned, in 48 pages
+              st.integers(1, 5000), st.integers(1, 255)),
+    min_size=4, max_size=40))
+def test_a_write_appends_charges_and_cleans_as_its_cachelines_one_by_one(
+        filled, ops):
+    """A byte write, plain or transactional, of one or several pages,
+    leaves the same device image, clock and traffic as the same bytes
+    written one cacheline per call, also where the log cleans in the
+    middle of it: the log (1024 slots, `clean_at` 871) starts with
+    `filled` entries, so runs cross `clean_at`.  One transaction is open
+    at a time, and it commits before it could fill the log."""
+    whole, split = Mssd(small_config()), Mssd(small_config())
+    for mssd in (whole, split):
+        mssd.byte_write(64 * 4096, b"\x01" * (filled * CACHELINE))
+    txid, tx_entries = None, 0
+    for kind, addr, length, fill in ops:
+        if kind == "commit":
+            if txid is not None:
+                whole.tx_commit(txid)
+                split.tx_commit(txid)
+                txid = None
+            continue
+        data = bytes([fill]) * length
+        if kind == "tx":
+            entries = (addr + length - 1) // CACHELINE - addr // CACHELINE + 1
+            if txid is not None and tx_entries + entries > 512:
+                whole.tx_commit(txid)
+                split.tx_commit(txid)
+                txid = None
+            if txid is None:
+                txid, tx_entries = whole.tx_begin(), 0
+                assert split.tx_begin() == txid
+            tx_entries += entries
+            whole.tx_write(txid, addr, data, "data")
+            for a, piece in _by_cacheline(addr, data):
+                split.tx_write(txid, a, piece, "data")
+        else:
+            whole.byte_write(addr, data, "inode")
+            for a, piece in _by_cacheline(addr, data):
+                split.byte_write(a, piece, "inode")
+        assert _state(whole) == _state(split)
+        assert whole.txmgr._lock_owner == split.txmgr._lock_owner
