@@ -4,7 +4,10 @@ Flash array with page-granular access, page-level FTL, a simulated
 nanosecond clock, and per-category traffic accounting.  Pages are stored
 sparsely; erased flash reads as zeros.  Requests submitted in one batch to
 distinct channels overlap fully: elapsed time is the max over channels of
-the per-channel serial sums.
+the per-channel serial sums.  Flash latency is charged at two sites: the
+batch calls (`read_pages`, `write_pages`) by that rule, and a run of
+consecutive logical pages (`read_lpa_run`) as that many one-page read
+batches, so its latencies add whatever the channels.
 """
 
 from __future__ import annotations
@@ -270,6 +273,31 @@ class FlashDevice:
 
     def read_lpa(self, lpa: int, category: str = "untagged") -> bytes:
         return self.read_pages([(self.ftl_translate(lpa), category)])[0]
+
+    def read_lpa_run(self, lpa: int, count: int, category: str = "untagged"
+                     ) -> list[bytes]:
+        """Read the `count` logical pages from `lpa`, charged and mapped as
+        `count` calls of `read_lpa` in LPA order.  The category and the
+        whole range are checked before anything changes."""
+        if category not in CATEGORIES:
+            raise InvalidArgument(f"unknown traffic category {category!r}")
+        if count < 1:
+            raise InvalidArgument("empty page run")
+        if lpa < 0 or lpa + count > self.page_count:
+            raise AddressFault(f"LPAs {lpa}..{lpa + count - 1} out of range")
+        lpa_to_ppa, allocate = self.ftl.lpa_to_ppa, self.ftl.allocate_ppa
+        pages, erased = self.pages, self._erased
+        out = []
+        for page_lpa in range(lpa, lpa + count):
+            ppa = lpa_to_ppa.get(page_lpa)
+            if ppa is None:
+                ppa = lpa_to_ppa[page_lpa] = allocate()
+            page = pages.get(ppa)
+            out.append(erased if page is None else bytes(page))
+        self.traffic.by_category["flash_read"][category] += (
+            count * self.config.page_size)
+        self.clock.advance(count * self.config.flash_read_latency_ns)
+        return out
 
     def write_lpa(self, lpa: int, data: bytes, category: str = "untagged") -> None:
         self.flash_write_page(self.ftl_translate(lpa), data, category)

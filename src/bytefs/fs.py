@@ -221,10 +221,11 @@ class ByteFS:
         if self.sb.block_size != bs:
             raise InvalidArgument("superblock block size mismatch")
         sb = self.sb
-        # each bitmap, read into a buffer of its final size
+        # each bitmap, read with one device call into a buffer of its
+        # final size
         self._ibmp, self._bbmp = (
-            bytearray().join([self.mssd.block_read(blk, category="bitmap")
-                              for blk in range(start, start + count)])
+            bytearray().join(self.mssd.block_read_run(start, count,
+                                                      category="bitmap"))
             for start, count in ((sb.ibmp_start, sb.ibmp_blocks),
                                  (sb.bbmp_start, sb.bbmp_blocks)))
         # each bitmap with its first block and block count
@@ -999,11 +1000,8 @@ def _replay_journal(fs: ByteFS, committed: set[int]) -> None:
             break
         lbas = [struct.unpack_from("<I", blob, 12 + 4 * i)[0]
                 for i in range(count)]
-        data = [fs.mssd.block_read(sb.journal_start + pos + 1 + i,
-                                   category="journal")
-                for i in range(count)]
-        tail = fs.mssd.block_read(sb.journal_start + pos + 1 + count,
-                                  category="journal")
+        *data, tail = fs.mssd.block_read_run(sb.journal_start + pos + 1,
+                                             count + 1, category="journal")
         cmagic, ctxid = struct.unpack_from("<II", tail, 0)
         has_commit = cmagic == JOURNAL_COMMIT_MAGIC and ctxid == txid
         replay = has_commit and (txid == 0 or txid in committed)

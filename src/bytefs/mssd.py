@@ -10,7 +10,9 @@ accounted here, with or without a write log: a byte access charges the
 latency of each cacheline it touches and 64B of traffic per cacheline
 (`_write`, `_byte_read_page`), a block access its page of
 traffic.  Flash latency is charged by `FlashDevice` alone.  Each host
-access is checked here, before it takes a lock or changes anything, and
+access is checked before it takes a lock or changes anything: here, but
+for the LPA of a block read and the whole of a run of block reads
+(`block_read_run`), which `FlashDevice` checks.  A byte access is then
 split into page-local pieces that start on a cacheline, which the write
 log takes; a plain byte write is a write of transaction 0.  Commit and
 abort are stated here too.
@@ -165,6 +167,19 @@ class Mssd:
             page = self.device.read_lpa(lpa, category)
         self.device.traffic.record("ssd_to_host", category, self.config.page_size)
         return page
+
+    def block_read_run(self, lpa: int, count: int,
+                       category: str = "untagged") -> list[bytes]:
+        """The `count` pages from `lpa`, read and charged as `count` calls
+        of `block_read` with one device call."""
+        # the device refuses a bad category or range before anything changes
+        if self.log_enabled:
+            pages = self.writelog.block_read_run(lpa, count, category)
+        else:
+            pages = self.device.read_lpa_run(lpa, count, category)
+        self.device.traffic.by_category["ssd_to_host"][category] += (
+            count * self.config.page_size)
+        return pages
 
     def block_write(self, lpa: int, data: bytes, category: str = "untagged"
                     ) -> None:

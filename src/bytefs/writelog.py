@@ -349,6 +349,20 @@ class WriteLog:
         self._overlay(page, entries)
         return bytes(page)
 
+    def block_read_run(self, lpa: int, count: int, category: str = "untagged"
+                       ) -> list[bytes]:
+        """`block_read` of the `count` pages from `lpa` with one device
+        call, which checks the whole run before anything changes."""
+        pages = self.device.read_lpa_run(lpa, count, category)
+        logged = self.index.pages  # the pages that have entries
+        for i in range(count):
+            entries = self.page_entries(lpa + i) if lpa + i in logged else None
+            if entries:
+                page = bytearray(pages[i])
+                self._overlay(page, entries)
+                pages[i] = bytes(page)
+        return pages
+
     def block_write(self, lpa: int, data: bytes, category: str = "untagged") -> None:
         # Program and invalidate are one firmware step: the DRAM log is
         # power-protected, so no power cut falls between them.

@@ -31,14 +31,22 @@ def test_demo_runs(demo):
 
 def test_cut_phases_tool_runs():
     tool = ROOT / "tools" / "cut_phases.py"
-    result = subprocess.run(
-        [sys.executable, str(tool), "--record", "300", "--reps", "2"],
-        cwd=ROOT, capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    report = json.loads(result.stdout)
-    assert report["log_entries"] > 0
-    assert list(report["phases_s"]) == ["save", "load", "visibility",
-                                        "merge", "cut"]
+    for args, workload, record in (
+            (["--record", "300"], "crash_oltp", 300),
+            (["--workload", "varmail_default"], "varmail_default", 128)):
+        result = subprocess.run(
+            [sys.executable, str(tool), *args, "--reps", "2"],
+            cwd=ROOT, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        assert (report["workload"], report["record"]) == (workload, record)
+        assert report["log_entries"] > 0
+        phases = report["phases_s"]
+        assert list(phases) == ["save", "load", "visibility", "merge", "cut",
+                                "recover", "mount"]
+        # the cut is a clone, the device recovery and the mount
+        assert phases["cut"]["median"] > (phases["recover"]["median"]
+                                          + phases["mount"]["median"])
 
 
 def test_model_digest_tool_runs():

@@ -1,8 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from bytefs.device import CACHELINE, DeviceConfig, FlashDevice, GiB, spans
-from bytefs.errors import AddressFault, InvalidArgument, SpaceExhausted
+from bytefs.device import (
+    CACHELINE, CATEGORIES, DeviceConfig, FlashDevice, GiB, spans,
+)
+from bytefs.errors import (
+    AddressFault, InvalidArgument, SpaceExhausted, TxAborted,
+)
 from bytefs.mssd import Mssd
 
 from conftest import small_config
@@ -217,6 +221,17 @@ REFUSED_ACCESSES = {
     "block_write_out_of_range": (
         lambda m: m.block_write(m.config.page_count, b"\x33" * 4096),
         AddressFault),
+    # LPAs 7 and 8 are unmapped, so the FTL would map them first
+    "block_read_run_unknown_category": (
+        lambda m: m.block_read_run(7, 2, category="bogus"), InvalidArgument),
+    "empty_block_read_run": (lambda m: m.block_read_run(7, 0),
+                             InvalidArgument),
+    "block_read_run_from_the_end": (
+        lambda m: m.block_read_run(m.config.page_count, 1), AddressFault),
+    # its first two LPAs are in range and unmapped: a run that maps page
+    # by page before it checks the end would map them
+    "block_read_run_past_the_end": (
+        lambda m: m.block_read_run(m.config.page_count - 2, 3), AddressFault),
 }
 
 
@@ -259,3 +274,59 @@ def test_read_lpa_charges_what_one_read_pages_request_charges(lpa):
     want = by_batch.read_pages([(by_batch.ftl_translate(lpa), "inode")])
     assert [got] == want
     assert _flash_state(by_lpa) == _flash_state(by_batch)
+
+
+RUN_PAGES = 6  # the set-up writes and reads pages 0-5 only
+
+# the set-up steps of one page, in order: a block read (which maps the
+# LPA without writing it), a block write, or a byte write at an offset in
+# the page (it may run into the next one) that is plain or of a
+# transaction that commits, aborts or stays open
+_PAGE_STEPS = st.lists(st.tuples(
+    st.sampled_from(("read", "block", "plain", "commit", "abort", "open")),
+    st.integers(0, 4095), st.integers(1, 300)), max_size=4)
+
+
+def _set_up_run_device(page_steps, log_enabled):
+    mssd = Mssd(small_config(), log_enabled=log_enabled)
+    for lpa, steps in enumerate(page_steps):
+        for i, (kind, off, size) in enumerate(steps):
+            fill = bytes([lpa * 4 + i + 1])
+            if kind == "read":
+                mssd.block_read(lpa, "bitmap")
+            elif kind == "block":
+                mssd.block_write(lpa, fill * 4096, "data")
+            elif kind == "plain":
+                mssd.byte_write(lpa * 4096 + off, fill * size, "inode")
+            else:
+                txid = mssd.tx_begin()
+                try:  # an open transaction may hold one of the lines
+                    mssd.tx_write(txid, lpa * 4096 + off, fill * size,
+                                  "dentry")
+                except TxAborted:
+                    continue
+                if kind == "commit":
+                    mssd.tx_commit(txid)
+                elif kind == "abort":
+                    mssd.tx_abort(txid)
+    return mssd
+
+
+@pytest.mark.parametrize("log_enabled", [True, False],
+                         ids=["write_log", "no_write_log"])
+@given(page_steps=st.lists(_PAGE_STEPS, min_size=RUN_PAGES,
+                          max_size=RUN_PAGES),
+       lpa=st.integers(0, RUN_PAGES + 2), count=st.integers(1, 8),
+       category=st.sampled_from(CATEGORIES))
+def test_block_read_run_matches_single_block_reads(log_enabled, page_steps,
+                                                   lpa, count, category):
+    """A run read returns, charges and maps what `count` block reads do,
+    over pages with plain, committed, aborted, open and block-written
+    entries, mapped and unmapped."""
+    by_run = _set_up_run_device(page_steps, log_enabled)
+    one_by_one = _set_up_run_device(page_steps, log_enabled)
+    got = by_run.block_read_run(lpa, count, category)
+    want = [one_by_one.block_read(lpa + i, category) for i in range(count)]
+    assert got == want
+    assert all(type(page) is bytes for page in got)
+    assert _flash_state(by_run.device) == _flash_state(one_by_one.device)

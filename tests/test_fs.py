@@ -826,6 +826,43 @@ def test_mkfs_output_at_default_config_is_pinned(mode):
         "3a09df36f462fdb54f49348d7329c2b87ad4eac46b56137c386abef01dca169d"))
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_mount_at_default_config_is_pinned(mode):
+    """mkfs and mount of a default 32 GiB device: the mount reads the
+    superblock, the 288 bitmap blocks and the root inode's block, each
+    charged as one serial flash read, and maps every LPA it reads, in
+    LPA order."""
+    mssd = make_mssd(mode=mode)
+    mkfs(mssd)
+    ByteFS(mssd, mode=mode).mount()
+    dev = mssd.device
+    digest = hashlib.sha256()
+    for lpa, ppa in sorted(dev.ftl.lpa_to_ppa.items()):
+        digest.update(lpa.to_bytes(8, "little") + ppa.to_bytes(8, "little"))
+    traffic = {(direction, cat): n
+               for direction, cats in dev.traffic.by_category.items()
+               for cat, n in cats.items() if n}
+    page = 4096
+    assert mssd.clock_ns == 300_000 + 290 * 40_000
+    assert traffic == {
+        ("host_to_ssd", "superblock"): page,
+        ("host_to_ssd", "bitmap"): 3 * page,
+        ("host_to_ssd", "inode"): page,
+        ("ssd_to_host", "superblock"): page,
+        ("ssd_to_host", "bitmap"): 288 * page,
+        ("ssd_to_host", "inode"): page,
+        ("flash_read", "superblock"): page,
+        ("flash_read", "bitmap"): 288 * page,
+        ("flash_read", "inode"): page,
+        ("flash_write", "superblock"): page,
+        ("flash_write", "bitmap"): 3 * page,
+        ("flash_write", "inode"): page,
+    }
+    assert (len(dev.ftl.lpa_to_ppa), dev.ftl._next_unused) == (290, 290)
+    assert digest.hexdigest() == (
+        "0faf8e8723844ec5ca043460cf2d210d0302cf475d5e52175b9772f1812d3b22")
+
+
 # ---------------------------------------------------------------------------
 # allocation policy against a reference scan
 

@@ -1,18 +1,23 @@
-"""Wall time of the phases of one simulated power cut on crash_oltp.
+"""Wall time of the phases of one simulated power cut.
 
 Usage, from the root of a source checkout:
 
-    python3 tools/cut_phases.py [--seed N] [--record R] [--reps K]
+    python3 tools/cut_phases.py [--workload W] [--seed N] [--record R]
+                                [--reps K]
 
-Replays ``crash_oltp`` (the workload of ``perfbench/workloads.py``) up to
-record R, then cuts power K times on that one device.  Each repetition
-times the four phases of a cut on a fresh clone: ``image.save`` into a
-``BytesIO``, ``image.load`` of it, ``WriteLog.visibility`` and
-``WriteLog.merge_and_flush``; and, on another clone, the whole cut as the
-benchmark times it (``image.crash_clone`` plus ``recover_fs``).  Prints
-one JSON object: per phase, the median and quartiles in seconds, plus the
-number of log entries at the cut.  The package is imported from ``src/``
-of the checkout that holds this script.
+Replays workload W of ``perfbench/workloads.py`` (``crash_oltp``, the
+default, or ``varmail_default``) up to record R, then cuts power K times
+on that one device.  R defaults to 14 000 for ``crash_oltp`` and to the
+last record, where its one cut falls, for ``varmail_default``.  Each
+repetition times the four phases of a cut on a fresh clone:
+``image.save`` into a ``BytesIO``, ``image.load`` of it,
+``WriteLog.visibility`` and ``WriteLog.merge_and_flush``; and, on another
+clone, the whole cut as the benchmark times it (``image.crash_clone``
+plus ``recover_fs``), split into ``recover`` (the device recovery that
+``recover_fs`` starts with) and ``mount`` (the rest of ``recover_fs``).
+Prints one JSON object: per phase, the median and quartiles in seconds,
+plus the number of log entries at the cut.  The package is imported from
+``src/`` of the checkout that holds this script.
 """
 
 from __future__ import annotations
@@ -28,7 +33,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-PHASES = ("save", "load", "visibility", "merge", "cut")
+PHASES = ("save", "load", "visibility", "merge", "cut", "recover", "mount")
+
+# the default cut point of each workload
+RECORD = {"crash_oltp": 14000, "varmail_default": 128}
 
 
 def _quartiles(samples: list[float]) -> dict:
@@ -36,14 +44,14 @@ def _quartiles(samples: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def measure(seed: int, record: int, reps: int) -> dict:
+def measure(workload: str, seed: int, record: int, reps: int) -> dict:
     from bytefs import bench, image
     from bytefs import fs as fsmod
     from bytefs.writelog import ACTIVE_KEY
 
     import workloads
 
-    w = workloads.WORKLOADS["crash_oltp"]
+    w = workloads.WORKLOADS[workload]
     records, mssd, fs = workloads.set_up(w, w.trace_seed(seed))
     fds: dict[str, int] = {}
     for rec in records[:record]:
@@ -68,9 +76,24 @@ def measure(seed: int, record: int, reps: int) -> dict:
         buf = clone = None
         gc.collect()
         t0 = time.perf_counter()
-        fsmod.recover_fs(image.crash_clone(mssd), mode=workloads.MODE,
+        clone = image.crash_clone(mssd)
+        t1 = time.perf_counter()
+        recovered = []
+        device_recover = clone.recover
+
+        def recover():
+            report = device_recover()
+            recovered.append(time.perf_counter())
+            return report
+
+        clone.recover = recover
+        fsmod.recover_fs(clone, mode=workloads.MODE,
                          cache_bytes=w.cache_bytes)
-        times["cut"].append(time.perf_counter() - t0)
+        t2 = time.perf_counter()
+        times["cut"].append(t2 - t0)
+        times["recover"].append(recovered[0] - t1)
+        times["mount"].append(t2 - recovered[0])
+        clone = device_recover = None
     return {
         "workload": w.name, "seed": seed, "record": record, "reps": reps,
         "log_entries": mssd.writelog.active_gen.tail_slots,
@@ -80,12 +103,16 @@ def measure(seed: int, record: int, reps: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="tools/cut_phases.py")
+    parser.add_argument("--workload", choices=sorted(RECORD),
+                        default="crash_oltp")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--record", type=int, default=14000)
+    parser.add_argument("--record", type=int)
     parser.add_argument("--reps", type=int, default=25)
     args = parser.parse_args(argv)
+    record = RECORD[args.workload] if args.record is None else args.record
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    print(json.dumps(measure(args.seed, args.record, args.reps), indent=1))
+    print(json.dumps(measure(args.workload, args.seed, record, args.reps),
+                     indent=1))
     return 0
 
 
