@@ -29,4 +29,4 @@ print("  bytefs-bench run   --profile varmail --seed 21 --mode full"
       " --out run.txt")
 print("  bytefs-bench crash --profile varmail --seed 21 --crash-at 75")
 print("  bytefs-bench sweep --profile oltp --seed 7")
-print("  bytefs-bench fsck  --image saved.bfsm --mode full")
+print("  bytefs-bench fsck  --image saved.bfsm")

@@ -104,6 +104,8 @@ class WorkloadSpec:
     def __post_init__(self):
         if self.profile not in PROFILES:
             raise InvalidArgument(f"unknown profile {self.profile!r}")
+        if self.threads < 1 or self.io_size < 1:
+            raise InvalidArgument("threads and io_size must be at least 1")
 
 
 def _gen_namespace(op: str, undo: str | None, tid: int,

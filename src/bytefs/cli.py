@@ -14,17 +14,21 @@ from .errors import ByteFSError
 from .fs import recover_fs
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH",
-                        help="key = value config file")
-    parser.add_argument("--mode", metavar="M",
-                        help="mount mode: block_only|dual|dual_log|full")
-    parser.add_argument("--seed", metavar="N", type=int,
-                        help="workload seed")
-    parser.add_argument("--profile", metavar="P",
-                        help="workload profile (" + "|".join(bench.PROFILES) + ")")
-    parser.add_argument("--out", metavar="PATH",
-                        help="write the machine-readable report here")
+_OPTIONS = {
+    "--config": dict(metavar="PATH", help="key = value config file"),
+    "--mode": dict(metavar="M",
+                   help="mount mode: block_only|dual|dual_log|full"),
+    "--seed": dict(metavar="N", type=int, help="workload seed"),
+    "--profile": dict(metavar="P", help="workload profile ("
+                      + "|".join(bench.PROFILES) + ")"),
+    "--out": dict(metavar="PATH",
+                  help="write the machine-readable report here"),
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(name, **_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,28 +36,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a workload profile")
-    _add_common(p_run)
+    _add_options(p_run, "--config", "--mode", "--seed", "--profile", "--out")
 
     p_replay = sub.add_parser("replay", help="replay a recorded trace")
     p_replay.add_argument("trace", metavar="TRACE", help="trace file to replay")
-    _add_common(p_replay)
+    _add_options(p_replay, "--config", "--mode", "--out")
 
     p_crash = sub.add_parser("crash", help="crash mid-workload and verify "
                                            "recovery")
-    _add_common(p_crash)
+    _add_options(p_crash, "--config", "--mode", "--seed", "--profile", "--out")
     p_crash.add_argument("--crash-at", metavar="K", type=int, required=True,
                          help="crash after K operations")
 
     p_sweep = sub.add_parser("sweep", help="run one profile in every mode")
-    _add_common(p_sweep)
+    _add_options(p_sweep, "--config", "--seed", "--profile", "--out")
 
     p_fsck = sub.add_parser("fsck", help="check a device image")
-    _add_common(p_fsck)
+    _add_options(p_fsck, "--config")
     p_fsck.add_argument("--image", metavar="PATH", required=True,
                         help="device image file")
 
     p_recover = sub.add_parser("recover", help="recover a crashed image")
-    _add_common(p_recover)
+    _add_options(p_recover, "--config")
+    p_recover.add_argument("--out", metavar="PATH",
+                           help="write the recovered image here")
     p_recover.add_argument("--image", metavar="PATH", required=True,
                            help="device image file")
     return parser
@@ -63,7 +69,7 @@ def _load_options(args):
     options = bench.load_config(args.config) if args.config else {}
     config, fs_opts, workload = bench.split_config(options)
     fs_opts = {"mode": "full", "journal": "ordered", **fs_opts}
-    if args.mode:
+    if getattr(args, "mode", None):
         fs_opts["mode"] = args.mode
     if getattr(args, "profile", None):
         workload["profile"] = args.profile
@@ -135,11 +141,18 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_fsck(args) -> int:
+def _recover_image(args):
+    """Load `--image` and recover it in the mode its write log allows:
+    full with a log, dual without."""
     _config, fs_opts, _workload = _load_options(args)
     mssd = image.load(args.image)
-    fs, _report = recover_fs(mssd, mode=fs_opts["mode"],
-                             journal=fs_opts["journal"])
+    fs, report = recover_fs(mssd, mode="full" if mssd.log_enabled else "dual",
+                            journal=fs_opts["journal"])
+    return mssd, fs, report
+
+
+def cmd_fsck(args) -> int:
+    _mssd, fs, _report = _recover_image(args)
     problems = fs.fsck()
     if problems:
         for p in problems:
@@ -151,10 +164,7 @@ def cmd_fsck(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    _config, fs_opts, _workload = _load_options(args)
-    mssd = image.load(args.image)
-    fs, report = recover_fs(mssd, mode=fs_opts["mode"],
-                            journal=fs_opts["journal"])
+    mssd, fs, report = _recover_image(args)
     print(f"scanned {report.entries_scanned} log entries, "
           f"flushed {report.entries_flushed}, "
           f"discarded {report.entries_discarded} "

@@ -129,11 +129,6 @@ class TrafficCounters:
             d: {c: 0 for c in CATEGORIES} for d in self.DIRECTIONS
         }
 
-    def record(self, direction: str, category: str, nbytes: int) -> None:
-        if category not in CATEGORIES:
-            raise InvalidArgument(f"unknown traffic category {category!r}")
-        self.by_category[direction][category] += nbytes
-
     def total(self, direction: str) -> int:
         return sum(self.by_category[direction].values())
 
@@ -226,20 +221,27 @@ class FlashDevice:
     def flash_write_page(self, ppa: int, data: bytes, category: str = "untagged") -> None:
         self.write_pages([(ppa, data, category)])
 
+    def _check_page(self, ppa: int, category: str) -> None:
+        if not (0 <= ppa < self.phys_page_count):
+            raise AddressFault(f"PPA {ppa} out of range")
+        if category not in CATEGORIES:
+            raise InvalidArgument(f"unknown traffic category {category!r}")
+
     def read_pages(self, requests: list[tuple[int, str]]) -> list[bytes]:
         """Batch page read; distinct channels overlap fully.  A page is
         on channel `ppa % channel_count`."""
+        for ppa, category in requests:
+            self._check_page(ppa, category)
         channels = self.config.channel_count
         page_size = self.config.page_size
-        pages, erased, record = self.pages, self._erased, self.traffic.record
+        pages, erased = self.pages, self._erased
+        flash_read = self.traffic.by_category["flash_read"]
         per_channel: dict[int, int] = {}
         out = []
         for ppa, category in requests:
-            if not (0 <= ppa < self.phys_page_count):
-                raise AddressFault(f"PPA {ppa} out of range")
             page = pages.get(ppa)
             out.append(erased if page is None else bytes(page))
-            record("flash_read", category, page_size)
+            flash_read[category] += page_size
             ch = ppa % channels
             per_channel[ch] = per_channel.get(ch, 0) + 1
         if per_channel:
@@ -249,20 +251,19 @@ class FlashDevice:
 
     def write_pages(self, requests: list[tuple[int, bytes, str]]) -> None:
         """Batch page write; distinct channels overlap fully."""
+        page_size = self.config.page_size
         for ppa, data, category in requests:
-            if not (0 <= ppa < self.phys_page_count):
-                raise AddressFault(f"PPA {ppa} out of range")
-            if len(data) != self.config.page_size:
+            self._check_page(ppa, category)
+            if len(data) != page_size:
                 raise InvalidArgument(
-                    f"page write must be exactly {self.config.page_size} bytes"
+                    f"page write must be exactly {page_size} bytes"
                 )
-            if category not in CATEGORIES:
-                raise InvalidArgument(f"unknown traffic category {category!r}")
         channels = self.config.channel_count
+        flash_write = self.traffic.by_category["flash_write"]
         per_channel: dict[int, int] = {}
         for ppa, data, category in requests:
             self.pages[ppa] = bytearray(data)
-            self.traffic.record("flash_write", category, self.config.page_size)
+            flash_write[category] += page_size
             ch = ppa % channels
             per_channel[ch] = per_channel.get(ch, 0) + 1
         if per_channel:

@@ -79,13 +79,18 @@ def _set_bits(bitmap: bytearray, lo: int, hi: int) -> list[int]:
     return idx[(idx >= lo) & (idx < hi)].tolist()
 
 
-def make_mssd(config: DeviceConfig | None = None, mode: str = "full",
-              **kwargs) -> Mssd:
-    """Device stack for a mount mode: the write log exists only in
-    dual_log and full."""
+def _has_write_log(mode: str) -> bool:
+    """Whether a mount mode runs on a device with a write log: only
+    dual_log and full do."""
     if mode not in MODES:
         raise InvalidArgument(f"unknown mode {mode!r}")
-    return Mssd(config, log_enabled=mode in ("dual_log", "full"), **kwargs)
+    return mode in ("dual_log", "full")
+
+
+def make_mssd(config: DeviceConfig | None = None, mode: str = "full",
+              **kwargs) -> Mssd:
+    """Device stack for a mount mode."""
+    return Mssd(config, log_enabled=_has_write_log(mode), **kwargs)
 
 
 def mkfs(mssd: Mssd, inode_count: int | None = None,
@@ -197,8 +202,9 @@ class ByteFS:
     def __init__(self, mssd: Mssd, mode: str = "full",
                  journal: str = "ordered",
                  cache_bytes: int = DEFAULT_CACHE_BYTES):
-        if mode not in MODES:
-            raise InvalidArgument(f"unknown mode {mode!r}")
+        if _has_write_log(mode) != mssd.log_enabled:
+            raise InvalidArgument(f"mode {mode!r} does not match the "
+                                  "device's write log")
         if journal not in JOURNAL_MODES:
             raise InvalidArgument(f"unknown journal mode {journal!r}")
         self.mssd = mssd
@@ -372,7 +378,6 @@ class ByteFS:
         if len(inode.extents) > INLINE_EXTENTS:
             if inode.spill_block == 0:
                 inode.spill_block = self._alloc_block()
-                self._blocks[inode.spill_block] = bytearray(self.sb.block_size)
             spill = self._blocks.setdefault(
                 inode.spill_block, bytearray(self.sb.block_size))
             n_spill = len(inode.extents) - INLINE_EXTENTS
@@ -580,8 +585,6 @@ class ByteFS:
             self._persist_inode_full(inode)
             self._dir_add(parent, name, ino, itype)
             if itype == ITYPE_DIR:
-                self._dirs[ino] = {}
-                self._dir_tombstones[ino] = []
                 parent.links += 1
                 self._persist_inode_lower(parent)
             return ino
@@ -1016,6 +1019,3 @@ def _replay_journal(fs: ByteFS, committed: set[int]) -> None:
     for txid, lbas, data in records:
         for lba, blob in zip(lbas, data):
             fs.mssd.block_write(lba, blob, category="data")
-    fs._journal_pos = 0
-    fs._blocks = {k: v for k, v in fs._blocks.items()
-                  if not (sb.journal_start <= k < sb.journal_start + sb.journal_blocks)}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 import struct
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 from .errors import InvalidArgument
 
@@ -57,13 +57,7 @@ class Superblock:
     mode_flags: int = 0
 
     def pack(self) -> bytes:
-        blob = struct.pack(
-            _SB_FMT, SB_MAGIC, SB_VERSION, self.block_size, self.total_blocks,
-            self.inode_count, self.ibmp_start, self.ibmp_blocks,
-            self.bbmp_start, self.bbmp_blocks, self.itab_start,
-            self.itab_blocks, self.journal_start, self.journal_blocks,
-            self.data_start, self.mode_flags,
-        )
+        blob = struct.pack(_SB_FMT, SB_MAGIC, SB_VERSION, *astuple(self))
         return blob + bytes(self.block_size - len(blob))
 
     @classmethod

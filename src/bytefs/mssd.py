@@ -152,7 +152,8 @@ class Mssd:
             data = self.device.read_lpa(lpa, category)[off:off + length]
         ncl = (off + length - 1) // CACHELINE - off // CACHELINE + 1
         self.device.clock.advance(ncl * self.config.cacheline_read_latency_ns)
-        self.device.traffic.record("ssd_to_host", category, ncl * CACHELINE)
+        self.device.traffic.by_category["ssd_to_host"][category] += (
+            ncl * CACHELINE)
         return data
 
     # -- block interface ---------------------------------------------------
@@ -165,7 +166,8 @@ class Mssd:
             page = self.writelog.block_read(lpa, category)
         else:
             page = self.device.read_lpa(lpa, category)
-        self.device.traffic.record("ssd_to_host", category, self.config.page_size)
+        self.device.traffic.by_category["ssd_to_host"][category] += (
+            self.config.page_size)
         return page
 
     def block_read_run(self, lpa: int, count: int,
@@ -200,7 +202,7 @@ class Mssd:
             self.writelog.block_write(lpa, data, category)
         else:
             self.device.write_lpa(lpa, data, category)
-        self.device.traffic.record("host_to_ssd", category, page_size)
+        self.device.traffic.by_category["host_to_ssd"][category] += page_size
 
     # -- firmware services -------------------------------------------------
 

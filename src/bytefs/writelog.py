@@ -16,9 +16,9 @@ transaction: a writer reads its own writes, and a commit does not change
 what a read shows.  `WriteLog.visibility` states the rule for a whole
 generation and `WriteLog.page_entries` for one page.
 
-An index maps each page to the slots of its valid entries, in append
-order: a dict of lists, rebuilt from the sidecar on first use after a
-clean or an image load.
+The index, `WriteLog.index`, is a bare dict that maps each page to the
+slots of its valid entries, in append order; `index_pages` rebuilds it
+from the sidecar on first use after a clean or an image load.
 
 A piece's entries are appended in one step, which stops early for a
 clean.  The log cleans right after the entry that takes it from at or
@@ -167,36 +167,20 @@ class LogGeneration:
         return np.frombuffer(self.buf, dtype=np.uint8).reshape(-1, CACHELINE)
 
 
-class LogIndex:
-    """Per page, the slots of its valid entries in append order."""
-
-    def __init__(self):
-        self.pages: dict[int, list[int]] = {}
-
-    @classmethod
-    def build(cls, entries: np.ndarray) -> "LogIndex":
-        """Index the valid entries of a sidecar array."""
-        index = cls()
-        slots = np.flatnonzero((entries["flags"] & FLAG_INVALID) == 0)
-        if slots.size == 0:
-            return index
-        lpa = entries["lpa"][slots]
-        order = np.argsort(lpa, kind="stable")
-        slots, lpa = slots[order], lpa[order]
-        first = _starts(lpa)
-        bounds = first.tolist() + [slots.size]
-        slot_list = slots.tolist()
-        index.pages = {page: slot_list[lo:hi] for page, lo, hi
-                       in zip(lpa[first].tolist(), bounds, bounds[1:])}
-        return index
-
-    def slots(self, lpa: int) -> list[int] | None:
-        return self.pages.get(lpa)
-
-    def drop_page(self, lpa: int) -> list[int]:
-        """Remove every entry for a page (block-write invalidation);
-        returns their slots."""
-        return self.pages.pop(lpa, [])
+def index_pages(entries: np.ndarray) -> dict[int, list[int]]:
+    """Per page, the slots of the valid entries of a sidecar array, in
+    append order."""
+    slots = np.flatnonzero((entries["flags"] & FLAG_INVALID) == 0)
+    if slots.size == 0:
+        return {}
+    lpa = entries["lpa"][slots]
+    order = np.argsort(lpa, kind="stable")
+    slots, lpa = slots[order], lpa[order]
+    first = _starts(lpa)
+    bounds = first.tolist() + [slots.size]
+    slot_list = slots.tolist()
+    return {page: slot_list[lo:hi] for page, lo, hi
+            in zip(lpa[first].tolist(), bounds, bounds[1:])}
 
 
 class WriteLog:
@@ -212,16 +196,16 @@ class WriteLog:
         self.txlog = txlog
         self.active_txids = active_txids
         self.active_gen = LogGeneration(0, self.cfg.log_region_bytes)
-        self._index: LogIndex | None = LogIndex()
+        self._index: dict[int, list[int]] | None = {}
         # the entry count at which `utilization` first exceeds the threshold
         cap, limit = self.active_gen.capacity_slots, self.cfg.clean_threshold
         self.clean_at = next(n for n in itertools.count(int(limit * cap) - 1)
                              if n / cap > limit)
 
     @property
-    def index(self) -> LogIndex:
+    def index(self) -> dict[int, list[int]]:
         if self._index is None:
-            self._index = LogIndex.build(self.active_gen.entries)
+            self._index = index_pages(self.active_gen.entries)
         return self._index
 
     def install(self, gen: LogGeneration) -> None:
@@ -266,8 +250,7 @@ class WriteLog:
             piece = data[done:done + (stop - tail) * CACHELINE]
             n = (len(piece) + CACHELINE - 1) // CACHELINE
             # the index is built, if it must be, before the generation grows
-            (self._index or self.index).pages.setdefault(lpa, []).extend(
-                range(tail, tail + n))
+            self.index.setdefault(lpa, []).extend(range(tail, tail + n))
             gen.extend(lpa, first_cl, piece, flags, cat, txid, self.stamp(n))
             first_cl += n
             done += len(piece)
@@ -283,7 +266,7 @@ class WriteLog:
         The index holds no superseded entry.  `reader` is the one active
         transaction (0: none) whose writes a writer padding its write
         sees; None, a read, sees every active transaction's."""
-        slots = self.index.slots(lpa)
+        slots = self.index.get(lpa)
         if not slots:
             return []
         side = self.active_gen.side
@@ -354,7 +337,7 @@ class WriteLog:
         """`block_read` of the `count` pages from `lpa` with one device
         call, which checks the whole run before anything changes."""
         pages = self.device.read_lpa_run(lpa, count, category)
-        logged = self.index.pages  # the pages that have entries
+        logged = self.index  # the pages that have entries
         for i in range(count):
             entries = self.page_entries(lpa + i) if lpa + i in logged else None
             if entries:
@@ -367,7 +350,7 @@ class WriteLog:
         # Program and invalidate are one firmware step: the DRAM log is
         # power-protected, so no power cut falls between them.
         self.device.write_lpa(lpa, data, category)
-        dropped = self.index.drop_page(lpa)
+        dropped = self.index.pop(lpa, [])
         if dropped:
             self.active_gen.side["flags"][dropped] |= FLAG_INVALID
 

@@ -333,7 +333,7 @@ def test_criterion_09_clean_commit_order_and_migration():
           and page[192:256] == bytes(64))          # aborted dropped
     ok &= rep.entries_migrated == 1
     ok &= rep.entries_flushed == 4                 # ta, c2, tb and c1
-    slots = mssd.writelog.index.slots(0)
+    slots = mssd.writelog.index.get(0)
     entries = mssd.writelog.active_gen.entries
     ok &= slots is not None and len(slots) == 1 \
         and entries["txid"][slots[0]] == tc \

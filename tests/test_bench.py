@@ -393,14 +393,55 @@ def test_cli_fsck_and_recover(tmp_path, cfg_file, capsys):
     fs, _report, _records = bench.run(spec, small_config(), mode="full")
     img = str(tmp_path / "dev.img")
     image.save(fs.mssd, img)
-    rc = cli.main(["fsck", "--image", img, "--mode", "full"])
+    rc = cli.main(["fsck", "--image", img])
     assert rc == 0
     assert "clean" in capsys.readouterr().out
     out_img = str(tmp_path / "recovered.img")
-    rc = cli.main(["recover", "--image", img, "--mode", "full",
-                   "--out", out_img])
+    rc = cli.main(["recover", "--image", img, "--out", out_img])
     assert rc == 0
     assert (tmp_path / "recovered.img").exists()
+
+
+def test_cli_fsck_takes_the_mode_from_the_image(tmp_path, capsys):
+    spec = small_spec("varmail", seed=9, ops=120)
+    fs, _report, _records = bench.run(spec, small_config(), mode="dual")
+    img = str(tmp_path / "dev.img")
+    image.save(fs.mssd, img)
+    assert cli.main(["fsck", "--image", img]) == 0
+    assert "clean" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["replay", "t.trace", "--seed", "1"],
+    ["replay", "t.trace", "--profile", "oltp"],
+    ["sweep", "--profile", "oltp", "--mode", "dual"],
+    ["fsck", "--image", "x", "--seed", "9"],
+    ["fsck", "--image", "x", "--profile", "oltp"],
+    ["fsck", "--image", "x", "--out", "y"],
+    ["fsck", "--image", "x", "--mode", "full"],
+    ["recover", "--image", "x", "--seed", "9"],
+    ["recover", "--image", "x", "--profile", "oltp"],
+    ["recover", "--image", "x", "--mode", "full"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_cli_refuses_an_option_its_command_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["threads", "io_size"])
+def test_workload_spec_refuses_a_count_below_one(key):
+    with pytest.raises(InvalidArgument):
+        WorkloadSpec(profile="fileserver", **{key: 0})
+
+
+def test_cli_reports_a_zero_io_size_as_an_error(tmp_path, capsys):
+    cfg = tmp_path / "zero_io.conf"
+    cfg.write_text("capacity_bytes = 8MiB\nio_size = 0\n")
+    rc = cli.main(["run", "--config", str(cfg), "--profile", "fileserver"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_missing_profile_errors(capsys):

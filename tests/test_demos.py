@@ -69,23 +69,33 @@ def test_model_digest_tool_runs():
         "\n".join(lines).encode()).hexdigest()
 
 
-# The last line of `tools/model_digest.py` over the log modes' grid of
-# three profiles.  A change to the model updates it, and says so.
+# The last line of `tools/model_digest.py` over each pair of modes' grid
+# of three profiles.  A change to the model updates them, and says so.
 LOG_MODES_DIGEST = ("all b28d5ca71f7f0cdf6879165d04464e4dacac3bbbfea55928"
                     "bc404d89b3275bdf")
+NO_LOG_MODES_DIGEST = ("all fa0539dd5807cb67dcbf6973cfe50e572a7a6ceb2056fc"
+                       "f7a6f883a105226f30")
 
 
-def test_model_outputs_of_the_log_modes_pinned():
+def _model_digest(modes: str) -> str:
     """sim_ns, traffic, flash, image and recovery of oltp, kvstore and
-    fileserver in full and dual_log, on both devices, both caches and
-    both journal modes (48 configurations of 400 records)."""
+    fileserver in `modes`, on both devices, both caches and both journal
+    modes (48 configurations of 400 records)."""
     tool = ROOT / "tools" / "model_digest.py"
     result = subprocess.run(
         [sys.executable, str(tool), "--ops", "400",
-         "--profiles", "oltp,kvstore,fileserver", "--modes", "full,dual_log"],
+         "--profiles", "oltp,kvstore,fileserver", "--modes", modes],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == LOG_MODES_DIGEST
+    return result.stdout.splitlines()[-1]
+
+
+def test_model_outputs_of_the_log_modes_pinned():
+    assert _model_digest("full,dual_log") == LOG_MODES_DIGEST
+
+
+def test_model_outputs_of_the_no_log_modes_pinned():
+    assert _model_digest("block_only,dual") == NO_LOG_MODES_DIGEST
 
 
 def test_unreached_tool_runs():

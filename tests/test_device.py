@@ -74,6 +74,17 @@ def test_batch_with_unknown_category_stores_no_page():
     assert dev.traffic.flash_write_bytes == 0
 
 
+@pytest.mark.parametrize("bad, error", [((1, "bogus"), InvalidArgument),
+                                        ((-1, "data"), AddressFault)],
+                         ids=["category", "ppa"])
+def test_refused_batch_read_charges_nothing(bad, error):
+    dev = make_device()
+    with pytest.raises(error):
+        dev.read_pages([(0, "data"), bad])
+    assert dev.clock.now_ns == 0
+    assert dev.traffic.flash_read_bytes == 0
+
+
 def test_out_of_range_ppa_faults():
     dev = make_device()
     with pytest.raises(AddressFault):

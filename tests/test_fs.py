@@ -323,6 +323,18 @@ def test_mode_fixed_while_mounted():
         ByteFS(fs.mssd, mode="turbo")
 
 
+def test_mode_must_agree_with_the_device_write_log():
+    """Only dual_log and full mount a device with a write log."""
+    for device_mode in MODES:
+        mssd = make_mssd(small_config(), device_mode)
+        for mode in MODES:
+            if (mode in ("dual_log", "full")) == mssd.log_enabled:
+                ByteFS(mssd, mode=mode)
+            else:
+                with pytest.raises(InvalidArgument):
+                    ByteFS(mssd, mode=mode)
+
+
 def test_clean_fsync_issues_no_transaction():
     fs = make_fs()
     fs.create("/f")
