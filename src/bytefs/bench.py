@@ -106,6 +106,11 @@ class WorkloadSpec:
             raise InvalidArgument(f"unknown profile {self.profile!r}")
         if self.threads < 1 or self.io_size < 1:
             raise InvalidArgument("threads and io_size must be at least 1")
+        # oltp updates below file_size - 512, fileserver whole io_size units
+        least = {"oltp": 513, "fileserver": self.io_size}.get(self.profile, 1)
+        if self.file_size < least:
+            raise InvalidArgument(f"file_size {self.file_size} is below "
+                                  f"{least}, the least {self.profile} uses")
 
 
 def _gen_namespace(op: str, undo: str | None, tid: int,

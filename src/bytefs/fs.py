@@ -46,37 +46,79 @@ DEFAULT_CACHE_BYTES = 8 * GiB
 _NOT_FULL = re.compile(rb"[^\xff]")
 
 
-def _first_clear(bitmap: bytearray, lo: int, hi: int) -> int | None:
-    """Index of the lowest clear bit in [lo, hi) of `bitmap`, or None.
-    Bytes with all eight bits set are skipped by the regex engine."""
-    if lo >= hi:
+class Bitmap:
+    """One on-device bitmap, held as the list of blocks the device read
+    returned.  A block stays the object it was read as until its first
+    change copies it to a `bytearray`: a mount copies nothing, and no
+    block handed in is changed in place."""
+
+    def __init__(self, blocks: list, start: int):
+        self.blocks = blocks
+        self.start = start                   # device block of blocks[0]
+        self.block_bits = 8 * len(blocks[0])
+        self._copied: set[int] = set()       # blocks owned and writable
+
+    def __bytes__(self) -> bytes:
+        return b"".join(self.blocks)
+
+    def block(self, i: int) -> bytearray:
+        """Block `i`, writable: the mirror of device block start + i."""
+        if i not in self._copied:
+            self._copied.add(i)
+            self.blocks[i] = bytearray(self.blocks[i])
+        return self.blocks[i]
+
+    def get(self, idx: int) -> bool:
+        i, bit = idx // self.block_bits, idx % self.block_bits
+        return bool(self.blocks[i][bit >> 3] >> (bit & 7) & 1)
+
+    def set(self, idx: int, value: bool) -> tuple[int, bytes]:
+        """Set bit `idx` to `value`; returns the device address and the
+        bytes of the 64B group that holds it."""
+        i, bit = idx // self.block_bits, idx % self.block_bits
+        block = self.block(i)
+        mask = 1 << (bit & 7)
+        block[bit >> 3] = block[bit >> 3] & ~mask | (mask if value else 0)
+        lo = bit // (CACHELINE * 8) * CACHELINE
+        return ((self.start + i) * (self.block_bits >> 3) + lo,
+                bytes(block[lo:lo + CACHELINE]))
+
+    def first_clear(self, lo: int, hi: int) -> int | None:
+        """Index of the lowest clear bit in [lo, hi), or None.  Within a
+        block, full bytes are skipped by the regex engine."""
+        bits = self.block_bits
+        while lo < hi:
+            i, bit = lo // bits, lo % bits
+            block = self.blocks[i]
+            pos = bit >> 3
+            free = ~block[pos] & (0xff << (bit & 7)) & 0xff
+            if not free:
+                match = _NOT_FULL.search(block, pos + 1,
+                                         (hi - i * bits + 7) >> 3)
+                if match is None:
+                    lo = (i + 1) * bits
+                    continue
+                pos = match.start()
+                free = ~block[pos] & 0xff
+            idx = i * bits + pos * 8 + (free & -free).bit_length() - 1
+            return idx if idx < hi else None
         return None
-    pos = lo // 8
-    free = ~bitmap[pos] & (0xff << (lo % 8)) & 0xff
-    if not free:
-        match = _NOT_FULL.search(bitmap, pos + 1, (hi + 7) // 8)
-        if match is None:
-            return None
-        pos = match.start()
-        free = ~bitmap[pos] & 0xff
-    idx = pos * 8 + (free & -free).bit_length() - 1
-    return idx if idx < hi else None
 
-
-def _set_bits(bitmap: bytearray, lo: int, hi: int) -> list[int]:
-    """Indices of the set bits in [lo, hi) of `bitmap`, ascending.  Only
-    the non-zero 64-bit words that meet the range, and the bytes past the
-    last whole word, are unpacked: a sparse bitmap costs what is set."""
-    raw = np.frombuffer(bitmap, dtype=np.uint8)
-    words = raw[:raw.size // 8 * 8].reshape(-1, 8)
-    first = lo // 64
-    nonzero = np.flatnonzero(
-        words[first:(hi + 63) // 64].view(np.uint64)) + first
-    row, col = np.nonzero(np.unpackbits(words[nonzero], axis=1,
-                                        bitorder="little"))
-    tail = np.flatnonzero(np.unpackbits(raw[words.size:], bitorder="little"))
-    idx = np.concatenate((nonzero[row] * 64 + col, tail + words.size * 8))
-    return idx[(idx >= lo) & (idx < hi)].tolist()
+    def set_bits(self, lo: int, hi: int) -> list[int]:
+        """Indices of the set bits in [lo, hi), ascending.  Only the
+        non-zero 64-bit words of the non-zero blocks are unpacked."""
+        bits = self.block_bits
+        zero = bytes(bits >> 3)
+        found = []
+        for i in range(lo // bits, (hi + bits - 1) // bits):
+            if self.blocks[i] != zero:
+                words = np.frombuffer(self.blocks[i], np.uint8).reshape(-1, 8)
+                nonzero = np.flatnonzero(words.view(np.uint64))
+                row, col = np.nonzero(np.unpackbits(
+                    words[nonzero], axis=1, bitorder="little"))
+                idx = nonzero[row] * 64 + col + i * bits
+                found += idx[(idx >= lo) & (idx < hi)].tolist()
+        return found
 
 
 def _has_write_log(mode: str) -> bool:
@@ -127,12 +169,10 @@ def mkfs(mssd: Mssd, inode_count: int | None = None,
     # is allocated.  Only the blocks that hold these bits are written:
     # erased flash reads back zeros.
     for start, used in ((ibmp_start, ROOT_INO + 1), (bbmp_start, data_start)):
-        bitmap = bytearray((used + 8 * bs - 1) // (8 * bs) * bs)
-        bitmap[:used // 8] = b"\xff" * (used // 8)
-        if used % 8:
-            bitmap[used // 8] = (1 << used % 8) - 1
-        for i in range(len(bitmap) // bs):
-            mssd.block_write(start + i, bytes(bitmap[i * bs:(i + 1) * bs]),
+        bitmap = ((1 << used) - 1).to_bytes(
+            (used + 8 * bs - 1) // (8 * bs) * bs, "little")
+        for i in range(0, len(bitmap), bs):
+            mssd.block_write(start + i // bs, bitmap[i:i + bs],
                              category="bitmap")
 
     root = Inode(ino=ROOT_INO, itype=ITYPE_DIR, links=2, mode=0o755)
@@ -227,16 +267,12 @@ class ByteFS:
         if self.sb.block_size != bs:
             raise InvalidArgument("superblock block size mismatch")
         sb = self.sb
-        # each bitmap, read with one device call into a buffer of its
-        # final size
+        # each bitmap, read with one device call and held as its blocks
         self._ibmp, self._bbmp = (
-            bytearray().join(self.mssd.block_read_run(start, count,
-                                                      category="bitmap"))
+            Bitmap(self.mssd.block_read_run(start, count, category="bitmap"),
+                   start)
             for start, count in ((sb.ibmp_start, sb.ibmp_blocks),
                                  (sb.bbmp_start, sb.bbmp_blocks)))
-        # each bitmap with its first block and block count
-        self._bitmaps = ((self._ibmp, sb.ibmp_start, sb.ibmp_blocks),
-                         (self._bbmp, sb.bbmp_start, sb.bbmp_blocks))
         # mirrors of inode-table, directory, spill and journal blocks
         self._blocks: dict[int, bytearray] = {}
         self._inodes: dict[int, Inode] = {}
@@ -273,13 +309,12 @@ class ByteFS:
         if mirror is not None:
             return mirror
         sb = self.sb
-        bs = sb.block_size
         if blk == 0:
             raise FsError("superblock is not byte-writable")
-        for bitmap, start, count in self._bitmaps:
-            if start <= blk < start + count:
-                i = blk - start
-                return memoryview(bitmap)[i * bs:(i + 1) * bs]
+        if sb.ibmp_start <= blk < sb.ibmp_start + sb.ibmp_blocks:
+            return self._ibmp.block(blk - sb.ibmp_start)
+        if sb.bbmp_start <= blk < sb.bbmp_start + sb.bbmp_blocks:
+            return self._bbmp.block(blk - sb.bbmp_start)
         if sb.itab_start <= blk < sb.itab_start + sb.itab_blocks:
             category = "inode"
         elif sb.journal_start <= blk < sb.journal_start + sb.journal_blocks:
@@ -299,46 +334,33 @@ class ByteFS:
     # ------------------------------------------------------------------
     # allocation
 
-    def _bit(self, bitmap: bytearray, idx: int) -> bool:
-        return bool(bitmap[idx // 8] & (1 << (idx % 8)))
-
-    def _set_bit(self, bitmap: bytearray, idx: int, value: bool) -> None:
-        if value:
-            bitmap[idx // 8] |= 1 << (idx % 8)
-        else:
-            bitmap[idx // 8] &= ~(1 << (idx % 8))
-
-    def _mark(self, bitmap: bytearray, start: int, idx: int,
-              used: bool) -> None:
-        """Set bit `idx` of `bitmap`, whose first block is `start`, to
-        `used` and persist the 64B group that holds it."""
-        self._set_bit(bitmap, idx, used)
-        lo = idx // (CACHELINE * 8) * CACHELINE
-        self._meta_write(start * self.sb.block_size + lo,
-                         bytes(bitmap[lo:lo + CACHELINE]), "bitmap")
+    def _mark(self, bitmap: Bitmap, idx: int, used: bool) -> None:
+        """Set bit `idx` of `bitmap` to `used` and persist the 64B group
+        that holds it."""
+        self._meta_write(*bitmap.set(idx, used), "bitmap")
 
     def _alloc_ino(self) -> int:
-        ino = _first_clear(self._ibmp, ROOT_INO + 1, self.sb.inode_count)
+        ino = self._ibmp.first_clear(ROOT_INO + 1, self.sb.inode_count)
         if ino is None:
             raise SpaceExhausted("no free inodes")
-        self._mark(self._ibmp, self.sb.ibmp_start, ino, True)
+        self._mark(self._ibmp, ino, True)
         return ino
 
     def _alloc_block(self) -> int:
         """First free block at or after the hint, else from the start of
         the data region."""
         sb = self.sb
-        blk = _first_clear(self._bbmp, self._alloc_hint, sb.total_blocks)
+        blk = self._bbmp.first_clear(self._alloc_hint, sb.total_blocks)
         if blk is None:
-            blk = _first_clear(self._bbmp, sb.data_start, self._alloc_hint)
+            blk = self._bbmp.first_clear(sb.data_start, self._alloc_hint)
         if blk is None:
             raise SpaceExhausted("no free blocks")
-        self._mark(self._bbmp, sb.bbmp_start, blk, True)
+        self._mark(self._bbmp, blk, True)
         self._alloc_hint = blk + 1
         return blk
 
     def _free_block(self, blk: int) -> None:
-        self._mark(self._bbmp, self.sb.bbmp_start, blk, False)
+        self._mark(self._bbmp, blk, False)
         self._blocks.pop(blk, None)
 
     # ------------------------------------------------------------------
@@ -617,7 +639,7 @@ class ByteFS:
             self._free_block(blk)
         if target.spill_block:
             self._free_block(target.spill_block)
-        self._mark(self._ibmp, self.sb.ibmp_start, target.ino, False)
+        self._mark(self._ibmp, target.ino, False)
         self._inodes.pop(target.ino, None)
         self._dirs.pop(target.ino, None)
         self._dir_tombstones.pop(target.ino, None)
@@ -861,7 +883,7 @@ class ByteFS:
         """Writeback every dirty page and flush pending metadata."""
         self._require_mounted()
         for ino in sorted(self.cache.by_ino.keys() | self._meta_dirty):
-            if self._bit(self._ibmp, ino):
+            if self._ibmp.get(ino):
                 self._flush_inode(self._load_inode(ino),
                                   self.cache.dirty_pages(ino),
                                   data_only=False)
@@ -928,7 +950,7 @@ class ByteFS:
                 problems.append(f"inode {ino} reached twice ({path})")
                 return
             seen_inos.add(ino)
-            if not self._bit(self._ibmp, ino):
+            if not self._ibmp.get(ino):
                 problems.append(f"inode {ino} in use but not allocated "
                                 f"({path})")
             inode = self._load_inode(ino)
@@ -952,15 +974,15 @@ class ByteFS:
                                     f"expected {2 + subdirs}")
 
         visit(ROOT_INO, "")
-        for ino in _set_bits(self._ibmp, ROOT_INO, sb.inode_count):
+        for ino in self._ibmp.set_bits(ROOT_INO, sb.inode_count):
             if ino not in seen_inos:
                 problems.append(f"inode {ino} allocated but unreachable")
         for blk, count in block_refs.items():
             if count > 1:
                 problems.append(f"block {blk} referenced {count} times")
-            if not self._bit(self._bbmp, blk):
+            if not self._bbmp.get(blk):
                 problems.append(f"block {blk} referenced but not allocated")
-        for blk in _set_bits(self._bbmp, sb.data_start, sb.total_blocks):
+        for blk in self._bbmp.set_bits(sb.data_start, sb.total_blocks):
             if blk not in block_refs:
                 problems.append(f"block {blk} allocated but unreferenced")
         return problems

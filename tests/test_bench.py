@@ -436,6 +436,36 @@ def test_workload_spec_refuses_a_count_below_one(key):
         WorkloadSpec(profile="fileserver", **{key: 0})
 
 
+@pytest.mark.parametrize("profile, file_size, io_size", [
+    ("varmail", 0, 4096),
+    ("oltp", 512, 4096),
+    ("fileserver", 1024, 4096),
+])
+def test_workload_spec_refuses_a_file_size_its_profile_cannot_use(
+        profile, file_size, io_size):
+    with pytest.raises(InvalidArgument, match="file_size"):
+        WorkloadSpec(profile, file_size=file_size, io_size=io_size)
+
+
+@pytest.mark.parametrize("profile, file_size, io_size", [
+    ("oltp", 513, 4096),
+    ("fileserver", 4096, 4096),
+    ("kvstore", 1, 4096),
+])
+def test_smallest_usable_file_size_builds_a_workload(profile, file_size,
+                                                     io_size):
+    spec = WorkloadSpec(profile, ops=40, file_size=file_size, io_size=io_size)
+    assert len(bench.build_workload(spec)) == 40
+
+
+def test_cli_reports_a_file_size_too_small_for_oltp(tmp_path, capsys):
+    cfg = tmp_path / "small_file.conf"
+    cfg.write_text("capacity_bytes = 8MiB\nfile_size = 512\n")
+    rc = cli.main(["run", "--config", str(cfg), "--profile", "oltp"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: file_size 512")
+
+
 def test_cli_reports_a_zero_io_size_as_an_error(tmp_path, capsys):
     cfg = tmp_path / "zero_io.conf"
     cfg.write_text("capacity_bytes = 8MiB\nio_size = 0\n")

@@ -47,6 +47,9 @@ def test_cut_phases_tool_runs():
         # the cut is a clone, the device recovery and the mount
         assert phases["cut"]["median"] > (phases["recover"]["median"]
                                           + phases["mount"]["median"])
+        faults = report["phases_minflt"]
+        assert list(faults) == list(phases)
+        assert all(faults[phase]["first"] >= 0 for phase in faults)
 
 
 def test_model_digest_tool_runs():
@@ -58,13 +61,18 @@ def test_model_digest_tool_runs():
     assert result.returncode == 0, result.stderr
     *lines, total = result.stdout.splitlines()
     # 2 profiles x 2 modes x 2 page caches x 2 journal modes, then the
-    # log mode's 2 x 2 x 2 again on the small-log device
-    assert len(lines) == 24
+    # log mode's 2 x 2 x 2 again on the small-log device, then varmail's
+    # 2 modes on the default device
+    assert len(lines) == 26
     assert lines[0].split()[0] == "oltp/block_only/default/ordered"
     assert "fsck=0" in lines[0].split()
     label, gen = lines[16].split()[:2]
     assert label == "oltp/full/default/ordered/small-log"
     assert gen.startswith("gen=")
+    assert [line.split()[0] for line in lines[24:]] == [
+        "varmail/block_only/default/ordered/default-config",
+        "varmail/full/default/ordered/default-config"]
+    assert all("fsck=0" in line.split() for line in lines[24:])
     assert total == "all " + hashlib.sha256(
         "\n".join(lines).encode()).hexdigest()
 

@@ -15,7 +15,7 @@ from bytefs.errors import (
     TxAborted,
 )
 from bytefs.fs import (
-    MODES, ByteFS, _first_clear, _set_bits, make_mssd, mkfs, recover_fs,
+    Bitmap, MODES, ByteFS, make_mssd, mkfs, recover_fs,
 )
 from bytefs.image import crash_clone
 from bytefs.layout import ITYPE_FILE, ROOT_INO, ExtentLeaf, Inode
@@ -640,7 +640,7 @@ def test_fsck_detects_stray_allocated_block():
     write_file(fs, "/f", 0, b"x")
     fsync_file(fs, "/f")
     victim = fs.sb.total_blocks - 2
-    fs._set_bit(fs._bbmp, victim, True)
+    fs._bbmp.set(victim, True)
     problems = fs.fsck()
     assert any(f"block {victim}" in p and "unreferenced" in p
                for p in problems)
@@ -663,14 +663,14 @@ def test_fsck_reports_each_bitmap_fault_exactly():
     a, b = fs.lookup("/a"), fs.lookup("/b")
     assert (sb.data_start, sb.total_blocks, sb.inode_count) == (99, 2048, 1024)
     assert (a.ino, a.all_blocks(), b.ino) == (3, [100, 101], 4)
-    fs._set_bit(fs._ibmp, b.ino, False)             # reachable, not allocated
-    fs._set_bit(fs._ibmp, 40, True)                 # allocated, unreachable
-    fs._set_bit(fs._ibmp, sb.inode_count - 1, True)
-    fs._set_bit(fs._bbmp, 101, False)               # referenced, not allocated
-    fs._set_bit(fs._bbmp, sb.data_start + 100, True)  # allocated, unreferenced
-    fs._set_bit(fs._bbmp, sb.total_blocks - 1, True)  # ... the last data block
-    fs._set_bit(fs._bbmp, sb.total_blocks, True)    # padding: not a block
-    fs._set_bit(fs._ibmp, sb.inode_count, True)     # padding: not an inode
+    fs._ibmp.set(b.ino, False)               # reachable, not allocated
+    fs._ibmp.set(40, True)                   # allocated, unreachable
+    fs._ibmp.set(sb.inode_count - 1, True)
+    fs._bbmp.set(101, False)                 # referenced, not allocated
+    fs._bbmp.set(sb.data_start + 100, True)  # allocated, unreferenced
+    fs._bbmp.set(sb.total_blocks - 1, True)  # ... the last data block
+    fs._bbmp.set(sb.total_blocks, True)      # padding: not a block
+    fs._ibmp.set(sb.inode_count, True)       # padding: not an inode
     assert fs.fsck() == [
         "inode 4 in use but not allocated (/b)",
         "inode 40 allocated but unreachable",
@@ -797,19 +797,19 @@ def test_fsck_reports_each_bitmap_fault_exactly_at_32_gib(capacity_blocks,
     a, b = fs.lookup("/a"), fs.lookup("/b")
     assert (sb.total_blocks, a.ino, b.ino) == (capacity_blocks, 3, 4)
     assert a.all_blocks() == [sb.data_start + 1, sb.data_start + 2]
-    padding = [(fs._ibmp, range(sb.inode_count, 8 * len(fs._ibmp))),
-               (fs._bbmp, range(sb.total_blocks, 8 * len(fs._bbmp)))]
+    padding = [(fs._ibmp, range(sb.inode_count, 8 * len(bytes(fs._ibmp)))),
+               (fs._bbmp, range(sb.total_blocks, 8 * len(bytes(fs._bbmp))))]
     assert [len(pad) for _, pad in padding] == (
         [0, 0] if inode_count is None else [15_808, 5])
-    fs._set_bit(fs._ibmp, b.ino, False)               # reachable, not allocated
-    fs._set_bit(fs._ibmp, 40, True)                   # allocated, unreachable
-    fs._set_bit(fs._ibmp, sb.inode_count - 1, True)   # ... the last inode
-    fs._set_bit(fs._bbmp, a.all_blocks()[1], False)   # referenced, not allocated
-    fs._set_bit(fs._bbmp, sb.data_start + 100, True)  # allocated, unreferenced
-    fs._set_bit(fs._bbmp, sb.total_blocks - 1, True)  # ... the last block
+    fs._ibmp.set(b.ino, False)               # reachable, not allocated
+    fs._ibmp.set(40, True)                   # allocated, unreachable
+    fs._ibmp.set(sb.inode_count - 1, True)   # ... the last inode
+    fs._bbmp.set(a.all_blocks()[1], False)   # referenced, not allocated
+    fs._bbmp.set(sb.data_start + 100, True)  # allocated, unreferenced
+    fs._bbmp.set(sb.total_blocks - 1, True)  # ... the last block
     for bitmap, pad in padding:                       # neither inode nor block
         for idx in pad:
-            fs._set_bit(bitmap, idx, True)
+            bitmap.set(idx, True)
     assert fs.fsck() == [
         "inode 4 in use but not allocated (/b)",
         "inode 40 allocated but unreachable",
@@ -875,6 +875,40 @@ def test_mount_at_default_config_is_pinned(mode):
         "0faf8e8723844ec5ca043460cf2d210d0302cf475d5e52175b9772f1812d3b22")
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_default_config_mount_copies_no_bitmap_block(mode):
+    """The mount holds each bitmap as the very run of blocks the device
+    read returned; a varmail run copies only the blocks it changes, and
+    a power cut recovers the live bitmaps byte for byte."""
+    mssd = make_mssd(mode=mode)
+    mkfs(mssd)
+    runs = []
+    read_run = mssd.block_read_run
+
+    def recorded_read_run(*args, **kwargs):
+        runs.append(read_run(*args, **kwargs))
+        return runs[-1]
+
+    mssd.block_read_run = recorded_read_run
+    fs = ByteFS(mssd, mode=mode)
+    fs.mount()
+    assert [len(run) for run in runs] == [32, 256]
+    for bitmap, run in zip((fs._ibmp, fs._bbmp), runs):
+        assert bitmap.blocks is run
+        assert all(type(block) is bytes for block in run)
+    fds = {}
+    for rec in bench.build_workload(bench.WorkloadSpec("varmail", seed=5,
+                                                       ops=120)):
+        bench.apply_record(fs, rec, fds)
+    assert [[i for i, block in enumerate(bitmap.blocks)
+             if type(block) is not bytes] for bitmap in (fs._ibmp, fs._bbmp)
+            ] == [[0], [fs.sb.data_start // (8 * 4096)]]
+    recovered, _report = recover_fs(crash_clone(mssd), mode=mode)
+    assert [bytes(recovered._ibmp), bytes(recovered._bbmp)] == [
+        bytes(fs._ibmp), bytes(fs._bbmp)]
+    assert fs.fsck() == [] and recovered.fsck() == []
+
+
 # ---------------------------------------------------------------------------
 # allocation policy against a reference scan
 
@@ -902,23 +936,74 @@ def first_fit_ref(bitmap, start, stop, wrap_from=None):
     return None
 
 
-# bitmaps of up to 512 bytes, of any length, built from runs: long zero
-# runs (whole 64-bit words of them), full bytes and random bytes
-BITMAPS = st.lists(
+# bitmap bytes, up to 512 of them, built from runs: long zero runs
+# (whole 64-bit words of them), full bytes and random bytes
+BITMAP_BYTES = st.lists(
     st.one_of(st.integers(1, 200).map(bytes),
               st.integers(1, 24).map(lambda n: b"\xff" * n),
               st.binary(min_size=1, max_size=24)),
-    max_size=12).map(lambda runs: bytearray(b"".join(runs)[:512]))
+    max_size=12).map(lambda runs: b"".join(runs)[:512])
+
+
+def bitmap_of(raw, block_size, data):
+    """`raw` padded to whole blocks of `block_size` bytes with zero or
+    full bytes, and a `Bitmap` of those blocks starting at device block
+    7, each block drawn as `bytes` or as `bytearray`."""
+    fill = data.draw(st.sampled_from((b"\0", b"\xff")), label="fill")
+    raw = raw.ljust(max(1, -(-len(raw) // block_size)) * block_size, fill)
+    blocks = [data.draw(st.sampled_from((bytes, bytearray)))(
+        raw[i:i + block_size]) for i in range(0, len(raw), block_size)]
+    return raw, blocks, Bitmap(list(blocks), 7)
 
 
 @settings(max_examples=300, deadline=None)
-@given(bitmap=BITMAPS, data=st.data())
-def test_bitmap_scans_match_bit_loops(bitmap, data):
-    lo = data.draw(st.integers(0, 8 * len(bitmap)), label="lo")
-    hi = data.draw(st.integers(0, 8 * len(bitmap)), label="hi")
-    assert _first_clear(bitmap, lo, hi) == first_fit_ref(bitmap, lo, hi)
-    assert _set_bits(bitmap, lo, hi) == [
-        i for i in range(lo, hi) if bitmap[i // 8] >> (i % 8) & 1]
+@given(raw=BITMAP_BYTES, block_size=st.sampled_from((8, 16, 64)),
+       data=st.data())
+def test_bitmap_scans_match_bit_loops(raw, block_size, data):
+    """Ranges may cross block boundaries and end inside the last block,
+    short of its padding bits."""
+    raw, blocks, bitmap = bitmap_of(raw, block_size, data)
+    lo = data.draw(st.integers(0, 8 * len(raw)), label="lo")
+    hi = data.draw(st.integers(0, 8 * len(raw)), label="hi")
+    assert bitmap.first_clear(lo, hi) == first_fit_ref(raw, lo, hi)
+    assert bitmap.set_bits(lo, hi) == [
+        i for i in range(lo, hi) if raw[i // 8] >> (i % 8) & 1]
+    assert [bitmap.get(i) for i in range(lo, hi)] == [
+        bool(raw[i // 8] >> (i % 8) & 1) for i in range(lo, hi)]
+    assert bytes(bitmap) == raw
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=BITMAP_BYTES, block_size=st.sampled_from((64, 128)),
+       data=st.data())
+def test_bitmap_set_changes_one_bit_and_no_block_handed_in(raw, block_size,
+                                                           data):
+    raw, blocks, bitmap = bitmap_of(raw, block_size, data)
+    want = bytearray(raw)
+    for _ in range(data.draw(st.integers(1, 6), label="sets")):
+        idx = data.draw(st.integers(0, 8 * len(raw) - 1), label="idx")
+        value = data.draw(st.booleans(), label="value")
+        want[idx // 8] = want[idx // 8] & ~(1 << idx % 8) | value << idx % 8
+        lo = idx // 512 * 64  # the 64B group that holds the bit
+        assert bitmap.set(idx, value) == (7 * block_size + lo,
+                                          want[lo:lo + 64])
+        assert bitmap.get(idx) == value
+        assert bytes(bitmap) == want
+    # every block handed in still holds what it held, changed or not
+    assert b"".join(blocks) == raw
+    for i, block in enumerate(blocks):
+        if bitmap.blocks[i] is not block:
+            assert type(bitmap.blocks[i]) is bytearray
+            assert bitmap.block(i) is bitmap.blocks[i]
+
+
+def test_bitmap_block_is_a_writable_copy_of_the_block_handed_in():
+    blocks = [bytes(64), bytearray(64)]
+    bitmap = Bitmap(list(blocks), 1)
+    for i in range(2):
+        bitmap.block(i)[0] = 0xff
+        assert bitmap.get(i * 512) and bitmap.block(i) is bitmap.blocks[i]
+    assert blocks == [bytes(64), bytearray(64)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -966,11 +1051,11 @@ def check_allocations(fs):
     def alloc_block():
         sb = fs.sb
         return checked("block", real_block, first_fit_ref(
-            fs._bbmp, fs._alloc_hint, sb.total_blocks, sb.data_start))
+            bytes(fs._bbmp), fs._alloc_hint, sb.total_blocks, sb.data_start))
 
     def alloc_ino():
         return checked("inode", real_ino, first_fit_ref(
-            fs._ibmp, ROOT_INO + 1, fs.sb.inode_count))
+            bytes(fs._ibmp), ROOT_INO + 1, fs.sb.inode_count))
 
     fs._alloc_block, fs._alloc_ino = alloc_block, alloc_ino
     return handed
@@ -1021,7 +1106,7 @@ def test_alloc_block_wraps_below_hint_and_never_returns_padding():
     fsync_file(fs, "/a")
     low = fs.lookup("/a").all_blocks()[0]
     fs.create("/big")
-    free = sb.total_blocks - sum(bin(x).count("1") for x in fs._bbmp)
+    free = sb.total_blocks - sum(bin(x).count("1") for x in bytes(fs._bbmp))
     write_file(fs, "/big", 0, b"b" * (free * 4096))
     fsync_file(fs, "/big")
     assert handed[-1] == ("block", sb.total_blocks - 1)

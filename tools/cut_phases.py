@@ -15,8 +15,16 @@ repetition times the four phases of a cut on a fresh clone:
 clone, the whole cut as the benchmark times it (``image.crash_clone``
 plus ``recover_fs``), split into ``recover`` (the device recovery that
 ``recover_fs`` starts with) and ``mount`` (the rest of ``recover_fs``).
-Prints one JSON object: per phase, the median and quartiles in seconds,
-plus the number of log entries at the cut.  The package is imported from
+Each phase is also charged the minor page faults its own process took
+in it (the ``ru_minflt`` delta of ``getrusage(RUSAGE_SELF)``), so a cost
+of fresh memory shows beside the time it takes.  glibc raises its mmap
+threshold once a large block is freed, so a buffer the first repetition
+takes fresh from the kernel may come from the heap later: the fault
+counts give the first repetition too, which is what a process that cuts
+power once pays.  Prints one JSON object: per phase, the median and
+quartiles in seconds (``phases_s``) and in minor faults
+(``phases_minflt``, with ``first``), plus the number of log entries at
+the cut.  The package is imported from
 ``src/`` of the checkout that holds this script.
 """
 
@@ -26,6 +34,7 @@ import argparse
 import gc
 import io
 import json
+import resource
 import statistics
 import sys
 import time
@@ -37,6 +46,12 @@ PHASES = ("save", "load", "visibility", "merge", "cut", "recover", "mount")
 
 # the default cut point of each workload
 RECORD = {"crash_oltp": 14000, "varmail_default": 128}
+
+
+def _stamp() -> tuple[float, int]:
+    """Wall time and minor page faults of this process so far."""
+    return (time.perf_counter(),
+            resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
 
 
 def _quartiles(samples: list[float]) -> dict:
@@ -57,47 +72,55 @@ def measure(workload: str, seed: int, record: int, reps: int) -> dict:
     for rec in records[:record]:
         bench.apply_record(fs, rec, fds)
     times = {phase: [] for phase in PHASES}
+    faults = {phase: [] for phase in PHASES}
+
+    def charge(phase, a, b):
+        times[phase].append(b[0] - a[0])
+        faults[phase].append(b[1] - a[1])
+
     for _ in range(reps):
         gc.collect()
-        t0 = time.perf_counter()
+        t0 = _stamp()
         buf = io.BytesIO()
         image.save(mssd, buf)
-        t1 = time.perf_counter()
+        t1 = _stamp()
         buf.seek(0)
         clone = image.load(buf)
-        t2 = time.perf_counter()
+        t2 = _stamp()
         visible, key = clone.writelog.visibility()
-        t3 = time.perf_counter()
+        t3 = _stamp()
         clone.writelog.merge_and_flush(visible & (key < ACTIVE_KEY), key)
-        t4 = time.perf_counter()
+        t4 = _stamp()
         for phase, (a, b) in zip(PHASES, ((t0, t1), (t1, t2), (t2, t3),
                                           (t3, t4))):
-            times[phase].append(b - a)
+            charge(phase, a, b)
         buf = clone = None
         gc.collect()
-        t0 = time.perf_counter()
+        t0 = _stamp()
         clone = image.crash_clone(mssd)
-        t1 = time.perf_counter()
+        t1 = _stamp()
         recovered = []
         device_recover = clone.recover
 
         def recover():
             report = device_recover()
-            recovered.append(time.perf_counter())
+            recovered.append(_stamp())
             return report
 
         clone.recover = recover
         fsmod.recover_fs(clone, mode=workloads.MODE,
                          cache_bytes=w.cache_bytes)
-        t2 = time.perf_counter()
-        times["cut"].append(t2 - t0)
-        times["recover"].append(recovered[0] - t1)
-        times["mount"].append(t2 - recovered[0])
+        t2 = _stamp()
+        charge("cut", t0, t2)
+        charge("recover", t1, recovered[0])
+        charge("mount", recovered[0], t2)
         clone = device_recover = None
     return {
         "workload": w.name, "seed": seed, "record": record, "reps": reps,
         "log_entries": mssd.writelog.active_gen.tail_slots,
         "phases_s": {phase: _quartiles(s) for phase, s in times.items()},
+        "phases_minflt": {phase: {**_quartiles(n), "first": n[0]}
+                          for phase, n in faults.items()},
     }
 
 

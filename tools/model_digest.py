@@ -12,6 +12,10 @@ None of them fills the log far enough to clean it, so the grid of the
 two log modes runs once more on a small-log device (64 KiB write log,
 1 KiB TxLog, 16 KiB write buffer), where every run cleans; those 80
 lines end in ``/small-log`` and give the generation the log ended in.
+Every bitmap of those devices is one block, so a last group replays
+256 records of varmail and of create in each mount mode on the default
+``DeviceConfig`` (32 GiB, multi-block bitmaps), with the default page
+cache and ordered journaling; those 8 lines end in ``/default-config``.
 Each prints one line: the configuration, ``sim_ns``, the fsck problem
 count, the log utilization, and sha256 prefixes of the traffic by
 direction and category, of the flash pages plus FTL map, of the device
@@ -34,6 +38,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 CACHES = (None, 64 * 1024)   # None: the file system's default page cache
 LOG_MODES = ("dual_log", "full")
+DEFAULT_CONFIG_PROFILES = ("varmail", "create")
+DEFAULT_CONFIG_OPS = 256
 
 
 def _sha(*parts: bytes) -> str:
@@ -52,12 +58,16 @@ def _flash_parts(mssd):
 
 
 def config_line(profile: str, mode: str, cache, journal: str,
-                ops: int, small_log: bool = False) -> str:
+                ops: int, device: str = "32MiB") -> str:
+    """One digest line; `device` is ``32MiB``, ``small-log`` or
+    ``default-config``."""
     from bytefs import bench, image
     from bytefs.device import DeviceConfig, KiB, MiB
     from bytefs.fs import recover_fs
 
-    if small_log:
+    if device == "default-config":
+        config = DeviceConfig()
+    elif device == "small-log":
         config = DeviceConfig(capacity_bytes=32 * MiB,
                               log_region_bytes=64 * KiB, txlog_bytes=1 * KiB,
                               write_buffer_bytes=16 * KiB)
@@ -75,8 +85,10 @@ def config_line(profile: str, mode: str, cache, journal: str,
                                      cache_bytes=fs.cache_bytes)
     crash = _sha(repr(recovery).encode(), *_flash_parts(recovered.mssd))
     label = f"{profile}/{mode}/{cache or 'default'}/{journal}"
-    if small_log:
+    if device == "small-log":
         label += f"/small-log gen={fs.mssd.writelog.active_gen.gen_id}"
+    elif device == "default-config":
+        label += "/default-config"
     return " ".join((
         label,
         f"sim_ns={report.sim_ns}",
@@ -106,11 +118,15 @@ def main(argv=None) -> int:
              for cache in CACHES
              for journal in JOURNAL_MODES]
     lines += [config_line(profile, mode, cache, journal, args.ops,
-                          small_log=True)
+                          device="small-log")
               for profile in profiles
               for mode in modes if mode in LOG_MODES
               for cache in CACHES
               for journal in JOURNAL_MODES]
+    lines += [config_line(profile, mode, None, "ordered", DEFAULT_CONFIG_OPS,
+                          device="default-config")
+              for profile in profiles if profile in DEFAULT_CONFIG_PROFILES
+              for mode in modes]
     for line in lines:
         print(line)
     print(f"all {hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}")
