@@ -1001,7 +1001,7 @@ def recover_fs(mssd: Mssd, mode: str = "full", journal: str = "ordered",
     Returns (filesystem, device recovery report)."""
     # the TxLog, which the device's recovery clears, decides which journal
     # records replay
-    committed = set(mssd.txlog.stamps) if journal == "data" else None
+    committed = set(mssd.txlog.txids) if journal == "data" else None
     report = mssd.recover()
     fs = ByteFS(mssd, mode=mode, journal=journal, cache_bytes=cache_bytes)
     fs.mount()

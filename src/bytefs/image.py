@@ -6,18 +6,22 @@ declaration order, u64 for int fields and f64 for float fields), then
 sections each prefixed by a 16-byte header {section id u32, length u64,
 crc32 u32}.  Sections: flash pages, FTL map, log region (generation id,
 entry count, 64B payload slots), log sidecar (the write log's sidecar
-array, `writelog.SIDECAR_DTYPE` rows), TxLog (txids, then their commit
-stamps), clock.  The log sections are copies of the write log's own
-arrays, and empty for a device without a write log.  Used for
+array, `writelog.SIDECAR_DTYPE` rows), TxLog (entry count, u32 txids in
+commit order, then their u64 commit stamps), clock.  The log sections
+are copies of the write log's own arrays, and empty for a device without
+a write log; the TxLog section is a copy of the TxLog's two arrays.
+Each section's length must be what its counts imply.  Used for
 crash-injection snapshots: host state (TxTable, caches) is deliberately
 not part of the image.
 
 What is copied: `save` writes each section's parts straight from the
-device (the flash pages, the log payload bytearray, the sidecar rows),
-with the CRC chained over the parts, so the only copy is the one into
-the target.  `load` reads each part once, into a buffer the loaded
-device then owns: each flash page into its own buffer, the log payload
-and the sidecar array into their section's buffer.  Every CRC is
+device (the flash pages, the log payload bytearray, the sidecar rows,
+the TxLog's two arrays), with the CRC chained over the parts, so the
+only copy is the one into the target.  `load` reads each part once,
+into a buffer the loaded device then owns: each flash page into its own
+buffer, the log payload and the sidecar array into their section's
+buffer; the TxLog takes one more copy of its section's two arrays, and
+builds its txid index only when a read first needs it.  Every CRC is
 checked.  `crash_clone` is a `save` into a `BytesIO` and a `load` of
 it, so every power cut goes through the image format.
 """
@@ -99,11 +103,13 @@ def save(mssd: Mssd, target) -> None:
                    (struct.pack("<IQ", gen.gen_id, gen.tail_slots), gen.buf))
     _write_section(out, SEC_LOG_INDEX, (gen.entries,))
 
-    stamps = mssd.txlog.stamps
+    # the TxLog's own arrays (their byte order is the image's on a
+    # little-endian host, where `astype` copies nothing)
+    txlog = mssd.txlog
     _write_section(out, SEC_TXLOG, (
-        struct.pack("<Q", len(stamps)),
-        np.fromiter(stamps, dtype="<u4", count=len(stamps)),
-        np.fromiter(stamps.values(), dtype="<u8", count=len(stamps))))
+        struct.pack("<Q", len(txlog.txids)),
+        np.asarray(txlog.txids).astype("<u4", copy=False),
+        np.asarray(txlog.stamps).astype("<u8", copy=False)))
 
     _write_section(out, SEC_CLOCK,
                    (struct.pack("<QQ", dev.clock.now_ns, mssd._stamp),))
@@ -145,6 +151,18 @@ def _read_section(f, expect_id: int, end: int) -> bytearray:
     payload = bytearray(length)
     _read_into(f, (payload,), crc, expect_id)
     return payload
+
+
+def _count(payload: bytearray, sec_id: int, item_size: int,
+           tail: int = 0) -> int:
+    """The u64 count a section's payload starts with, which exactly that
+    many items of `item_size` bytes and then `tail` bytes must follow."""
+    if len(payload) >= 8:
+        (count,) = struct.unpack_from("<Q", payload)
+        if len(payload) == 8 + count * item_size + tail:
+            return count
+    raise RecoveryFailed(f"section {sec_id} disagrees with its count",
+                         section_id=sec_id)
 
 
 def load(source) -> Mssd:
@@ -189,22 +207,28 @@ def load(source) -> Mssd:
         dev.pages[ppa] = page
 
     payload = _read_section(f, SEC_FTL, end)
-    (count,) = struct.unpack_from("<Q", payload, 0)
+    count = _count(payload, SEC_FTL, 16, tail=8)
     pairs = np.frombuffer(payload, dtype="<u8", count=2 * count, offset=8)
     dev.ftl.lpa_to_ppa = dict(zip(pairs[0::2].tolist(), pairs[1::2].tolist()))
     (dev.ftl._next_unused,) = struct.unpack_from("<Q", payload,
                                                  8 + 16 * count)
 
     buf = _read_section(f, SEC_LOG_REGION, end)
-    gen_id, tail_slots = struct.unpack_from("<IQ", buf, 0)
+    # a section too short for its header counts -1 entries, which no
+    # length matches
+    gen_id, tail_slots = (struct.unpack_from("<IQ", buf) if len(buf) >= 12
+                          else (0, -1))
     del buf[:12]
-    # the sidecar array shares its section's buffer, which nothing resizes
-    side = np.frombuffer(_read_section(f, SEC_LOG_INDEX, end),
-                         dtype=SIDECAR_DTYPE)
-    if len(side) != tail_slots or len(buf) != tail_slots * CACHELINE \
+    if len(buf) != tail_slots * CACHELINE \
             or tail_slots > cfg.log_region_bytes // CACHELINE:
+        raise RecoveryFailed("log region disagrees with its entry count",
+                             section_id=SEC_LOG_REGION)
+    rows = _read_section(f, SEC_LOG_INDEX, end)
+    if len(rows) != tail_slots * SIDECAR_DTYPE.itemsize:
         raise RecoveryFailed("log region and sidecar disagree",
                              section_id=SEC_LOG_INDEX)
+    # the sidecar array shares its section's buffer, which nothing resizes
+    side = np.frombuffer(rows, dtype=SIDECAR_DTYPE)
     if mssd.log_enabled:
         mssd.writelog.install(LogGeneration(gen_id, cfg.log_region_bytes,
                                             buf, side))
@@ -213,19 +237,22 @@ def load(source) -> Mssd:
                              "write-log entries", section_id=SEC_LOG_REGION)
 
     payload = _read_section(f, SEC_TXLOG, end)
-    (count,) = struct.unpack_from("<Q", payload, 0)
+    count = _count(payload, SEC_TXLOG, 4 + 8)
     if count > mssd.txlog.capacity_entries:
         raise RecoveryFailed("TxLog section exceeds the TxLog",
                              section_id=SEC_TXLOG)
     txids = np.frombuffer(payload, dtype="<u4", count=count, offset=8)
-    stamps = np.frombuffer(payload, dtype="<u8", count=count,
-                           offset=8 + 4 * count)
-    mssd.txlog.stamps = dict(zip(txids.tolist(), stamps.tolist()))
-    if len(mssd.txlog.stamps) != count:
+    by_txid = np.sort(txids)  # a repeated txid lands next to itself
+    if (by_txid[1:] == by_txid[:-1]).any():
         raise RecoveryFailed("TxLog section repeats a txid",
                              section_id=SEC_TXLOG)
+    mssd.txlog.adopt(txids, np.frombuffer(payload, dtype="<u8", count=count,
+                                          offset=8 + 4 * count))
 
     payload = _read_section(f, SEC_CLOCK, end)
+    if len(payload) != 16:
+        raise RecoveryFailed("clock section is not 16 bytes",
+                             section_id=SEC_CLOCK)
     now_ns, stamp = struct.unpack("<QQ", payload)
     dev.clock.now_ns = now_ns
     mssd._stamp = stamp

@@ -4,7 +4,9 @@ The transaction table (`TxManager`) lives host-side, holds only the
 active transactions, their cacheline locks and the txid counter, refers
 to no device and does not survive a crash; the TxLog is a firmware
 append-only list of 4-byte committed transaction ids and does, together
-with the stamp each commit drew.  Recovery is a clean of the log region
+with the stamp each commit drew.  It is held as the two arrays of the
+device image's TxLog section, which `image.save` writes as they are and
+`image.load` fills with one copy of the section's.  Recovery is a clean of the log region
 that survived: after a crash no transaction is open, so the clean
 flushes every visible entry and discards those whose transaction never
 reached the TxLog.
@@ -18,7 +20,10 @@ thread.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+
+import numpy as np
 
 from .device import CACHELINE
 from .errors import SpaceExhausted, StateError
@@ -27,31 +32,60 @@ from .errors import SpaceExhausted, StateError
 class TxLog:
     """Append-only buffer of committed TxIds (4 bytes each).
 
-    Each entry keeps the stamp its commit drew, which orders it against
-    other commits and against non-transactional writes.
+    One entry per commit, in commit order, in two arrays: `txids` (4-byte
+    C unsigned ints) and `stamps` (8 bytes), the stamp each commit drew,
+    which orders it against other commits and against non-transactional
+    writes.  On a little-endian host they are, byte for byte, the two
+    arrays of an image's TxLog section.  Commit order is txid order only
+    while transactions commit in the order they began.  `index` maps each
+    txid to its stamp for the read path; `append` and `clear` keep it, and
+    after `adopt` it is built on first use.
     """
 
     def __init__(self, capacity_bytes: int):
         self.capacity_entries = capacity_bytes // 4
-        self.stamps: dict[int, int] = {}  # txid -> commit stamp, in order
+        self.txids = array("I")
+        self.stamps = array("Q")
+        self._index: dict[int, int] | None = {}
+
+    @property
+    def index(self) -> dict[int, int]:
+        if self._index is None:
+            self._index = dict(zip(self.txids, self.stamps))
+        return self._index
 
     @property
     def entries(self) -> list[int]:
-        return list(self.stamps)
+        return self.txids.tolist()
 
     @property
     def full(self) -> bool:
-        return len(self.stamps) >= self.capacity_entries
+        return len(self.txids) >= self.capacity_entries
 
     def append(self, txid: int, stamp: int) -> None:
-        if len(self.stamps) >= self.capacity_entries:
+        index = self._index
+        if index is None:
+            index = self.index
+        if len(self.txids) >= self.capacity_entries:
             raise SpaceExhausted("TxLog full")
-        if txid in self.stamps:
+        if txid in index:
             raise StateError(f"tx {txid} already committed")
-        self.stamps[txid] = stamp
+        index[txid] = stamp
+        self.txids.append(txid)
+        self.stamps.append(stamp)
+
+    def adopt(self, txids: np.ndarray, stamps: np.ndarray) -> None:
+        """Replace the entries with copies of two numpy arrays of any byte
+        order, such as the arrays of an image's TxLog section; `astype`
+        copies nothing when the order is already the host's."""
+        self.txids, self.stamps = array("I"), array("Q")
+        self.txids.frombytes(txids.astype("I", copy=False).view(np.uint8))
+        self.stamps.frombytes(stamps.astype("Q", copy=False).view(np.uint8))
+        self._index = None
 
     def clear(self) -> None:
-        self.stamps.clear()
+        self.txids, self.stamps = array("I"), array("Q")
+        self._index = {}
 
 
 @dataclass

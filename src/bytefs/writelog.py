@@ -270,7 +270,7 @@ class WriteLog:
         if not slots:
             return []
         side = self.active_gen.side
-        stamps = self.txlog.stamps
+        stamps = self.txlog.index
         active = None
         out = []
         for slot in slots:
@@ -373,13 +373,13 @@ class WriteLog:
         txid = entries["txid"]
         visible = (flags & FLAG_COMMITTED_AT_WRITE) != 0
         key = entries["seq"].astype(np.int64)
-        stamps = self.txlog.stamps
-        if stamps:
-            txids = np.fromiter(stamps, dtype=np.int64, count=len(stamps))
-            commit = np.fromiter(stamps.values(), dtype=np.int64,
-                                 count=len(stamps))
-            by_txid = np.argsort(txids)
-            txids, commit = txids[by_txid], commit[by_txid]
+        txlog = self.txlog
+        if txlog.txids:
+            # the TxLog's arrays, sorted by txid if commits came out of order
+            txids, commit = np.asarray(txlog.txids), np.asarray(txlog.stamps)
+            if (txids[1:] < txids[:-1]).any():
+                by_txid = np.argsort(txids)
+                txids, commit = txids[by_txid], commit[by_txid]
             pos = np.searchsorted(txids, txid).clip(max=txids.size - 1)
             in_txlog = ~visible & (txids[pos] == txid)
             key[in_txlog] = commit[pos[in_txlog]]

@@ -41,6 +41,7 @@ def test_cut_phases_tool_runs():
         report = json.loads(result.stdout)
         assert (report["workload"], report["record"]) == (workload, record)
         assert report["log_entries"] > 0
+        assert report["txlog_entries"] > 0
         phases = report["phases_s"]
         assert list(phases) == ["save", "load", "visibility", "merge", "cut",
                                 "recover", "mount"]

@@ -1,13 +1,17 @@
 import dataclasses
 import io
+import random
 import struct
 import zlib
 
+import numpy as np
 import pytest
 
 from bytefs import bench, image
 from bytefs.device import DeviceConfig, KiB, MiB
-from bytefs.errors import InvalidArgument, RecoveryFailed
+from bytefs.errors import (
+    InvalidArgument, RecoveryFailed, StateError, TxAborted,
+)
 from bytefs.fs import MODES, ByteFS, make_mssd, mkfs, recover_fs
 from bytefs.mssd import Mssd
 from bytefs.txn import RecoveryReport
@@ -46,6 +50,20 @@ def test_loaded_image_allocates_fresh_txids(tmp_path):
     buf.seek(0)
     loaded = image.load(buf)
     assert loaded.tx_begin() not in used
+
+
+def test_commit_after_load_builds_the_txlog_index_from_the_arrays():
+    loaded = image.load(io.BytesIO(_image_bytes(populated_mssd())))
+    (old,) = loaded.txlog.entries
+    txid = loaded.tx_begin()
+    loaded.tx_write(txid, 192, b"\x31" * 64)
+    loaded.tx_commit(txid)  # the first append after the load
+    assert loaded.txlog.entries == [old, txid]
+    assert loaded.txlog.index == dict(zip(loaded.txlog.txids,
+                                          loaded.txlog.stamps))
+    with pytest.raises(StateError):
+        loaded.txlog.append(old, loaded.next_stamp())
+    assert loaded.byte_read(128, 128) == b"\x30" * 64 + b"\x31" * 64
 
 
 def test_bad_magic_rejected():
@@ -169,19 +187,30 @@ def test_every_config_field_survives_image_and_config_text():
     assert bench.split_config(bench.parse_config_text(text))[0] == cfg
 
 
+def _with_section(blob, sec_id: int, edit) -> bytearray:
+    """`blob` with the payload of section `sec_id` replaced by
+    `edit(payload)`, under a header whose length and CRC match it."""
+    at = 12 + struct.calcsize(image._CONFIG_FMT)
+    while True:
+        sid, length, _ = struct.unpack_from("<IQI", blob, at)
+        if sid == sec_id:
+            payload = bytes(edit(bytes(blob[at + 16:at + 16 + length])))
+            header = struct.pack("<IQI", sid, len(payload),
+                                 zlib.crc32(payload))
+            return bytearray(blob[:at] + header + payload
+                             + blob[at + 16 + length:])
+        at += 16 + length
+
+
 def _txlog_image(txids, stamps):
     """An image whose TxLog section lists `txids` with `stamps`."""
     mssd = Mssd(small_config())
-    mssd.txlog.stamps = dict(zip(range(1, len(txids) + 1), stamps))
-    buf = io.BytesIO()
-    image.save(mssd, buf)
-    blob = bytearray(buf.getvalue())
+    for txid, stamp in zip(range(1, len(txids) + 1), stamps):
+        mssd.txlog.append(txid, stamp)
     count = len(txids)
     payload = struct.pack(f"<Q{count}I{count}Q", count, *txids, *stamps)
-    at = len(blob) - 32 - len(payload)  # the clock section (32 B) is last
-    blob[at:at + len(payload)] = payload
-    blob[at - 4:at] = struct.pack("<I", zlib.crc32(payload))
-    return blob
+    return _with_section(_image_bytes(mssd), image.SEC_TXLOG,
+                         lambda old: payload)
 
 
 def test_txlog_section_larger_than_the_txlog_rejected():
@@ -201,6 +230,98 @@ def test_txlog_section_with_a_repeated_txid_rejected():
     with pytest.raises(RecoveryFailed) as exc:
         image.load(io.BytesIO(blob))
     assert exc.value.section_id == image.SEC_TXLOG
+
+
+def test_txlog_section_that_repeats_a_txid_apart_rejected():
+    blob = _txlog_image([3, 1, 3], [5, 6, 7])
+    with pytest.raises(RecoveryFailed) as exc:
+        image.load(io.BytesIO(blob))
+    assert exc.value.section_id == image.SEC_TXLOG
+
+
+def _u64_plus(delta):
+    """Add `delta` to the u64 count a section's payload starts with."""
+    def edit(payload):
+        (count,) = struct.unpack_from("<Q", payload)
+        return struct.pack("<Q", count + delta) + payload[8:]
+    return edit
+
+
+@pytest.mark.parametrize("sec_id, edit", [
+    (image.SEC_FLASH, lambda p: p[:4]),
+    (image.SEC_FLASH, lambda p: p + bytes(8)),
+    (image.SEC_FTL, _u64_plus(1)),
+    (image.SEC_FTL, lambda p: p + bytes(16)),
+    (image.SEC_FTL, lambda p: p[:7]),
+    (image.SEC_LOG_REGION, lambda p: p[:8]),
+    (image.SEC_LOG_REGION, lambda p: p + bytes(1)),
+    (image.SEC_LOG_INDEX, lambda p: p[:-1]),
+    (image.SEC_LOG_INDEX, lambda p: p + p[-16:]),
+    (image.SEC_TXLOG, _u64_plus(1)),
+    (image.SEC_TXLOG, lambda p: p + bytes(12)),
+    (image.SEC_TXLOG, lambda p: b""),
+    (image.SEC_CLOCK, lambda p: p[:8]),
+    (image.SEC_CLOCK, lambda p: p + bytes(8)),
+], ids=["flash-short", "flash-tail", "ftl-count-beyond-payload",
+        "ftl-trailing-pair", "ftl-no-count", "log-region-no-header",
+        "log-region-partial-slot", "sidecar-partial-row", "sidecar-extra-row",
+        "txlog-count-beyond-payload", "txlog-trailing-entry", "txlog-empty",
+        "clock-8-bytes", "clock-24-bytes"])
+def test_section_length_that_disagrees_with_its_counts_rejected(sec_id, edit):
+    """Each section's length is what its counts imply; any other length is
+    refused with that section, even under a CRC that matches."""
+    blob = _with_section(_image_bytes(populated_mssd()), sec_id, edit)
+    with pytest.raises(RecoveryFailed) as exc:
+        image.load(io.BytesIO(blob))
+    assert exc.value.section_id == sec_id
+
+
+@pytest.mark.parametrize("order", ["begin", "shuffled"])
+def test_loaded_txlog_gives_the_same_visibility_to_both_rules(order):
+    """After a load, whose TxLog index is built only on first use, each
+    page's `page_entries` gives the (key, seq) pairs that `visibility`
+    gives for the page's visible entries, also when transactions commit
+    out of begin order, so that the TxLog is not in txid order."""
+    rng = random.Random(7)
+    mssd = Mssd(small_config())
+    for _ in range(40):
+        txs = [mssd.tx_begin() for _ in range(rng.randrange(1, 5))]
+        for t in list(txs):
+            for _ in range(rng.randrange(1, 4)):
+                try:
+                    mssd.tx_write(t, rng.randrange(0, 512) * 64,
+                                  bytes([t % 256]) * rng.choice((7, 64)))
+                except TxAborted:
+                    txs.remove(t)
+                    break
+        if order == "shuffled":
+            rng.shuffle(txs)
+        for t in txs:
+            if rng.random() < 0.8:
+                mssd.tx_commit(t)
+            else:
+                mssd.tx_abort(t)
+        mssd.byte_write(rng.randrange(0, 512) * 64, b"\x01" * 64)
+        if rng.random() < 0.1:
+            mssd.block_write(rng.randrange(0, 8), b"\x02" * 4096)
+    entries = mssd.txlog.entries
+    assert len(entries) > 40 and mssd.writelog.active_gen.gen_id == 0
+    assert (entries == sorted(entries)) == (order == "begin")
+
+    loaded = image.load(io.BytesIO(_image_bytes(mssd)))
+    assert loaded.txlog.entries == entries
+    assert loaded.txlog._index is None
+    visible, key = loaded.writelog.visibility()
+    assert loaded.txlog._index is None
+    side = loaded.writelog.active_gen.entries
+    want = {}
+    for slot in np.flatnonzero(visible).tolist():
+        want.setdefault(int(side["lpa"][slot]), []).append(
+            (int(key[slot]), int(side["seq"][slot])))
+    assert want
+    for lpa in range(8):
+        got = [(k, seq) for k, seq, *_ in loaded.writelog.page_entries(lpa)]
+        assert got == sorted(want.get(lpa, []))
 
 
 def _image_bytes(mssd) -> bytes:
@@ -248,4 +369,5 @@ def test_clone_shares_no_buffer_with_its_original():
     assert clone.writelog.active_gen.gen_id > 0
     assert _image_bytes(mssd) == original
     mssd.byte_write(0, b"\x41" * 64)           # saving left no buffer pinned
+    mssd.tx_commit(mssd.tx_begin())            # nor a TxLog array
     assert _image_bytes(mssd) != original

@@ -7,6 +7,7 @@ from bytefs.errors import (
 )
 from bytefs.image import crash_clone
 from bytefs.mssd import Mssd
+from bytefs.txn import TxLog
 from bytefs.writelog import (
     ACTIVE_KEY, FLAG_COMMITTED_AT_WRITE, FLAG_INVALID,
 )
@@ -202,6 +203,18 @@ def test_txlog_full_triggers_clean_then_retry():
         assert mssd.block_read(0)[i * 64:(i + 1) * 64] == bytes([i]) * 64
 
 
+def test_txlog_append_refuses_a_repeated_txid_and_a_full_log():
+    txlog = TxLog(8)  # room for two entries
+    txlog.append(5, 1)
+    with pytest.raises(StateError):
+        txlog.append(5, 2)
+    txlog.append(3, 2)  # commit order, not txid order
+    with pytest.raises(SpaceExhausted):
+        txlog.append(7, 3)
+    assert txlog.entries == [5, 3] and txlog.stamps.tolist() == [1, 2]
+    assert txlog.index == {5: 1, 3: 2}
+
+
 def test_crash_before_commit_discards_data(mssd):
     txid = mssd.tx_begin()
     mssd.tx_write(txid, 0, b"\xaa" * 64)
@@ -329,7 +342,7 @@ def _reference_recovery(crashed) -> tuple[dict[int, bytes], int]:
     dev = crashed.device
     pages = {lpa: bytearray(dev.pages.get(ppa, bytes(4096)))
              for lpa, ppa in dev.ftl.lpa_to_ppa.items()}
-    stamps = crashed.txlog.stamps
+    stamps = dict(zip(crashed.txlog.txids, crashed.txlog.stamps))
     gen = crashed.writelog.active_gen
     replay = []
     for slot, row in enumerate(gen.entries.tolist()):

@@ -23,9 +23,11 @@ takes fresh from the kernel may come from the heap later: the fault
 counts give the first repetition too, which is what a process that cuts
 power once pays.  Prints one JSON object: per phase, the median and
 quartiles in seconds (``phases_s``) and in minor faults
-(``phases_minflt``, with ``first``), plus the number of log entries at
-the cut.  The package is imported from
-``src/`` of the checkout that holds this script.
+(``phases_minflt``, with ``first``), plus the number of write-log
+entries (``log_entries``) and of TxLog entries (``txlog_entries``) at
+the cut: ``save``, ``load`` and ``visibility`` handle both.  The
+package is imported from ``src/`` of the checkout that holds this
+script.
 """
 
 from __future__ import annotations
@@ -118,6 +120,7 @@ def measure(workload: str, seed: int, record: int, reps: int) -> dict:
     return {
         "workload": w.name, "seed": seed, "record": record, "reps": reps,
         "log_entries": mssd.writelog.active_gen.tail_slots,
+        "txlog_entries": len(mssd.txlog.entries),
         "phases_s": {phase: _quartiles(s) for phase, s in times.items()},
         "phases_minflt": {phase: {**_quartiles(n), "first": n[0]}
                           for phase, n in faults.items()},
