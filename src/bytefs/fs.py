@@ -129,10 +129,10 @@ def _has_write_log(mode: str) -> bool:
     return mode in ("dual_log", "full")
 
 
-def make_mssd(config: DeviceConfig | None = None, mode: str = "full",
-              **kwargs) -> Mssd:
+def make_mssd(config: DeviceConfig | None = None, mode: str = "full"
+              ) -> Mssd:
     """Device stack for a mount mode."""
-    return Mssd(config, log_enabled=_has_write_log(mode), **kwargs)
+    return Mssd(config, log_enabled=_has_write_log(mode))
 
 
 def mkfs(mssd: Mssd, inode_count: int | None = None,
@@ -460,6 +460,9 @@ class ByteFS:
         pos = 0
         while pos < inode.size:
             blk = inode.block_for(pos // bs * bs, bs)
+            if blk is None:  # a directory has no holes
+                raise FsError(f"dir inode {ino} size {inode.size} runs past "
+                              "its extents")
             mirror = self._block_mirror(blk)
             off = pos % bs
             parsed = unpack_dentry(mirror, off)
@@ -963,8 +966,13 @@ class ByteFS:
                 block_refs[inode.spill_block] = \
                     block_refs.get(inode.spill_block, 0) + 1
             if inode.itype == ITYPE_DIR:
+                try:
+                    entries = self._load_dir(ino)
+                except FsError as exc:
+                    problems.append(f"{exc} ({path})")
+                    return
                 subdirs = 0
-                for name, entry in self._load_dir(ino).items():
+                for name, entry in entries.items():
                     child_ino, ftype = entry[0], entry[1]
                     if ftype == ITYPE_DIR:
                         subdirs += 1

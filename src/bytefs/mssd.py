@@ -1,5 +1,5 @@
 """Facade over the emulated M-SSD: dual byte/block interface, firmware
-write log, transaction log, and optional shadow oracle for testing.
+write log and transaction log.
 
 The write log cleans itself; `recover` is a clean run after a crash.
 With the log disabled (`log_enabled=False`) there is no write log: byte
@@ -30,7 +30,7 @@ from .writelog import CleanReport, WriteLog
 
 class Mssd:
     def __init__(self, config: DeviceConfig | None = None, *,
-                 log_enabled: bool = True, shadow_oracle: bool = False):
+                 log_enabled: bool = True):
         self.device = FlashDevice(config)
         self.config = self.device.config
         self.log_enabled = log_enabled
@@ -40,50 +40,10 @@ class Mssd:
         self.writelog = (WriteLog(self.device, self.next_stamp, self.txlog,
                                   self.txmgr.active_txids)
                          if log_enabled else None)
-        # committed bytes per page, and each active transaction's writes
-        self.shadow: dict[int, bytearray] | None = {} if shadow_oracle else None
-        self._shadow_tx: dict[int, list[tuple[int, bytes]]] = {}
 
     def next_stamp(self, count: int = 1) -> int:
         self._stamp += count
         return self._stamp - count + 1
-
-    # -- shadow oracle -----------------------------------------------------
-    # The write log's visibility rule, byte by byte: a transaction's writes
-    # show over the committed bytes while it is active, land at commit, and
-    # vanish at abort or under a later block write to their page.  Without
-    # a write log they go straight to flash, as plain writes do.  A write
-    # that starts inside a cacheline is padded as the device pads it.
-
-    def _shadow_page(self, lpa: int, txids) -> bytearray:
-        """A page's committed bytes under the writes of the active
-        transactions `txids`."""
-        page_size = self.config.page_size
-        page = bytearray(self.shadow.get(lpa, bytes(page_size)))
-        for txid in txids:
-            for a, d in self._shadow_tx.get(txid, ()):
-                if a // page_size == lpa:
-                    page[a % page_size:a % page_size + len(d)] = d
-        return page
-
-    def _shadow_write(self, addr: int, data: bytes, txid: int = 0) -> None:
-        head_pad = addr % CACHELINE
-        if head_pad:
-            lpa, off = divmod(addr - head_pad, self.config.page_size)
-            page = self._shadow_page(lpa, (txid,))
-            addr, data = addr - head_pad, bytes(page[off:off + head_pad]) + data
-        if txid and self.log_enabled:
-            self._shadow_tx.setdefault(txid, []).append((addr, data))
-            return
-        lpa, off = divmod(addr, self.config.page_size)
-        page = self.shadow.setdefault(lpa, bytearray(self.config.page_size))
-        page[off:off + len(data)] = data
-
-    def shadow_read(self, addr: int, length: int) -> bytes:
-        out = bytearray()
-        for lpa, off, take, _ in spans(addr, length, self.config.page_size):
-            out += self._shadow_page(lpa, self._shadow_tx)[off:off + take]
-        return bytes(out)
 
     # -- byte interface ----------------------------------------------------
 
@@ -119,8 +79,6 @@ class Mssd:
         host_in = self.device.traffic.by_category["host_to_ssd"]
         for lpa, off, take, pos in spans(addr, size, page_size):
             piece = data[pos:pos + take]
-            if self.shadow is not None:
-                self._shadow_write(lpa * page_size + off, piece, txid)
             head_pad = off % CACHELINE
             if head_pad:
                 off -= head_pad  # the piece starts on a cacheline now
@@ -194,10 +152,6 @@ class Mssd:
             raise AddressFault(f"LPA {lpa} out of range")
         if category not in CATEGORIES:
             raise InvalidArgument(f"unknown traffic category {category!r}")
-        if self.shadow is not None:
-            self._shadow_write(lpa * page_size, data)
-        for writes in self._shadow_tx.values():
-            writes[:] = [(a, d) for a, d in writes if a // page_size != lpa]
         if self.log_enabled:
             self.writelog.block_write(lpa, data, category)
         else:
@@ -247,9 +201,6 @@ class Mssd:
             self.clean()
         self.txlog.append(txid, self.next_stamp())
         self.txmgr.tx_commit(txid)
-        for addr, data in self._shadow_tx.pop(txid, ()):
-            self._shadow_write(addr, data)
 
     def tx_abort(self, txid: int) -> None:
         self.txmgr.tx_abort(txid)  # its entries are never visible again
-        self._shadow_tx.pop(txid, None)

@@ -6,10 +6,10 @@ to no device and does not survive a crash; the TxLog is a firmware
 append-only list of 4-byte committed transaction ids and does, together
 with the stamp each commit drew.  It is held as the two arrays of the
 device image's TxLog section, which `image.save` writes as they are and
-`image.load` fills with one copy of the section's.  Recovery is a clean of the log region
-that survived: after a crash no transaction is open, so the clean
-flushes every visible entry and discards those whose transaction never
-reached the TxLog.
+`image.load` fills with one copy of the section's.  Recovery is a clean
+of the log region that survived: after a crash no transaction is open,
+so the clean flushes every visible entry and discards those whose
+transaction never reached the TxLog.
 
 Conflicts follow NO_WAIT two-phase locking: a write that touches a
 cacheline another active transaction has written aborts the writer's own

@@ -1,7 +1,8 @@
 import pytest
 
 from bytefs.device import DeviceConfig, KiB, MiB
-from bytefs.mssd import Mssd
+
+from shadow import ShadowMssd
 
 
 def small_config(**overrides) -> DeviceConfig:
@@ -19,4 +20,4 @@ def small_config(**overrides) -> DeviceConfig:
 
 @pytest.fixture
 def mssd():
-    return Mssd(small_config(), shadow_oracle=True)
+    return ShadowMssd(small_config())

@@ -17,6 +17,7 @@ from bytefs.skiplist import SkipList
 
 from conftest import small_config
 from refmodel import RefFS
+from shadow import ShadowMssd
 from test_fs import fsync_file, make_fs, read_file, remount, write_file
 
 
@@ -34,7 +35,7 @@ def report(num: int, ok: bool, desc: str, detail: str = "") -> None:
 def test_criterion_01_device_ops_vs_shadow_oracle():
     desc = "1e5 randomized device ops match the shadow oracle through cleans"
     rng = random.Random(0xC1)
-    mssd = Mssd(small_config(), shadow_oracle=True)
+    mssd = ShadowMssd(small_config())
     pages = 256
     t0 = time.perf_counter()
     ok = True

@@ -10,6 +10,7 @@ from bytefs.errors import (
 from bytefs.mssd import Mssd
 
 from conftest import small_config
+from shadow import ShadowMssd
 
 
 def make_device(**overrides):
@@ -194,13 +195,15 @@ def test_spans_tile_the_range_without_crossing_a_boundary(offset, length,
 
 def _device_state(mssd):
     """Everything a host access may change: clock, traffic, flash and
-    FTL, the write log and the shadow oracle."""
+    FTL, the write log and the shadow oracle, with the writes of its open
+    transactions."""
     gen = mssd.writelog.active_gen if mssd.log_enabled else None
     return (mssd.clock_ns, mssd.traffic_snapshot().by_category,
             {ppa: bytes(page) for ppa, page in mssd.device.pages.items()},
             dict(mssd.device.ftl.lpa_to_ppa),
             gen and (gen.gen_id, gen.tail_slots, bytes(gen.buf)),
-            {lpa: bytes(page) for lpa, page in mssd.shadow.items()})
+            {lpa: bytes(page) for lpa, page in mssd.shadow.items()},
+            {txid: list(writes) for txid, writes in mssd.shadow_tx.items()})
 
 
 # each refused before it pads, splits, maps, stores or charges anything;
@@ -228,7 +231,7 @@ REFUSED_ACCESSES = {
         lambda m: m.block_read(7, category="bogus"), InvalidArgument),
     "block_read_out_of_range": (
         lambda m: m.block_read(m.config.page_count), AddressFault),
-    # the shadow oracle would take the page first
+    # the shadow oracle lands a block write only once the device takes it
     "block_write_out_of_range": (
         lambda m: m.block_write(m.config.page_count, b"\x33" * 4096),
         AddressFault),
@@ -250,9 +253,11 @@ REFUSED_ACCESSES = {
                          ids=["write_log", "no_write_log"])
 @pytest.mark.parametrize("access", REFUSED_ACCESSES)
 def test_refused_host_access_changes_nothing(access, log_enabled):
-    mssd = Mssd(small_config(), log_enabled=log_enabled, shadow_oracle=True)
+    mssd = ShadowMssd(small_config(), log_enabled=log_enabled)
     mssd.block_write(3, b"\x11" * 4096)
     mssd.byte_write(0, b"\x22" * 100)
+    # an open transaction on page 5, which a block write there would drop
+    mssd.tx_write(mssd.tx_begin(), 5 * 4096 + 64, b"\x44" * 64)
     before = _device_state(mssd)
     call, error = REFUSED_ACCESSES[access]
     with pytest.raises(error):

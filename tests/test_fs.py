@@ -15,7 +15,7 @@ from bytefs.errors import (
     TxAborted,
 )
 from bytefs.fs import (
-    Bitmap, MODES, ByteFS, make_mssd, mkfs, recover_fs,
+    Bitmap, MODES, ByteFS, _Txn, make_mssd, mkfs, recover_fs,
 )
 from bytefs.image import crash_clone
 from bytefs.layout import ITYPE_FILE, ROOT_INO, ExtentLeaf, Inode
@@ -651,6 +651,30 @@ def test_fsck_detects_bad_link_count():
     fs.mkdir("/d")
     fs._load_inode(fs.lookup("/d").ino).links = 7
     assert any("links" in p for p in fs.fsck())
+
+
+@pytest.mark.parametrize("recovered", [False, True], ids=["live",
+                                                       "recovered"])
+def test_fsck_reports_a_directory_whose_size_runs_past_its_extents(
+        recovered):
+    # a file's size may pass its extents (a hole), a directory's may not
+    fs = make_fs()
+    fs.mkdir("/d")
+    for i in range(64):                              # one full dentry block
+        fs.create(f"/d/f{i:02d}")
+    d = fs.lookup("/d")
+    assert (d.ino, d.size, len(d.all_blocks())) == (3, 4096, 1)
+    d.size += 4096
+    with _Txn(fs):
+        fs._persist_inode_lower(d)
+    fs._dirs.clear()
+    if recovered:
+        fs, _ = recover_fs(crash_clone(fs.mssd))
+    with pytest.raises(FsError, match="dir inode 3 size 8192 runs past"):
+        fs.readdir("/d")
+    assert fs.fsck() == [
+        "dir inode 3 size 8192 runs past its extents (/d)"] + [
+        f"inode {ino} allocated but unreachable" for ino in range(4, 68)]
 
 
 def test_fsck_reports_each_bitmap_fault_exactly():

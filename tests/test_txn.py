@@ -149,7 +149,7 @@ def test_tx_write_across_a_page_boundary_into_a_held_line_changes_nothing(
     assert mssd.clock_ns == clock
     assert mssd.traffic_snapshot().by_category == traffic
     assert {lpa: bytes(page) for lpa, page in mssd.shadow.items()} == shadow
-    assert mssd._shadow_tx.keys() == {holder}
+    assert mssd.shadow_tx.keys() == {holder}
 
 
 def test_tx_write_across_a_page_boundary_appends_each_cacheline(mssd):

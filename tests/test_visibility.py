@@ -1,17 +1,17 @@
 """One visibility rule for the write log: reads, cleaning and recovery show
 the same entries in the same order, and the shadow oracle agrees."""
 
-from hypothesis import settings, strategies as st
+from hypothesis import event, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine, invariant, precondition, rule,
 )
 
-from bytefs.device import KiB
-from bytefs.errors import TxAborted
+from bytefs.errors import BackPressure, TxAborted
 from bytefs.image import crash_clone
 from bytefs.mssd import Mssd
 
 from conftest import small_config
+from shadow import ShadowMssd
 
 PAGES = (0, 1)
 SLICES = ((0, 256), (70, 100), (0, 13))  # (offset, length) within a page
@@ -27,7 +27,7 @@ def device_reads(mssd: Mssd) -> list[bytes]:
     return reads(mssd.block_read, mssd.byte_read)
 
 
-def committed_reads(mssd: Mssd) -> list[bytes]:
+def committed_reads(mssd: ShadowMssd) -> list[bytes]:
     """`reads` of the shadow oracle's committed bytes: no open
     transaction's writes."""
     def read(addr, n):
@@ -120,18 +120,22 @@ def test_finished_transactions_are_forgotten(mssd):
 
 class VisibilityMachine(RuleBasedStateMachine):
     """Byte writes, block writes and transactions on a few cachelines of
-    two pages, with a write log small enough to clean by itself."""
+    two pages, with a write log of `SLOTS` slots, small enough to clean by
+    itself."""
+
+    SLOTS = 32
 
     def __init__(self):
         super().__init__()
-        self.mssd = Mssd(small_config(log_region_bytes=2 * KiB, txlog_bytes=8),
-                         shadow_oracle=True)
+        self.mssd = ShadowMssd(small_config(log_region_bytes=self.SLOTS * 64,
+                                            txlog_bytes=8))
         self.active: list[int] = []
         self.tx_lines: dict[int, set[int]] = {}  # cachelines each tx wrote
 
     writes = st.tuples(
         st.sampled_from(PAGES), st.integers(0, 3),          # page, cacheline
-        st.sampled_from([(0, 64), (0, 13), (0, 1), (20, 30)]),  # start, length
+        st.sampled_from([(0, 64), (0, 13), (0, 1), (20, 30),  # start, length
+                         (0, 256), (40, 100)]),
         st.integers(1, 255))
 
     @staticmethod
@@ -139,17 +143,27 @@ class VisibilityMachine(RuleBasedStateMachine):
         lpa, cl, (start, length), value = write
         return lpa * 4096 + cl * 64 + start, bytes([value]) * length
 
+    def _byte_write(self, addr, data, txid=0):
+        """A plain write (txid 0) or a transaction's, which a full log may
+        refuse after it took some of its cachelines."""
+        try:
+            if txid:
+                self.mssd.tx_write(txid, addr, data)
+            else:
+                self.mssd.byte_write(addr, data)
+        except BackPressure:
+            event("BackPressure")
+
     @rule(write=writes)
     def plain_write(self, write):
-        self.mssd.byte_write(*self._addr_data(write))
+        self._byte_write(*self._addr_data(write))
 
     @precondition(lambda self: any(self.tx_lines.values()))
     @rule(pick=st.integers(0, 7), value=st.integers(1, 255))
     def plain_write_into_tx_line(self, pick, value):
         # padded with the bytes before it: never an open transaction's
         lines = sorted(set().union(*self.tx_lines.values()))
-        self.mssd.byte_write(lines[pick % len(lines)] + 20,
-                             bytes([value]) * 30)
+        self._byte_write(lines[pick % len(lines)] + 20, bytes([value]) * 30)
 
     @rule(lpa=st.sampled_from(PAGES), value=st.integers(0, 255))
     def block_write(self, lpa, value):
@@ -166,10 +180,10 @@ class VisibilityMachine(RuleBasedStateMachine):
         txid = self.active[which % len(self.active)]
         addr, data = self._addr_data(write)
         try:
-            self.mssd.tx_write(txid, addr, data)
+            self._byte_write(addr, data, txid)
         except TxAborted:
             self._end(txid)
-        else:
+        else:  # the transaction holds the line, written or refused
             self.tx_lines.setdefault(txid, set()).add(addr - addr % 64)
 
     def _end(self, txid):
@@ -210,7 +224,20 @@ class VisibilityMachine(RuleBasedStateMachine):
             lambda lpa: shadow(lpa * 4096, 4096), shadow)
 
 
-# at most 30 appends: the 32-slot log never fills with active entries
 VisibilityMachine.TestCase.settings = settings(
     max_examples=150, stateful_step_count=30, deadline=None)
 test_visibility_rule_matches_shadow = VisibilityMachine.TestCase
+
+
+class FullLogVisibilityMachine(VisibilityMachine):
+    """The same on a log of 4 slots, which the entries of open
+    transactions fill in 15-30% of the examples: the log refuses a
+    write, or takes only some of its cachelines."""
+
+    SLOTS = 4
+
+
+FullLogVisibilityMachine.TestCase.settings = settings(
+    max_examples=150, stateful_step_count=100, deadline=None)
+test_visibility_rule_matches_shadow_on_a_full_log = (
+    FullLogVisibilityMachine.TestCase)

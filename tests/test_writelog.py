@@ -14,6 +14,7 @@ from bytefs.mssd import Mssd
 from bytefs.writelog import ACTIVE_KEY, merge_order
 
 from conftest import small_config
+from shadow import ShadowMssd
 
 
 def test_single_cacheline_write_appends_one_slot(mssd):
@@ -369,6 +370,53 @@ def test_shadow_oracle_randomized_mixed_ops(mssd):
             assert mssd.block_read(lpa) == mssd.shadow_read(lpa * 4096, 4096)
     for lpa in range(page_count):
         assert mssd.block_read(lpa) == mssd.shadow_read(lpa * 4096, 4096)
+
+
+def test_shadow_holds_nothing_of_a_write_the_full_log_refused():
+    # an open transaction's 16 entries fill the 16-slot log
+    mssd = ShadowMssd(small_config(log_region_bytes=1024))
+    t = mssd.tx_begin()
+    mssd.tx_write(t, 0, b"\x11" * 16 * 64)
+    with pytest.raises(BackPressure):
+        mssd.byte_write(8192, b"\x22" * 192)
+    assert mssd.byte_read(8192, 192) == mssd.shadow_read(8192, 192) == bytes(
+        192)
+    mssd.tx_commit(t)
+    assert mssd.block_read(2) == mssd.shadow_read(8192, 4096) == bytes(4096)
+    assert mssd.block_read(0) == mssd.shadow_read(0, 4096)
+
+
+def test_shadow_holds_only_the_cachelines_the_full_log_took():
+    # 10 entries of an open transaction leave 6 of 16 slots for its next
+    # write of 10 cachelines
+    mssd = ShadowMssd(small_config(log_region_bytes=1024))
+    t = mssd.tx_begin()
+    mssd.tx_write(t, 0, b"\x11" * 10 * 64)
+    with pytest.raises(BackPressure):
+        mssd.tx_write(t, 4096, b"\x33" * 640)
+    want = b"\x33" * 6 * 64 + bytes(4 * 64)
+    assert mssd.byte_read(4096, 640) == mssd.shadow_read(4096, 640) == want
+    mssd.tx_commit(t)
+    assert mssd.byte_read(4096, 640) == mssd.shadow_read(4096, 640) == want
+    assert mssd.block_read(1) == mssd.shadow_read(4096, 4096)
+
+
+def test_shadow_pads_a_partly_taken_write_across_a_page_as_the_device():
+    # a transaction's write from inside a cacheline, over a page boundary:
+    # the 5 slots that another's 11 open entries leave take its padded
+    # piece on page 0 (2 entries) and 3 of the 5 entries of page 1's
+    mssd = ShadowMssd(small_config(log_region_bytes=1024))
+    mssd.byte_write(4096 - 128, b"\x44" * 128)
+    mssd.tx_write(mssd.tx_begin(), 8 * 4096, b"\x11" * 11 * 64)
+    t = mssd.tx_begin()
+    with pytest.raises(BackPressure):
+        mssd.tx_write(t, 4096 - 100, b"\x55" * 400)
+    want = b"\x44" * 28 + b"\x55" * (100 + 3 * 64) + bytes(108)
+    assert mssd.byte_read(4096 - 128, 428) == want
+    assert mssd.shadow_read(4096 - 128, 428) == want
+    mssd.tx_commit(t)
+    assert mssd.byte_read(4096 - 128, 428) == want
+    assert mssd.shadow_read(4096 - 128, 428) == want
 
 
 def test_clean_merges_partial_entry_over_older_full_entry():
