@@ -5,6 +5,13 @@ interleaved round-robin, so a (profile, seed) pair always produces the
 same trace regardless of host scheduling.  Reports carry the full traffic
 breakdown per category and direction, in both a human table and
 machine-readable ``section.key value`` lines.
+
+Each stream draws its integers through ``_below`` over its own bound
+``getrandbits``: ``randrange(a, b)`` is ``a + _below(bits, b - a)`` and
+``choice(seq)`` is ``seq[_below(bits, len(seq))]``.  ``_below`` makes
+the draws CPython's ``randrange`` and ``choice`` make, so the traces are
+the same as when the generators called those, and they no longer depend
+on how a Python release implements them.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ DEFAULT_OPS = 2000
 # trace records
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     op: str
     path: str
@@ -106,11 +113,34 @@ class WorkloadSpec:
             raise InvalidArgument(f"unknown profile {self.profile!r}")
         if self.threads < 1 or self.io_size < 1:
             raise InvalidArgument("threads and io_size must be at least 1")
+        if self.ops < 0:
+            raise InvalidArgument(f"ops {self.ops} is below 0")
+        # thread t draws from the stream seeded (seed << 8) | t
+        if self.threads > 256:
+            raise InvalidArgument(f"threads {self.threads} is above 256, "
+                                  f"the most with a stream each")
         # oltp updates below file_size - 512, fileserver whole io_size units
         least = {"oltp": 513, "fileserver": self.io_size}.get(self.profile, 1)
         if self.file_size < least:
             raise InvalidArgument(f"file_size {self.file_size} is below "
                                   f"{least}, the least {self.profile} uses")
+
+
+def _below(bits, n: int) -> int:
+    """A uniform draw from ``range(n)`` through ``bits``, a bound
+    ``Random.getrandbits``: CPython's ``_randbelow_with_getrandbits``,
+    which ``randrange`` and ``choice`` call.
+
+    n must be at least 1: ``bits(0)`` is always 0, so with n = 0 the loop
+    never ends.  A generator draws from ``live`` only when ``not live`` is
+    false, and ``WorkloadSpec`` keeps ``file_size >= io_size`` for
+    fileserver and ``file_size > 512`` for oltp; every other bound is a
+    positive constant."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
 
 
 def _gen_namespace(op: str, undo: str | None, tid: int,
@@ -128,6 +158,7 @@ def _gen_namespace(op: str, undo: str | None, tid: int,
 
 def _gen_varmail(tid: int, rng: random.Random, spec: WorkloadSpec):
     """Mail-server pattern: create, append, fsync, read, delete."""
+    bits = rng.getrandbits
     yield TraceRecord("mkdir", f"/t{tid}")
     live: list[str] = []
     i = 0
@@ -136,26 +167,28 @@ def _gen_varmail(tid: int, rng: random.Random, spec: WorkloadSpec):
         if roll < 0.35 or not live:
             path = f"/t{tid}/m{i:06d}"
             i += 1
-            size = rng.randrange(256, 4 * KiB)
+            size = 256 + _below(bits, 4 * KiB - 256)
             yield TraceRecord("create", path)
-            yield TraceRecord("write", path, 0, size, fsync=True)
+            yield TraceRecord("write", path, 0, size, True)
             live.append(path)
         elif roll < 0.60:
-            path = rng.choice(live)
-            size = rng.randrange(128, 2 * KiB)
-            yield TraceRecord("write", path, 0, size, fsync=True)
+            path = live[_below(bits, len(live))]
+            size = 128 + _below(bits, 2 * KiB - 128)
+            yield TraceRecord("write", path, 0, size, True)
         elif roll < 0.85:
-            path = rng.choice(live)
+            path = live[_below(bits, len(live))]
             yield TraceRecord("read", path, 0, 4 * KiB)
         else:
-            path = live.pop(rng.randrange(len(live)))
+            path = live.pop(_below(bits, len(live)))
             yield TraceRecord("unlink", path)
 
 
 def _gen_fileserver(tid: int, rng: random.Random, spec: WorkloadSpec):
+    bits = rng.getrandbits
     yield TraceRecord("mkdir", f"/t{tid}")
     live: list[str] = []
     i = 0
+    units = spec.file_size // spec.io_size
     while True:
         roll = rng.random()
         if roll < 0.30 or not live:
@@ -167,19 +200,20 @@ def _gen_fileserver(tid: int, rng: random.Random, spec: WorkloadSpec):
             yield TraceRecord("fsync", path, 0, 0)
             live.append(path)
         elif roll < 0.55:
-            path = rng.choice(live)
-            off = rng.randrange(0, spec.file_size // spec.io_size) * spec.io_size
-            yield TraceRecord("write", path, off, spec.io_size, fsync=True)
+            path = live[_below(bits, len(live))]
+            off = _below(bits, units) * spec.io_size
+            yield TraceRecord("write", path, off, spec.io_size, True)
         elif roll < 0.90:
-            path = rng.choice(live)
+            path = live[_below(bits, len(live))]
             yield TraceRecord("read", path, 0, spec.file_size)
         else:
-            path = live.pop(rng.randrange(len(live)))
+            path = live.pop(_below(bits, len(live)))
             yield TraceRecord("unlink", path)
 
 
 def _gen_webproxy(tid: int, rng: random.Random, spec: WorkloadSpec):
     """Proxy cache: create-once objects, read-heavy afterwards."""
+    bits = rng.getrandbits
     yield TraceRecord("mkdir", f"/t{tid}")
     live: list[str] = []
     i = 0
@@ -187,34 +221,37 @@ def _gen_webproxy(tid: int, rng: random.Random, spec: WorkloadSpec):
         if rng.random() < 0.2 or not live:
             path = f"/t{tid}/o{i:06d}"
             i += 1
-            size = rng.randrange(1 * KiB, 16 * KiB)
+            size = 1 * KiB + _below(bits, 16 * KiB - 1 * KiB)
             yield TraceRecord("create", path)
-            yield TraceRecord("write", path, 0, size, fsync=True)
+            yield TraceRecord("write", path, 0, size, True)
             live.append((path, size))
         else:
-            path, size = rng.choice(live)
+            path, size = live[_below(bits, len(live))]
             yield TraceRecord("read", path, 0, size)
 
 
 def _gen_webserver(tid: int, rng: random.Random, spec: WorkloadSpec):
     """Static content reads plus a small append-only access log."""
+    bits = rng.getrandbits
     yield TraceRecord("mkdir", f"/t{tid}")
     pages = [f"/t{tid}/p{i:03d}" for i in range(20)]
     for path in pages:
         yield TraceRecord("create", path)
-        yield TraceRecord("write", path, 0, 8 * KiB, fsync=True)
+        yield TraceRecord("write", path, 0, 8 * KiB, True)
     log = f"/t{tid}/access.log"
     yield TraceRecord("create", log)
     log_off = 0
     while True:
         for _ in range(10):
-            yield TraceRecord("read", rng.choice(pages), 0, 8 * KiB)
-        yield TraceRecord("write", log, log_off, 128, fsync=True)
+            path = pages[_below(bits, len(pages))]
+            yield TraceRecord("read", path, 0, 8 * KiB)
+        yield TraceRecord("write", log, log_off, 128, True)
         log_off += 128
 
 
 def _gen_oltp(tid: int, rng: random.Random, spec: WorkloadSpec):
     """Database pattern: WAL append + small in-place update, fsync both."""
+    bits = rng.getrandbits
     yield TraceRecord("mkdir", f"/t{tid}")
     table = f"/t{tid}/table.db"
     wal = f"/t{tid}/wal.log"
@@ -223,17 +260,20 @@ def _gen_oltp(tid: int, rng: random.Random, spec: WorkloadSpec):
     for off in range(0, spec.file_size, spec.io_size):
         yield TraceRecord("write", table, off, spec.io_size)
     yield TraceRecord("fsync", table, 0, 0)
+    span = spec.file_size - 512
+    sizes = (64, 128, 256)
     wal_off = 0
     while True:
-        yield TraceRecord("write", wal, wal_off, 128, fsync=True)
+        yield TraceRecord("write", wal, wal_off, 128, True)
         wal_off += 128
-        off = rng.randrange(0, spec.file_size - 512)
-        size = rng.choice((64, 128, 256))
-        yield TraceRecord("write", table, off, size, fsync=True)
+        off = _below(bits, span)
+        size = sizes[_below(bits, len(sizes))]
+        yield TraceRecord("write", table, off, size, True)
 
 
 def _gen_kvstore(tid: int, rng: random.Random, spec: WorkloadSpec):
     """Key-value store: fixed-size slots, read-modify-write per update."""
+    bits = rng.getrandbits
     yield TraceRecord("mkdir", f"/t{tid}")
     store = f"/t{tid}/store.kv"
     slots = max(16, spec.file_size // 256)
@@ -242,11 +282,11 @@ def _gen_kvstore(tid: int, rng: random.Random, spec: WorkloadSpec):
         yield TraceRecord("write", store, off, spec.io_size)
     yield TraceRecord("fsync", store, 0, 0)
     while True:
-        slot = rng.randrange(slots)
+        slot = _below(bits, slots)
         if rng.random() < 0.4:
             yield TraceRecord("read", store, slot * 256, 256)
         else:
-            yield TraceRecord("write", store, slot * 256, 128, fsync=True)
+            yield TraceRecord("write", store, slot * 256, 128, True)
 
 
 _GENERATORS = {
@@ -265,12 +305,10 @@ def build_workload(spec: WorkloadSpec) -> list[TraceRecord]:
     gen = _GENERATORS[spec.profile]
     streams = [gen(t, random.Random((spec.seed << 8) | t), spec)
                for t in range(spec.threads)]
-    records: list[TraceRecord] = []
-    while len(records) < spec.ops:
-        for stream in streams:
-            records.append(next(stream))
-            if len(records) >= spec.ops:
-                break
+    rounds, rest = divmod(spec.ops, spec.threads)
+    records = list(itertools.chain.from_iterable(
+        itertools.islice(zip(*streams), rounds)))
+    records += [next(stream) for stream in streams[:rest]]
     return records
 
 

@@ -1,8 +1,11 @@
 import copy
 import dataclasses
 import hashlib
+import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bytefs import bench, cli, image
 from bytefs.bench import TraceRecord, WorkloadSpec
@@ -51,6 +54,59 @@ def test_namespace_traces_pinned(profile, seed):
     text = "".join(rec.format() + "\n" for rec in records)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         NAMESPACE_TRACES[profile]
+
+
+# sha256 of each profile's traces over a grid of seeds, thread counts, op
+# counts and file sizes (the default and the least the profile accepts),
+# taken before the generators drew through `bench._below`
+TRACE_GRID = {
+    "create": "3586d72c2acf356fb71bbd498fa6efecbedcebbff362504d4bca9faad8e9546b",
+    "delete": "e0667ca5c8c17bf7669304faa09ea43dc61e67cab78fb4ab6b1a4a91ae52ad64",
+    "mkdir": "77a4addc25900672dbdb94a3589482832f1343daf7201c1f77a6fc38c2f5a033",
+    "rmdir": "f1edaece4e6053025f5c4774e306e5a7e0253859909f16ebba2835621e72cdf2",
+    "varmail": "9c5e8f223cad4517ac316763ae390259d8bc188537bb66c8f523d3f7d6918eac",
+    "fileserver": "28634c264fb64537f2d5519cd712472da37ffc7056c5e14c6378903f6e3125da",
+    "webproxy": "05ef53d69daac14605607455eed68c102c36257e57c3d2658d544aaed3000cf1",
+    "webserver": "ab0c2e0ba56395ed1a0877921cc6ae96407c060233c2fa4276fbbe12b4279f48",
+    "oltp": "1ba0af838f859144934500d404fb7dd1dc8aa2ce69fe4ee118fa690b772532e8",
+    "kvstore": "ab0e61291a6afdec14a9fc052b37b4d380c20c8b27ae1832eb9ce45083e7e457",
+}
+
+
+@pytest.mark.parametrize("profile", bench.PROFILES)
+def test_every_trace_pinned(profile):
+    least = {"oltp": 513, "fileserver": 4 * KiB}.get(profile, 1)
+    digest = hashlib.sha256()
+    for seed, threads, ops, file_size in itertools.product(
+            (0, 1, 7), (1, 3, 4), (0, 1, 5, 2001), (32 * KiB, least)):
+        records = bench.build_workload(WorkloadSpec(
+            profile, seed=seed, ops=ops, threads=threads,
+            file_size=file_size))
+        assert len(records) == ops
+        digest.update(("\n".join(rec.format() for rec in records)
+                       + "\n\n").encode())
+    assert digest.hexdigest() == TRACE_GRID[profile]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 2**70),
+       draws=st.integers(1, 8))
+def test_below_draws_what_randrange_draws(seed, n, draws):
+    bits = random.Random(seed).getrandbits
+    ref = random.Random(seed)
+    assert [bench._below(bits, n) for _ in range(draws)] == \
+        [ref.randrange(n) for _ in range(draws)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32), size=st.integers(1, 300),
+       draws=st.integers(1, 8))
+def test_below_picks_what_choice_picks(seed, size, draws):
+    seq = range(size)
+    bits = random.Random(seed).getrandbits
+    ref = random.Random(seed)
+    assert [seq[bench._below(bits, len(seq))] for _ in range(draws)] == \
+        [ref.choice(seq) for _ in range(draws)]
 
 
 def test_varmail_at_default_config():
@@ -434,6 +490,31 @@ def test_cli_refuses_an_option_its_command_does_not_read(argv, capsys):
 def test_workload_spec_refuses_a_count_below_one(key):
     with pytest.raises(InvalidArgument):
         WorkloadSpec(profile="fileserver", **{key: 0})
+
+
+def test_workload_spec_refuses_a_negative_op_count():
+    with pytest.raises(InvalidArgument, match="ops"):
+        WorkloadSpec("oltp", ops=-1)
+    assert bench.build_workload(WorkloadSpec("oltp", ops=0)) == []
+
+
+def test_workload_spec_refuses_threads_that_would_share_a_stream():
+    """Thread t's stream is seeded (seed << 8) | t, so thread 256 would
+    replay thread 0's draws."""
+    with pytest.raises(InvalidArgument, match="threads"):
+        WorkloadSpec("oltp", seed=1, threads=257)
+    records = bench.build_workload(WorkloadSpec("oltp", seed=1, ops=600,
+                                                threads=256))
+    assert {rec.path.split("/")[1] for rec in records} == \
+        {f"t{t}" for t in range(256)}
+
+
+def test_cli_reports_a_negative_op_count_as_an_error(tmp_path, capsys):
+    cfg = tmp_path / "negative_ops.conf"
+    cfg.write_text("capacity_bytes = 8MiB\nops = -5\n")
+    rc = cli.main(["run", "--config", str(cfg), "--profile", "oltp"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ops -5")
 
 
 @pytest.mark.parametrize("profile, file_size, io_size", [
