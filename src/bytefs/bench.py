@@ -28,7 +28,7 @@ import numpy as np
 from .device import (
     CATEGORIES, DeviceConfig, GiB, KiB, MiB, TrafficCounters,
 )
-from .errors import FsError, InvalidArgument
+from .errors import InvalidArgument
 from .fs import JOURNAL_MODES, MODES, ByteFS, make_mssd, mkfs, recover_fs
 from .image import crash_clone
 from .layout import ITYPE_DIR
@@ -476,20 +476,24 @@ class CrashVerdict:
 
 class DurabilityOracle:
     """Tracks what must survive a crash: every completed namespace
-    operation, and file data up to its last fsync.
+    operation, and file data up to its last fsync.  It keeps the set of
+    directories and one record per file, ``[bytes at the last fsync,
+    bytes now]``.
 
     Page-cache eviction may write unsynced data back early, together with
     the file size, so a file may be as long as its last fsync or as long as
     its latest write or anything between, and each byte may hold its synced
     or its latest value; past the synced end, the synced value is a hole's
     zero.
+
+    `check` walks the recovered namespace once, with one `readdir` per
+    directory and one `lookup` per path, and takes the missing and the
+    unexpected paths and each file's inode from that walk.
     """
 
     def __init__(self):
         self.dirs: set[str] = set()
-        self.files: set[str] = set()         # created (durable at op end)
-        self.synced: dict[str, bytes] = {}   # content at last fsync
-        self.pending: dict[str, bytearray] = {}
+        self.files: dict[str, list] = {}  # created: [synced, latest]
 
     def apply(self, rec: TraceRecord) -> None:
         if rec.op == "mkdir":
@@ -497,38 +501,39 @@ class DurabilityOracle:
         elif rec.op == "rmdir":
             self.dirs.discard(rec.path)
         elif rec.op == "create":
-            self.files.add(rec.path)
-            self.pending[rec.path] = bytearray()
-            self.synced[rec.path] = b""
+            self.files[rec.path] = [b"", bytearray()]
         elif rec.op == "unlink":
-            self.files.discard(rec.path)
-            self.pending.pop(rec.path, None)
-            self.synced.pop(rec.path, None)
-        elif rec.op == "write":
-            buf = self.pending.setdefault(rec.path, bytearray())
-            end = rec.offset + rec.size
-            if end > len(buf):
-                buf += bytes(end - len(buf))
-            buf[rec.offset:end] = _pattern(rec.path, rec.offset, rec.size)
-            if rec.fsync:
-                self.synced[rec.path] = bytes(buf)
-        elif rec.op == "fsync":
-            self.synced[rec.path] = bytes(
-                self.pending.get(rec.path, bytearray()))
+            self.files.pop(rec.path, None)
+        elif rec.op in ("write", "fsync") and rec.path in self.files:
+            record = self.files[rec.path]
+            if rec.op == "write":
+                latest = record[1]
+                end = rec.offset + rec.size
+                if end > len(latest):
+                    latest += bytes(end - len(latest))
+                latest[rec.offset:end] = _pattern(rec.path, rec.offset,
+                                                  rec.size)
+            if rec.op == "fsync" or rec.fsync:
+                record[0] = bytes(record[1])
 
     def check(self, fs: ByteFS) -> CrashVerdict:
-        verdict = CrashVerdict(crash_at=0, ok=True)
-        for path in sorted(self.dirs | self.files):
-            if not fs.exists(path):
-                verdict.missing.append(path)
-        for path, synced in sorted(self.synced.items()):
-            if path not in self.files:
-                continue
-            try:
-                inode = fs.lookup(path)
-            except FsError:
+        tree = {}  # path -> inode, in the order of the walk
+
+        def walk(root: str) -> None:
+            for name in fs.readdir(root):
+                path = root.rstrip("/") + "/" + name
+                inode = tree[path] = fs.lookup(path)
+                if inode.itype == ITYPE_DIR:
+                    walk(path)
+
+        walk("/")
+        expected = self.dirs | self.files.keys()
+        verdict = CrashVerdict(crash_at=0, ok=True,
+                               missing=sorted(expected - tree.keys()))
+        for path, (synced, latest) in sorted(self.files.items()):
+            inode = tree.get(path)
+            if inode is None:
                 continue  # already reported missing
-            latest = self.pending[path]
             size = inode.size
             if not len(synced) <= size <= len(latest):
                 verdict.corrupt.append(f"{path} size {size} not in "
@@ -545,23 +550,11 @@ class DurabilityOracle:
                                for x in (got, new, old))
                     if not ((g == a) | (g == b)).all():
                         verdict.corrupt.append(f"{path} content mismatch")
-        seen = self.dirs | self.files
-        verdict.unexpected = [p for p in _walk_paths(fs)
-                              if p not in seen]
+        verdict.unexpected = [p for p in tree if p not in expected]
         verdict.fsck_problems = fs.fsck()
         verdict.ok = not (verdict.missing or verdict.corrupt
                           or verdict.unexpected or verdict.fsck_problems)
         return verdict
-
-
-def _walk_paths(fs: ByteFS, root: str = "/") -> list[str]:
-    out = []
-    for name in fs.readdir(root):
-        path = (root.rstrip("/") or "") + "/" + name
-        out.append(path)
-        if fs.lookup(path).itype == ITYPE_DIR:
-            out += _walk_paths(fs, path)
-    return out
 
 
 def crash_run(spec: WorkloadSpec, crash_at: int,

@@ -80,6 +80,10 @@ class DeviceConfig:
             raise InvalidArgument("clean_threshold must be in (0, 1]")
         if self.channel_count <= 0:
             raise InvalidArgument("channel_count must be positive")
+        if min(self.flash_read_latency_ns, self.flash_write_latency_ns,
+               self.cacheline_read_latency_ns,
+               self.cacheline_write_latency_ns) < 0:
+            raise InvalidArgument("latencies must not be negative")
         if self.txlog_bytes < 4 or self.write_buffer_bytes < self.page_size:
             raise InvalidArgument("txlog/write buffer too small")
         # the write log's sidecar holds an LPA in a u4 and a cacheline of
@@ -194,7 +198,7 @@ class FlashDevice:
         self.page_count = self.config.page_count
         self.phys_page_count = self.config.phys_page_count
         self._erased = bytes(self.config.page_size)  # erased flash: zeros
-        self.pages: dict[int, bytearray] = {}
+        self.pages: dict[int, bytes | bytearray] = {}
         self.ftl = FtlMap(self.phys_page_count)
         self.clock = SimClock()
         self.traffic = TrafficCounters()

@@ -24,7 +24,7 @@ import numpy as np
 from .device import CACHELINE, DeviceConfig, GiB, spans
 from .errors import (
     AlreadyExists, DirectoryNotEmpty, FsError, InvalidArgument, IsADirectory,
-    NotADirectory, NotFound, SpaceExhausted, StateError, TxAborted,
+    NotADirectory, NotFound, SpaceExhausted, StateError,
 )
 from .layout import (
     INLINE_EXTENTS, INODE_SIZE, ITYPE_DIR, ITYPE_FILE, JOURNAL_COMMIT_MAGIC,
@@ -223,8 +223,8 @@ class _Txn:
         fs = self.fs
         fs._txn = None
         if exc_type is not None:
-            # a write conflict has already ended the transaction
-            if self.txid is not None and not issubclass(exc_type, TxAborted):
+            # a write conflict or a full log may have ended it already
+            if self.txid in self.mssd.txmgr.table:
                 self.mssd.tx_abort(self.txid)
             return
         if self.journaled:

@@ -10,20 +10,25 @@ array, `writelog.SIDECAR_DTYPE` rows), TxLog (entry count, u32 txids in
 commit order, then their u64 commit stamps), clock.  The log sections
 are copies of the write log's own arrays, and empty for a device without
 a write log; the TxLog section is a copy of the TxLog's two arrays.
-Each section's length must be what its counts imply.  Used for
-crash-injection snapshots: host state (TxTable, caches) is deliberately
-not part of the image.
+One rule checks every section's length (`_split`): a head of fixed
+values, then `count` items of each of its columns, then a tail of fixed
+values, and nothing else.  Used for crash-injection snapshots: host
+state (TxTable, caches) is deliberately not part of the image.
 
 What is copied: `save` writes each section's parts straight from the
 device (the flash pages, the log payload bytearray, the sidecar rows,
 the TxLog's two arrays), with the CRC chained over the parts, so the
-only copy is the one into the target.  `load` reads each part once,
-into a buffer the loaded device then owns: each flash page into its own
-buffer, the log payload and the sidecar array into their section's
-buffer; the TxLog takes one more copy of its section's two arrays, and
-builds its txid index only when a read first needs it.  Every CRC is
-checked.  `crash_clone` is a `save` into a `BytesIO` and a `load` of
-it, so every power cut goes through the image format.
+only copy is the one into the target.  `load` reads the image once, into
+one buffer, and checks each section as a view of it; `crash_clone` hands
+`load` the buffer `save` filled, with no copy.  The device then takes
+one copy of each part it keeps: each flash page as its own `bytes`, the
+log payload and the sidecar array as the write log's own buffers, and
+the TxLog's two arrays; the TxLog builds its txid index only when a
+read first needs it.  A page is not kept as a view of the image, which
+would hold the whole image, log sections included, for as long as the
+device lives.  Every CRC is checked.  `crash_clone` is a `save` into a
+`BytesIO` and a `load` of it, so every power cut goes through the image
+format.
 """
 
 from __future__ import annotations
@@ -115,155 +120,129 @@ def save(mssd: Mssd, target) -> None:
                    (struct.pack("<QQ", dev.clock.now_ns, mssd._stamp),))
 
 
-def _read_struct(f, fmt: str, section_id: int | None = None) -> tuple:
-    raw = f.read(struct.calcsize(fmt))
-    if len(raw) != struct.calcsize(fmt):
+def _unpack(image: memoryview, at: int, fmt: str,
+            section_id: int | None = None) -> tuple:
+    """The values of struct format `fmt` at offset `at` of the image."""
+    if at + struct.calcsize(fmt) > len(image):
         raise RecoveryFailed("truncated image", section_id=section_id)
-    return struct.unpack(fmt, raw)
+    return struct.unpack_from(fmt, image, at)
 
 
-def _section(f, expect_id: int, end: int) -> tuple[int, int]:
-    """Read and check the header of the next section; returns the length
-    and CRC of its payload.  `end` is the size of the image, which bounds
-    what a header may claim."""
-    sec_id, length, crc = _read_struct(f, _SECTION_HDR_FMT, expect_id)
+def _section(image: memoryview, at: int, expect_id: int
+             ) -> tuple[memoryview, int]:
+    """The payload of the section whose header is at offset `at`, as a
+    view of the image with its CRC checked, and the offset after it."""
+    sec_id, length, crc = _unpack(image, at, _SECTION_HDR_FMT, expect_id)
     if sec_id != expect_id:
         raise RecoveryFailed(f"unexpected section {sec_id}", section_id=sec_id)
-    if length > end - f.tell():
+    at += struct.calcsize(_SECTION_HDR_FMT)
+    if length > len(image) - at:
         raise RecoveryFailed("truncated image", section_id=sec_id)
-    return length, crc
-
-
-def _read_into(f, bufs, crc: int, sec_id: int) -> None:
-    """Fill `bufs` from the image in order and check their chained CRC."""
-    got = 0
-    for buf in bufs:
-        if f.readinto(buf) != len(buf):
-            raise RecoveryFailed("truncated image", section_id=sec_id)
-        got = zlib.crc32(buf, got)
-    if got != crc:
+    payload = image[at:at + length]
+    if zlib.crc32(payload) != crc:
         raise RecoveryFailed(f"section {sec_id} CRC mismatch", section_id=sec_id)
+    return payload, at + length
 
 
-def _read_section(f, expect_id: int, end: int) -> bytearray:
-    """The payload of the next section, in a buffer of its own."""
-    length, crc = _section(f, expect_id, end)
-    payload = bytearray(length)
-    _read_into(f, (payload,), crc, expect_id)
-    return payload
-
-
-def _count(payload: bytearray, sec_id: int, item_size: int,
-           tail: int = 0) -> int:
-    """The u64 count a section's payload starts with, which exactly that
-    many items of `item_size` bytes and then `tail` bytes must follow."""
-    if len(payload) >= 8:
-        (count,) = struct.unpack_from("<Q", payload)
-        if len(payload) == 8 + count * item_size + tail:
-            return count
-    raise RecoveryFailed(f"section {sec_id} disagrees with its count",
+def _split(payload: memoryview, sec_id: int, head: str = "", columns=(),
+           count: int | None = None, tail: str = "") -> tuple:
+    """A section's payload as its head values (struct format `head`),
+    then `count` items of each numpy dtype in `columns` in turn, as
+    arrays that view the payload, then its tail values (format `tail`).
+    `count` None takes the head's last value.  This is the one length
+    rule of the image: any other length is refused with the section."""
+    at = struct.calcsize(head)
+    if len(payload) >= at:
+        values = struct.unpack_from(head, payload)
+        if count is None:
+            count = values[-1]
+        if len(payload) == at + struct.calcsize(tail) + count * sum(
+                np.dtype(column).itemsize for column in columns):
+            arrays = []
+            for column in columns:
+                arrays.append(np.frombuffer(payload, dtype=column,
+                                            count=count, offset=at))
+                at += arrays[-1].nbytes
+            return values, arrays, struct.unpack_from(tail, payload, at)
+    raise RecoveryFailed(f"section {sec_id} disagrees with its counts",
                          section_id=sec_id)
 
 
 def load(source) -> Mssd:
-    """Load a device image from a path or a seekable binary file object;
-    host-side state starts fresh, and the device has a write log if and
-    only if the image says so."""
+    """Load a device image from a path or a binary file object, read from
+    its position to its end; host-side state starts fresh, and the device
+    has a write log if and only if the image says so."""
     if isinstance(source, (str, bytes, os.PathLike)):
         with open(source, "rb") as f:
             return load(f)
-    f = source
-    start = f.tell()
-    end = f.seek(0, io.SEEK_END)
-    f.seek(start)
-    if f.read(4) != MAGIC:
+    image = memoryview(source.read())
+    if image[:4] != MAGIC:
         raise InvalidArgument("not a device image (bad magic)")
-    (version,) = _read_struct(f, "<I")
+    (version,) = _unpack(image, 4, "<I")
     if version != FORMAT_VERSION:
         raise InvalidArgument(f"unsupported image version {version}")
-    (flags,) = _read_struct(f, "<I")
+    (flags,) = _unpack(image, 8, "<I")
     if flags & ~FLAG_WRITE_LOG:
         raise InvalidArgument(f"unknown image flags {flags:#x}")
-    cfg = DeviceConfig(*_read_struct(f, _CONFIG_FMT))
+    cfg = DeviceConfig(*_unpack(image, 12, _CONFIG_FMT))
+    at = 12 + struct.calcsize(_CONFIG_FMT)
 
     mssd = Mssd(cfg, log_enabled=bool(flags & FLAG_WRITE_LOG))
     dev = mssd.device
 
-    # each page is read, its PPA in front, into the buffer the device keeps
-    length, crc = _section(f, SEC_FLASH, end)
-    count, rest = divmod(length - 8, 8 + cfg.page_size)
-    if length < 8 or rest:
-        raise RecoveryFailed("flash section is not whole pages",
-                             section_id=SEC_FLASH)
-    head = bytearray(8)
-    pages = [bytearray(8 + cfg.page_size) for _ in range(count)]
-    _read_into(f, [head, *pages], crc, SEC_FLASH)
-    if struct.unpack("<Q", head) != (count,):
-        raise RecoveryFailed("flash section miscounts its pages",
-                             section_id=SEC_FLASH)
-    for page in pages:
-        (ppa,) = struct.unpack_from("<Q", page)
-        del page[:8]
-        dev.pages[ppa] = page
+    payload, at = _section(image, at, SEC_FLASH)
+    _, (rows,), _ = _split(payload, SEC_FLASH, "<Q", (np.dtype(
+        [("ppa", "<u8"), ("data", f"V{cfg.page_size}")]),))
+    dev.pages.update(zip(rows["ppa"].tolist(), rows["data"].tolist()))
 
-    payload = _read_section(f, SEC_FTL, end)
-    count = _count(payload, SEC_FTL, 16, tail=8)
-    pairs = np.frombuffer(payload, dtype="<u8", count=2 * count, offset=8)
-    dev.ftl.lpa_to_ppa = dict(zip(pairs[0::2].tolist(), pairs[1::2].tolist()))
-    (dev.ftl._next_unused,) = struct.unpack_from("<Q", payload,
-                                                 8 + 16 * count)
+    payload, at = _section(image, at, SEC_FTL)
+    _, (pairs,), (dev.ftl._next_unused,) = _split(
+        payload, SEC_FTL, "<Q",
+        (np.dtype([("lpa", "<u8"), ("ppa", "<u8")]),), tail="<Q")
+    dev.ftl.lpa_to_ppa = dict(zip(pairs["lpa"].tolist(),
+                                  pairs["ppa"].tolist()))
 
-    buf = _read_section(f, SEC_LOG_REGION, end)
-    # a section too short for its header counts -1 entries, which no
-    # length matches
-    gen_id, tail_slots = (struct.unpack_from("<IQ", buf) if len(buf) >= 12
-                          else (0, -1))
-    del buf[:12]
-    if len(buf) != tail_slots * CACHELINE \
-            or tail_slots > cfg.log_region_bytes // CACHELINE:
-        raise RecoveryFailed("log region disagrees with its entry count",
+    slots, at = _section(image, at, SEC_LOG_REGION)
+    (gen_id, tail_slots), _, _ = _split(slots, SEC_LOG_REGION, "<IQ",
+                                        (f"V{CACHELINE}",))
+    if tail_slots > cfg.log_region_bytes // CACHELINE:
+        raise RecoveryFailed("log region holds more slots than the log",
                              section_id=SEC_LOG_REGION)
-    rows = _read_section(f, SEC_LOG_INDEX, end)
-    if len(rows) != tail_slots * SIDECAR_DTYPE.itemsize:
-        raise RecoveryFailed("log region and sidecar disagree",
-                             section_id=SEC_LOG_INDEX)
-    # the sidecar array shares its section's buffer, which nothing resizes
-    side = np.frombuffer(rows, dtype=SIDECAR_DTYPE)
+    sidecar, at = _section(image, at, SEC_LOG_INDEX)
+    _, (side,), _ = _split(sidecar, SEC_LOG_INDEX, columns=(SIDECAR_DTYPE,),
+                           count=tail_slots)
     if mssd.log_enabled:
-        mssd.writelog.install(LogGeneration(gen_id, cfg.log_region_bytes,
-                                            buf, side))
+        # the write log writes its payload and sidecar: copies of their own
+        mssd.writelog.install(LogGeneration(
+            gen_id, cfg.log_region_bytes, bytearray(slots[12:]),
+            np.frombuffer(bytearray(sidecar), dtype=SIDECAR_DTYPE)))
     elif tail_slots:
         raise RecoveryFailed("image of a device without a write log holds "
                              "write-log entries", section_id=SEC_LOG_REGION)
 
-    payload = _read_section(f, SEC_TXLOG, end)
-    count = _count(payload, SEC_TXLOG, 4 + 8)
+    payload, at = _section(image, at, SEC_TXLOG)
+    (count,), (txids, stamps), _ = _split(payload, SEC_TXLOG, "<Q",
+                                          ("<u4", "<u8"))
     if count > mssd.txlog.capacity_entries:
         raise RecoveryFailed("TxLog section exceeds the TxLog",
                              section_id=SEC_TXLOG)
-    txids = np.frombuffer(payload, dtype="<u4", count=count, offset=8)
     by_txid = np.sort(txids)  # a repeated txid lands next to itself
     if (by_txid[1:] == by_txid[:-1]).any():
         raise RecoveryFailed("TxLog section repeats a txid",
                              section_id=SEC_TXLOG)
-    mssd.txlog.adopt(txids, np.frombuffer(payload, dtype="<u8", count=count,
-                                          offset=8 + 4 * count))
+    mssd.txlog.adopt(txids, stamps)
 
-    payload = _read_section(f, SEC_CLOCK, end)
-    if len(payload) != 16:
-        raise RecoveryFailed("clock section is not 16 bytes",
-                             section_id=SEC_CLOCK)
-    now_ns, stamp = struct.unpack("<QQ", payload)
-    dev.clock.now_ns = now_ns
-    mssd._stamp = stamp
+    payload, at = _section(image, at, SEC_CLOCK)
+    (dev.clock.now_ns, mssd._stamp), _, _ = _split(payload, SEC_CLOCK, "<QQ")
     mssd.txmgr.next_txid = max(int(side["txid"].max(initial=0)),
                                int(txids.max(initial=0))) + 1
     return mssd
 
 
 def crash_clone(mssd: Mssd) -> Mssd:
-    """Simulated power loss: round-trip the image, dropping host state."""
+    """Simulated power loss: round-trip the image, dropping host state.
+    A `BytesIO` made from `getvalue` reads back the buffer `save` filled,
+    with no copy."""
     buf = io.BytesIO()
     save(mssd, buf)
-    buf.seek(0)
-    return load(buf)
+    return load(io.BytesIO(buf.getvalue()))

@@ -15,7 +15,8 @@ for the LPA of a block read and the whole of a run of block reads
 (`block_read_run`), which `FlashDevice` checks.  A byte access is then
 split into page-local pieces that start on a cacheline, which the write
 log takes; a plain byte write is a write of transaction 0.  Commit and
-abort are stated here too.
+abort are stated here too: a transaction ends when its write conflicts
+or when the full log refuses it, also after the log took part of it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from .device import (
     CACHELINE, CATEGORIES, DeviceConfig, FlashDevice, TrafficCounters, spans,
 )
-from .errors import AddressFault, InvalidArgument, TxAborted
+from .errors import AddressFault, BackPressure, InvalidArgument, TxAborted
 from .txn import TxLog, TxManager, recover
 from .writelog import CleanReport, WriteLog
 
@@ -85,7 +86,12 @@ class Mssd:
                 piece = self._byte_read_page(lpa, off, head_pad, category,
                                              reader=txid) + piece
             if self.log_enabled:
-                self.writelog.byte_write(lpa, off, piece, txid, category)
+                try:
+                    self.writelog.byte_write(lpa, off, piece, txid, category)
+                except BackPressure:
+                    if txid:  # its write torn, the transaction ends
+                        self.tx_abort(txid)
+                    raise
             else:
                 # Page-granular device buffer: read-modify-write the page.
                 page = bytearray(self.device.read_lpa(lpa, category))

@@ -9,14 +9,16 @@ padded as the device pads it.
 
 The shadow records only what the device accepted: an access lands after
 the model's own call returns, and a byte write that the full log refuses
-part-way (`BackPressure`) lands only the cachelines the log took.  A
-conflict abort inside `_write` reaches the shadow through `tx_abort`.
+(`BackPressure`) lands nothing.  A plain write is refused only when the
+entries of open transactions fill the log alone, so it took none of its
+cachelines; a transaction ends with its refused write, and that abort,
+like a conflict's, reaches the shadow through `tx_abort` inside
+`_write`.
 """
 
 from __future__ import annotations
 
 from bytefs.device import CACHELINE, DeviceConfig, spans
-from bytefs.errors import BackPressure
 from bytefs.mssd import Mssd
 
 
@@ -75,19 +77,7 @@ class ShadowMssd(Mssd):
                                txid)
                   for lpa, off, take, pos in spans(addr, len(data),
                                                    page_size)]
-        stamp = self._stamp
-        try:
-            super()._write(txid, addr, data, category, locks)
-        except BackPressure:
-            # the log draws one seq per entry, and appends one entry per
-            # cacheline of each piece, in order
-            taken = self._stamp - stamp
-            for piece_addr, piece in pieces:
-                if taken <= 0:
-                    break
-                self._land(piece_addr, piece[:taken * CACHELINE], txid)
-                taken -= -(-len(piece) // CACHELINE)
-            raise
+        super()._write(txid, addr, data, category, locks)
         for piece_addr, piece in pieces:
             self._land(piece_addr, piece, txid)
 

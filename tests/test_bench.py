@@ -11,7 +11,8 @@ from bytefs import bench, cli, image
 from bytefs.bench import TraceRecord, WorkloadSpec
 from bytefs.device import DeviceConfig, KiB, MiB
 from bytefs.errors import InvalidArgument
-from bytefs.fs import MODES, recover_fs
+from bytefs.fs import MODES, _Txn, recover_fs
+from bytefs.layout import ITYPE_DIR
 
 from conftest import small_config
 
@@ -265,8 +266,8 @@ def test_durability_oracle_reports_lost_synced_byte():
     recovered, _report = recover_fs(image.crash_clone(fs.mssd))
     assert oracle.check(recovered).ok
     path, synced = next(
-        (p, d) for p, d in sorted(oracle.synced.items())
-        if d and p in oracle.files and oracle.pending[p][0] == d[0])
+        (p, d) for p, (d, latest) in sorted(oracle.files.items())
+        if d and latest[0] == d[0])
     fd = recovered.open(path)
     recovered.write(fd, 0, bytes([synced[0] ^ 0xFF]))
     recovered.close(fd)
@@ -287,7 +288,7 @@ def _synced_then_grown():
         bench.apply_record(fs, rec, fds)
         oracle.apply(rec)
     assert oracle.check(fs).ok
-    return fs, oracle, bytes(oracle.pending["/f"])
+    return fs, oracle, bytes(oracle.files["/f"][1])
 
 
 def _overwrite(fs, offset, data):
@@ -304,7 +305,7 @@ def test_durability_oracle_reports_one_flipped_synced_byte():
 
 def test_durability_oracle_accepts_synced_bytes_and_holes():
     fs, oracle, latest = _synced_then_grown()
-    synced = oracle.synced["/f"]
+    synced = oracle.files["/f"][0]
     _overwrite(fs, 4096, synced[4096:8192])   # the synced value
     _overwrite(fs, 8192, bytes(4096))         # a hole past the synced end
     assert latest[4096:] != synced[4096:] + bytes(4096)
@@ -317,6 +318,126 @@ def test_durability_oracle_rejects_a_byte_past_the_synced_end():
     _overwrite(fs, 8192, bytes(4096))
     _overwrite(fs, 9000, bytes([wrong]))
     assert oracle.check(fs).corrupt == ["/f content mismatch"]
+
+
+def _verdict_digest(verdicts) -> str:
+    digest = hashlib.sha256()
+    for v in verdicts:
+        digest.update(v.emit().encode())
+        for lines in (v.missing, v.corrupt, v.unexpected, v.fsck_problems):
+            digest.update(repr(lines).encode())
+    return digest.hexdigest()
+
+
+def test_crash_verdicts_pinned():
+    # every profile in every mode, 200 records cut after record 150, a
+    # 64 KiB cache; the digest was computed before the oracle walked the
+    # recovered tree once
+    verdicts = [bench.crash_run(WorkloadSpec(profile, seed=3, ops=200), 150,
+                                small_config(), mode=mode,
+                                cache_bytes=64 * KiB)
+                for profile in bench.PROFILES for mode in MODES]
+    assert _verdict_digest(verdicts) == \
+        "8d0d6b89529515860c4eebe1c8e6b9a409354bb8a1426f739149680e4fdc0e90"
+
+
+def test_oracle_verdicts_on_other_prefixes_pinned():
+    # the same cuts, checked by oracles that saw 100 or 200 of the records:
+    # their verdicts list missing, unexpected and corrupt paths
+    verdicts = []
+    for profile in bench.PROFILES:
+        records = bench.build_workload(WorkloadSpec(profile, seed=3, ops=200))
+        for mode in MODES:
+            fs = bench.format_and_mount(small_config(), mode, "ordered",
+                                        64 * KiB)
+            fds: dict[str, int] = {}
+            for rec in records[:150]:
+                bench.apply_record(fs, rec, fds)
+            recovered, _ = recover_fs(image.crash_clone(fs.mssd), mode=mode,
+                                      cache_bytes=64 * KiB)
+            for seen in (100, 200):
+                oracle = bench.DurabilityOracle()
+                for rec in records[:seen]:
+                    oracle.apply(rec)
+                verdicts.append(oracle.check(recovered))
+    assert sum(len(v.missing) for v in verdicts) == 596
+    assert sum(len(v.unexpected) for v in verdicts) == 676
+    assert sum(len(v.corrupt) for v in verdicts) == 136
+    assert _verdict_digest(verdicts) == \
+        "dd268cd983cec8b03d5ff24a12dffa40aa5e1135447a60d44818f6fc232a5015"
+
+
+def test_durability_oracle_looks_up_each_path_of_the_tree_once(monkeypatch):
+    records = bench.build_workload(small_spec("fileserver", seed=2, ops=200))
+    fs = bench.format_and_mount(small_config(), "full", "ordered")
+    oracle = bench.DurabilityOracle()
+    fds: dict[str, int] = {}
+    for rec in records[:150]:
+        bench.apply_record(fs, rec, fds)
+        oracle.apply(rec)
+    recovered, _ = recover_fs(image.crash_clone(fs.mssd))
+    paths, dirs, todo = [], [], ["/"]
+    while todo:
+        root = todo.pop()
+        for name in recovered.readdir(root):
+            paths.append(root.rstrip("/") + "/" + name)
+            if recovered.lookup(paths[-1]).itype == ITYPE_DIR:
+                dirs.append(paths[-1])
+                todo.append(paths[-1])
+    assert len(paths) > 10 and dirs
+    looked_up = []
+    lookup = recovered.lookup
+
+    def counted(path):
+        looked_up.append(path)
+        return lookup(path)
+
+    monkeypatch.setattr(recovered, "lookup", counted)
+    assert oracle.check(recovered).ok
+    assert sorted(looked_up) == sorted(paths)
+
+
+def _oracle_of(*records):
+    oracle = bench.DurabilityOracle()
+    for rec in records:
+        oracle.apply(rec)
+    return oracle
+
+
+def test_durability_oracle_forgets_a_removed_directory():
+    fs = bench.format_and_mount(small_config(), "full", "ordered")
+    fs.mkdir("/d")
+    made = _oracle_of(TraceRecord("mkdir", "/d"))
+    removed = _oracle_of(TraceRecord("mkdir", "/d"), TraceRecord("rmdir", "/d"))
+    assert made.check(fs).ok
+    assert removed.check(fs).unexpected == ["/d"]
+    fs.rmdir("/d")
+    assert removed.check(fs).ok
+    assert made.check(fs).missing == ["/d"]
+
+
+def test_durability_oracle_reports_paths_the_tree_lacks():
+    fs = bench.format_and_mount(small_config(), "full", "ordered")
+    fs.create("/a")
+    oracle = _oracle_of(TraceRecord("mkdir", "/d"),
+                        TraceRecord("create", "/f"),
+                        TraceRecord("write", "/f", 0, 100, fsync=True),
+                        TraceRecord("create", "/a/b"))
+    verdict = oracle.check(fs)
+    # a lost file with synced data is reported missing, not corrupt
+    assert verdict.missing == ["/a/b", "/d", "/f"]
+    assert verdict.corrupt == [] and verdict.unexpected == ["/a"]
+    assert not verdict.ok
+
+
+def test_durability_oracle_reports_paths_it_does_not_expect():
+    fs = bench.format_and_mount(small_config(), "full", "ordered")
+    for path in ("/x", "/x/y", "/x/y/z", "/w"):
+        fs.mkdir(path)
+    fs.create("/x/f")
+    verdict = _oracle_of(TraceRecord("mkdir", "/x")).check(fs)
+    assert verdict.unexpected == ["/w", "/x/f", "/x/y", "/x/y/z"]
+    assert verdict.missing == [] and not verdict.ok
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +498,14 @@ def test_config_unknown_key_is_error():
         bench.parse_config_text("mode = turbo")
     with pytest.raises(InvalidArgument, match="key = value"):
         bench.parse_config_text("just some words")
+    with pytest.raises(InvalidArgument, match="unknown journal mode"):
+        bench.parse_config_text("journal = writeback")
+
+
+def test_apply_record_refuses_an_unknown_op():
+    fs = bench.format_and_mount(small_config(), "full", "ordered")
+    with pytest.raises(InvalidArgument, match="unknown trace op"):
+        bench.apply_record(fs, TraceRecord("chmod", "/f"), {})
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +585,28 @@ def test_cli_fsck_and_recover(tmp_path, cfg_file, capsys):
     rc = cli.main(["recover", "--image", img, "--out", out_img])
     assert rc == 0
     assert (tmp_path / "recovered.img").exists()
+
+
+def test_cli_fsck_and_recover_report_the_problems_of_an_image(tmp_path,
+                                                             capsys):
+    # a directory whose size runs past its one full block hides its files
+    fs = bench.format_and_mount(small_config(), "full", "ordered")
+    fs.mkdir("/d")
+    for i in range(64):
+        fs.create(f"/d/f{i:02d}")
+    d = fs.lookup("/d")
+    d.size += 4096
+    with _Txn(fs):
+        fs._persist_inode_lower(d)
+    img = str(tmp_path / "dev.img")
+    image.save(fs.mssd, img)
+    problems = ["dir inode 3 size 8192 runs past its extents (/d)"] + [
+        f"inode {ino} allocated but unreachable" for ino in range(4, 68)]
+    assert cli.main(["fsck", "--image", img]) == 1
+    assert capsys.readouterr().out.splitlines() == problems + [
+        "65 problem(s) found"]
+    assert cli.main(["recover", "--image", img]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "fsck: 65 problem(s)"
 
 
 def test_cli_fsck_takes_the_mode_from_the_image(tmp_path, capsys):

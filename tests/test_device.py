@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from bytefs import bench
 from bytefs.device import (
-    CACHELINE, CATEGORIES, DeviceConfig, FlashDevice, GiB, spans,
+    CACHELINE, CATEGORIES, DeviceConfig, FlashDevice, GiB, KiB, MiB, spans,
 )
 from bytefs.errors import (
     AddressFault, InvalidArgument, SpaceExhausted, TxAborted,
@@ -143,6 +144,29 @@ def test_clock_never_decreases():
         last = dev.clock.now_ns
 
 
+@pytest.mark.parametrize("field", [
+    "flash_read_latency_ns", "flash_write_latency_ns",
+    "cacheline_read_latency_ns", "cacheline_write_latency_ns"])
+def test_negative_latency_rejected(field):
+    cfg = DeviceConfig(capacity_bytes=8 * MiB, log_region_bytes=64 * KiB,
+                       **{field: -5})
+    with pytest.raises(InvalidArgument, match="latencies"):
+        cfg.validate()
+    with pytest.raises(InvalidArgument, match="latencies"):
+        Mssd(cfg)
+    DeviceConfig(capacity_bytes=8 * MiB, **{field: 0}).validate()
+
+
+def test_negative_latency_in_a_config_file_refused_before_any_access():
+    options = bench.parse_config_text("capacity_bytes = 8MiB\n"
+                                      "log_region_bytes = 64KiB\n"
+                                      "flash_read_latency_ns = -5\n")
+    config = bench.split_config(options)[0]
+    assert config.flash_read_latency_ns == -5
+    with pytest.raises(InvalidArgument, match="latencies"):
+        Mssd(config)
+
+
 def test_invalid_configs_rejected():
     with pytest.raises(InvalidArgument):
         DeviceConfig(capacity_bytes=4096 + 1).validate()
@@ -152,6 +176,14 @@ def test_invalid_configs_rejected():
         DeviceConfig(clean_threshold=0.0).validate()
     with pytest.raises(InvalidArgument):
         DeviceConfig(clean_threshold=1.5).validate()
+    with pytest.raises(InvalidArgument, match="log_region_bytes"):
+        DeviceConfig(log_region_bytes=100).validate()
+    with pytest.raises(InvalidArgument, match="channel_count"):
+        DeviceConfig(channel_count=0).validate()
+    with pytest.raises(InvalidArgument, match="too small"):
+        DeviceConfig(txlog_bytes=3).validate()
+    with pytest.raises(InvalidArgument, match="too small"):
+        DeviceConfig(write_buffer_bytes=4095).validate()
     # the write log's sidecar holds an LPA in a u4 and a cacheline in a u1
     with pytest.raises(InvalidArgument, match="2\\*\\*32 pages"):
         DeviceConfig(capacity_bytes=2 ** 44 + 4096).validate()

@@ -18,7 +18,7 @@ from bytefs.fs import (
     Bitmap, MODES, ByteFS, _Txn, make_mssd, mkfs, recover_fs,
 )
 from bytefs.image import crash_clone
-from bytefs.layout import ITYPE_FILE, ROOT_INO, ExtentLeaf, Inode
+from bytefs.layout import ITYPE_FILE, ROOT_INO, ExtentLeaf, Inode, Superblock
 
 from conftest import small_config
 from refmodel import RefFS
@@ -1338,3 +1338,73 @@ def test_image_bytes_pinned(mode):
     buf = io.BytesIO()
     image.save(_pinned_fs(mode).mssd, buf)
     assert hashlib.sha256(buf.getvalue()).hexdigest() == PINNED_IMAGE[mode]
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+
+def test_mkfs_refuses_a_device_too_small_for_its_layout():
+    mssd = make_mssd(small_config(capacity_bytes=256 * 1024), "full")
+    with pytest.raises(InvalidArgument, match="too small"):
+        mkfs(mssd)
+
+
+def test_unknown_journal_mode_refused():
+    mssd = make_mssd(small_config(), "full")
+    mkfs(mssd)
+    with pytest.raises(InvalidArgument, match="unknown journal mode"):
+        ByteFS(mssd, mode="full", journal="writeback")
+
+
+def test_mount_twice_refused():
+    fs = make_fs()
+    with pytest.raises(StateError, match="already mounted"):
+        fs.mount()
+
+
+def test_mount_refuses_a_superblock_of_another_block_size():
+    fs = make_fs()
+    sb = Superblock(**{**vars(fs.sb), "block_size": 8192})
+    fs.mssd.block_write(0, sb.pack()[:4096], category="superblock")
+    with pytest.raises(InvalidArgument, match="block size"):
+        ByteFS(fs.mssd, mode="full").mount()
+
+
+def test_path_refusals():
+    fs = make_fs()
+    fs.create("/f")
+    with pytest.raises(InvalidArgument, match="name too long"):
+        fs.create("/" + "n" * 257)
+    with pytest.raises(InvalidArgument, match="root"):
+        fs.create("/")
+    with pytest.raises(NotADirectory):
+        fs.lookup("/f/x")
+    with pytest.raises(NotADirectory):
+        fs.readdir("/f")
+    assert fs.readdir("/") == ["f"]
+
+
+def test_direct_io_reads_holes_and_the_end_and_writes_whole_pages():
+    fs = make_fs()
+    fs.create("/f")
+    fd = fs.open("/f", direct=True)
+    page = bytes(range(256)) * 16
+    assert fs.write(fd, 8192, page) == 4096       # one whole page, by block
+    assert fs.lookup("/f").all_blocks() == [fs.sb.data_start + 1]
+    assert fs.read(fd, 0, 4096) == bytes(4096)    # a hole
+    assert fs.read(fd, 8192, 4096) == page
+    assert fs.read(fd, 12288, 10) == b""          # past the end
+    fs.close(fd)
+    after, _ = recover_fs(crash_clone(fs.mssd))
+    assert read_file(after, "/f", 0, 12288) == bytes(8192) + page
+
+
+def test_data_journal_refuses_a_record_larger_than_the_journal():
+    fs = make_fs(journal="data")
+    fs.create("/f")
+    fd = fs.open("/f")
+    fs.write(fd, 0, b"\x01" * 63 * 4096)          # 63 pages + 2 > 64 blocks
+    with pytest.raises(SpaceExhausted, match="journal record"):
+        fs.fsync(fd)
+    fs.close(fd)

@@ -371,3 +371,45 @@ def test_clone_shares_no_buffer_with_its_original():
     mssd.byte_write(0, b"\x41" * 64)           # saving left no buffer pinned
     mssd.tx_commit(mssd.tx_begin())            # nor a TxLog array
     assert _image_bytes(mssd) != original
+
+
+def test_unsupported_image_version_rejected():
+    blob = bytearray(_image_bytes(populated_mssd()))
+    struct.pack_into("<I", blob, 4, image.FORMAT_VERSION + 1)
+    with pytest.raises(InvalidArgument, match="unsupported image version"):
+        image.load(io.BytesIO(blob))
+
+
+def _section_at(blob, sec_id: int) -> int:
+    """The offset of section `sec_id`'s header in `blob`."""
+    at = 12 + struct.calcsize(image._CONFIG_FMT)
+    while struct.unpack_from("<I", blob, at)[0] != sec_id:
+        at += 16 + struct.unpack_from("<Q", blob, at + 4)[0]
+    return at
+
+
+def test_section_out_of_order_rejected():
+    blob = bytearray(_image_bytes(populated_mssd()))
+    struct.pack_into("<I", blob, _section_at(blob, image.SEC_FTL),
+                     image.SEC_CLOCK)
+    with pytest.raises(RecoveryFailed, match="unexpected section") as exc:
+        image.load(io.BytesIO(blob))
+    assert exc.value.section_id == image.SEC_CLOCK
+
+
+def test_section_longer_than_the_image_rejected():
+    blob = bytearray(_image_bytes(populated_mssd()))
+    struct.pack_into("<Q", blob, _section_at(blob, image.SEC_CLOCK) + 4, 17)
+    with pytest.raises(RecoveryFailed, match="truncated image") as exc:
+        image.load(io.BytesIO(blob))
+    assert exc.value.section_id == image.SEC_CLOCK
+
+
+def test_log_region_with_more_slots_than_the_log_rejected():
+    slots = small_config().log_region_bytes // 64 + 1
+    blob = _with_section(
+        _image_bytes(populated_mssd()), image.SEC_LOG_REGION,
+        lambda p: struct.pack("<IQ", 1, slots) + bytes(64 * slots))
+    with pytest.raises(RecoveryFailed, match="more slots") as exc:
+        image.load(io.BytesIO(blob))
+    assert exc.value.section_id == image.SEC_LOG_REGION

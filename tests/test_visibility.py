@@ -145,7 +145,8 @@ class VisibilityMachine(RuleBasedStateMachine):
 
     def _byte_write(self, addr, data, txid=0):
         """A plain write (txid 0) or a transaction's, which a full log may
-        refuse after it took some of its cachelines."""
+        refuse after it took some of its cachelines: a transaction ends
+        with such a write."""
         try:
             if txid:
                 self.mssd.tx_write(txid, addr, data)
@@ -153,6 +154,9 @@ class VisibilityMachine(RuleBasedStateMachine):
                 self.mssd.byte_write(addr, data)
         except BackPressure:
             event("BackPressure")
+            if txid:
+                assert txid not in self.mssd.txmgr.table
+                self._end(txid)
 
     @rule(write=writes)
     def plain_write(self, write):
@@ -183,7 +187,7 @@ class VisibilityMachine(RuleBasedStateMachine):
             self._byte_write(addr, data, txid)
         except TxAborted:
             self._end(txid)
-        else:  # the transaction holds the line, written or refused
+        if txid in self.active:  # the transaction holds the line
             self.tx_lines.setdefault(txid, set()).add(addr - addr % 64)
 
     def _end(self, txid):

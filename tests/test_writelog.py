@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from bytefs import bench, image
 from bytefs.device import CACHELINE
 from bytefs.errors import (
-    AddressFault, BackPressure, TxAborted,
+    AddressFault, BackPressure, StateError, TxAborted,
 )
 from bytefs.mssd import Mssd
 from bytefs.writelog import ACTIVE_KEY, merge_order
@@ -240,12 +240,12 @@ def test_piece_larger_than_the_free_room_cleans_at_the_full_generation(mssd):
     assert [(r.entries_flushed, r.entries_migrated) for r in reports[3:]] == [
         (16, 1008)]
     assert mssd.writelog.active_gen.tail_slots == 1024
-    # the transaction's entries now fill the log alone
+    # the transaction's entries now fill the log alone, and the write
+    # the log refuses ends the transaction
     with pytest.raises(BackPressure):
         mssd.tx_write(txid, 1024 * 64, b"\x01" * 64)
-    with pytest.raises(BackPressure):
-        mssd.byte_write(101 * 4096, b"\x02" * 64)
-    mssd.tx_abort(txid)
+    with pytest.raises(StateError):
+        mssd.tx_abort(txid)
     mssd.byte_write(101 * 4096, b"\x02" * 64)
     assert mssd.writelog.active_gen.tail_slots == 1
     assert mssd.byte_read(0, 102 * 4096) == mssd.shadow_read(0, 102 * 4096)
@@ -388,33 +388,68 @@ def test_shadow_holds_nothing_of_a_write_the_full_log_refused():
 
 def test_shadow_holds_only_the_cachelines_the_full_log_took():
     # 10 entries of an open transaction leave 6 of 16 slots for its next
-    # write of 10 cachelines
+    # write of 10 cachelines: the log takes 6 and refuses the rest, which
+    # ends the transaction, so neither the device nor the shadow holds any
     mssd = ShadowMssd(small_config(log_region_bytes=1024))
     t = mssd.tx_begin()
     mssd.tx_write(t, 0, b"\x11" * 10 * 64)
     with pytest.raises(BackPressure):
         mssd.tx_write(t, 4096, b"\x33" * 640)
-    want = b"\x33" * 6 * 64 + bytes(4 * 64)
-    assert mssd.byte_read(4096, 640) == mssd.shadow_read(4096, 640) == want
-    mssd.tx_commit(t)
-    assert mssd.byte_read(4096, 640) == mssd.shadow_read(4096, 640) == want
+    assert mssd.byte_read(4096, 640) == mssd.shadow_read(4096, 640) == bytes(
+        640)
+    with pytest.raises(StateError):
+        mssd.tx_commit(t)
+    assert mssd.byte_read(0, 8192) == mssd.shadow_read(0, 8192) == bytes(8192)
     assert mssd.block_read(1) == mssd.shadow_read(4096, 4096)
+
+
+def test_transactional_write_the_full_log_refuses_ends_its_transaction():
+    # the log takes 6 of the 10 cachelines of the transaction's second
+    # write; none of the transaction may become durable
+    mssd = ShadowMssd(small_config(log_region_bytes=1024))
+    t = mssd.tx_begin()
+    mssd.tx_write(t, 0, b"\x11" * 10 * 64)
+    with pytest.raises(BackPressure):
+        mssd.tx_write(t, 4096, b"\x33" * 640)
+    clone = image.crash_clone(mssd)
+    clone.recover()
+    for dev in (mssd, clone):
+        assert dev.byte_read(0, 8192) == bytes(8192)
+        with pytest.raises(StateError):
+            dev.tx_commit(t)
+        assert dev.byte_read(0, 8192) == bytes(8192)
+    assert mssd.shadow_read(0, 8192) == bytes(8192)
+    # its cacheline locks went with it
+    u = mssd.tx_begin()
+    mssd.tx_write(u, 4096, b"\x44" * 64)
+    mssd.tx_commit(u)
+    assert mssd.byte_read(4096, 64) == mssd.shadow_read(4096, 64) == \
+        b"\x44" * 64
 
 
 def test_shadow_pads_a_partly_taken_write_across_a_page_as_the_device():
     # a transaction's write from inside a cacheline, over a page boundary:
     # the 5 slots that another's 11 open entries leave take its padded
-    # piece on page 0 (2 entries) and 3 of the 5 entries of page 1's
+    # piece on page 0 (2 entries) and 3 of the 5 entries of page 1's, and
+    # the refusal ends it; once the other commits, a new transaction's
+    # same write lands whole
     mssd = ShadowMssd(small_config(log_region_bytes=1024))
     mssd.byte_write(4096 - 128, b"\x44" * 128)
-    mssd.tx_write(mssd.tx_begin(), 8 * 4096, b"\x11" * 11 * 64)
+    other = mssd.tx_begin()
+    mssd.tx_write(other, 8 * 4096, b"\x11" * 11 * 64)
     t = mssd.tx_begin()
     with pytest.raises(BackPressure):
         mssd.tx_write(t, 4096 - 100, b"\x55" * 400)
-    want = b"\x44" * 28 + b"\x55" * (100 + 3 * 64) + bytes(108)
+    want = b"\x44" * 128 + bytes(300)
     assert mssd.byte_read(4096 - 128, 428) == want
     assert mssd.shadow_read(4096 - 128, 428) == want
-    mssd.tx_commit(t)
+    with pytest.raises(StateError):
+        mssd.tx_commit(t)
+    mssd.tx_commit(other)
+    u = mssd.tx_begin()
+    mssd.tx_write(u, 4096 - 100, b"\x55" * 400)
+    mssd.tx_commit(u)
+    want = b"\x44" * 28 + b"\x55" * 400
     assert mssd.byte_read(4096 - 128, 428) == want
     assert mssd.shadow_read(4096 - 128, 428) == want
 

@@ -10,7 +10,8 @@ default, or ``varmail_default``) up to record R, then cuts power K times
 on that one device.  R defaults to 14 000 for ``crash_oltp`` and to the
 last record, where its one cut falls, for ``varmail_default``.  Each
 repetition times the four phases of a cut on a fresh clone:
-``image.save`` into a ``BytesIO``, ``image.load`` of it,
+``image.save`` into a ``BytesIO``, ``image.load`` of it (of a ``BytesIO``
+made from its ``getvalue``, as ``image.crash_clone`` loads it),
 ``WriteLog.visibility`` and ``WriteLog.merge_and_flush``; and, on another
 clone, the whole cut as the benchmark times it (``image.crash_clone``
 plus ``recover_fs``), split into ``recover`` (the device recovery that
@@ -86,8 +87,7 @@ def measure(workload: str, seed: int, record: int, reps: int) -> dict:
         buf = io.BytesIO()
         image.save(mssd, buf)
         t1 = _stamp()
-        buf.seek(0)
-        clone = image.load(buf)
+        clone = image.load(io.BytesIO(buf.getvalue()))  # as crash_clone
         t2 = _stamp()
         visible, key = clone.writelog.visibility()
         t3 = _stamp()
