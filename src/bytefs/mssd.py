@@ -14,7 +14,10 @@ access is checked before it takes a lock or changes anything: here, but
 for the LPA of a block read and the whole of a run of block reads
 (`block_read_run`), which `FlashDevice` checks.  A byte access is then
 split into page-local pieces that start on a cacheline, which the write
-log takes; a plain byte write is a write of transaction 0.  Commit and
+log takes; a plain byte write is a write of transaction 0.  Most byte
+writes, those that fit in one page from a cacheline, are their own
+piece: they are checked by one expression over values looked up at
+construction, and go to the write log with no split or copy.  Commit and
 abort are stated here too: a transaction ends when its write conflicts
 or when the full log refuses it, also after the log took part of it.
 """
@@ -41,6 +44,12 @@ class Mssd:
         self.writelog = (WriteLog(self.device, self.next_stamp, self.txlog,
                                   self.txmgr.active_txids)
                          if log_enabled else None)
+        # what every byte write reads, looked up once
+        self._capacity = self.config.capacity_bytes
+        self._page_size = self.config.page_size
+        self._write_ns = self.config.cacheline_write_latency_ns
+        self._clock = self.device.clock
+        self._host_in = self.device.traffic.by_category["host_to_ssd"]
 
     def next_stamp(self, count: int = 1) -> int:
         self._stamp += count
@@ -65,41 +74,57 @@ class Mssd:
     def _write(self, txid: int, addr: int, data: bytes, category: str,
                locks: bool) -> None:
         """Check, lock (a plain write takes no lock), split into page-local
-        pieces and write.  A write that starts inside a cacheline is padded
-        with the bytes before it that the writer may read."""
+        pieces and write them, charging each piece's cachelines.  A write
+        that fits in one page from a cacheline is its own piece; one that
+        starts inside a cacheline is padded with the bytes before it that
+        the writer may read."""
         size = len(data)
-        self._check_bytes(addr, size, category, "write")
-        conflict = locks and self.txmgr.tx_write(txid, addr, size)
-        if conflict:  # NO_WAIT: the requester ends, having written nothing
-            self.tx_abort(txid)
-            raise TxAborted(f"tx {txid} aborted: cacheline {conflict[0]} is "
-                            f"locked by tx {conflict[1]}")
-        cfg, page_size = self.config, self.config.page_size
-        clock = self.device.clock
-        # the category is checked: charge its counter directly
-        host_in = self.device.traffic.by_category["host_to_ssd"]
-        for lpa, off, take, pos in spans(addr, size, page_size):
-            piece = data[pos:pos + take]
-            head_pad = off % CACHELINE
-            if head_pad:
-                off -= head_pad  # the piece starts on a cacheline now
-                piece = self._byte_read_page(lpa, off, head_pad, category,
-                                             reader=txid) + piece
-            if self.log_enabled:
-                try:
-                    self.writelog.byte_write(lpa, off, piece, txid, category)
-                except BackPressure:
-                    if txid:  # its write torn, the transaction ends
-                        self.tx_abort(txid)
-                    raise
-            else:
+        if not (size > 0 and addr >= 0 and addr + size <= self._capacity
+                and category in CATEGORIES):
+            self._check_bytes(addr, size, category, "write")  # raises
+        if locks:
+            conflict = self.txmgr.tx_write(txid, addr, size)
+            if conflict:  # NO_WAIT: the requester ends, having written nothing
+                self.tx_abort(txid)
+                raise TxAborted(f"tx {txid} aborted: cacheline {conflict[0]} "
+                                f"is locked by tx {conflict[1]}")
+        page_size = self._page_size
+        off = addr % page_size
+        if off % CACHELINE == 0 and off + size <= page_size:
+            pieces = ((addr // page_size, off, data),)
+        else:
+            pieces = self._pieces(txid, addr, data, category)
+        writelog, clock, host_in = self.writelog, self._clock, self._host_in
+        for lpa, off, piece in pieces:
+            if writelog is None:
                 # Page-granular device buffer: read-modify-write the page.
                 page = bytearray(self.device.read_lpa(lpa, category))
                 page[off:off + len(piece)] = piece
                 self.device.write_lpa(lpa, bytes(page), category)
+            else:
+                try:
+                    writelog.byte_write(lpa, off, piece, txid, category)
+                except BackPressure:
+                    if txid:  # its write torn, the transaction ends
+                        self.tx_abort(txid)
+                    raise
             slots = (len(piece) + CACHELINE - 1) // CACHELINE
-            clock.advance(slots * cfg.cacheline_write_latency_ns)
+            clock.now_ns += slots * self._write_ns
             host_in[category] += slots * CACHELINE
+
+    def _pieces(self, txid: int, addr: int, data: bytes, category: str):
+        """The page-local pieces (page, offset, bytes) of a checked write,
+        each started on its cacheline: one that starts inside a cacheline
+        (only the first can) is padded, when the caller asks for it, with
+        the bytes before it that writer `txid` reads."""
+        for lpa, off, take, pos in spans(addr, len(data), self._page_size):
+            piece = data[pos:pos + take]
+            head_pad = off % CACHELINE
+            if head_pad:
+                off -= head_pad
+                piece = self._byte_read_page(lpa, off, head_pad, category,
+                                             reader=txid) + piece
+            yield lpa, off, piece
 
     def byte_read(self, addr: int, length: int, category: str = "untagged"
                   ) -> bytes:
@@ -203,9 +228,11 @@ class Mssd:
         """Stamp `txid` into the TxLog, cleaning first if it is full (the
         clean must carry the still-active transaction's entries)."""
         self.txmgr.require_active(txid)
-        if self.txlog.full:
+        txlog = self.txlog
+        if len(txlog.txids) >= txlog.capacity_entries:
             self.clean()
-        self.txlog.append(txid, self.next_stamp())
+        self._stamp += 1
+        txlog.append(txid, self._stamp)
         self.txmgr.tx_commit(txid)
 
     def tx_abort(self, txid: int) -> None:

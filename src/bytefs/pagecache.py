@@ -9,8 +9,9 @@ cleans them.  Each inode's pages are also kept in their own LRU-ordered
 map, so fsync and unlink touch only that inode's pages.  Duplicates are
 capped at a fraction of cache capacity; exceeding the cap forces
 writeback of the least recently used duplicated pages.  The cache counts
-its duplicated pages, so it looks for them only when the count is over
-the cap.
+its duplicated pages, in all and per inode, so it looks for them only
+when the count is over the cap, and an fsync stops looking once it has
+found its inode's.
 """
 
 from __future__ import annotations
@@ -45,9 +46,13 @@ class CachedPage:
         return self.duplicate is not None
 
     def set_duplicate(self, duplicate: bytes | None) -> None:
-        if self.cache is not None:
-            self.cache.duplicated += ((duplicate is not None)
-                                      - (self.duplicate is not None))
+        cache = self.cache
+        if cache is not None:
+            change = (duplicate is not None) - (self.duplicate is not None)
+            if change:
+                cache.duplicated += change
+                dirty = cache.dirty_count
+                dirty[self.ino] = dirty.get(self.ino, 0) + change
         self.duplicate = duplicate
 
     def note_modify(self, off: int = 0, length: int | None = None) -> None:
@@ -84,6 +89,7 @@ class PageCache:
         # ino -> page index -> page, in the order of `pages`
         self.by_ino: dict[int, OrderedDict[int, CachedPage]] = {}
         self.duplicated = 0  # cached pages that hold a duplicate
+        self.dirty_count: dict[int, int] = {}  # ino -> those of its pages
         self.duplicate_cap = max(
             2, int(self.capacity_pages * DUPLICATE_CAP_FRACTION))
 
@@ -104,16 +110,31 @@ class PageCache:
     def drop_inode(self, ino: int) -> None:
         for index in self.by_ino.pop(ino, ()):
             self._forget(self.pages.pop((ino, index)))
+        self.dirty_count.pop(ino, None)
 
     def _forget(self, page: CachedPage) -> None:
         """Stop counting a page that has left the cache."""
-        self.duplicated -= page.duplicate is not None
+        if page.duplicate is not None:
+            self.duplicated -= 1
+            self.dirty_count[page.ino] -= 1
         page.cache = None
 
     def dirty_pages(self, ino: int) -> list[CachedPage]:
-        """The inode's dirty pages, least recently used first."""
-        return [p for p in self.by_ino.get(ino, {}).values()
-                if p.duplicate is not None]
+        """The inode's dirty pages, least recently used first.  They are
+        looked for from the most recently used end, where a written page
+        is, until the inode's dirty count is found."""
+        left = self.dirty_count.get(ino)
+        if not left:
+            return []
+        out = []
+        for page in reversed(self.by_ino[ino].values()):
+            if page.duplicate is not None:
+                out.append(page)
+                left -= 1
+                if not left:
+                    break
+        out.reverse()
+        return out
 
     def _enforce_limits(self) -> None:
         while len(self.pages) > self.capacity_pages:

@@ -58,10 +58,6 @@ class TxLog:
     def entries(self) -> list[int]:
         return self.txids.tolist()
 
-    @property
-    def full(self) -> bool:
-        return len(self.txids) >= self.capacity_entries
-
     def append(self, txid: int, stamp: int) -> None:
         index = self._index
         if index is None:
@@ -132,13 +128,21 @@ class TxManager:
         """Lock the cachelines of a checked write, or take none and return
         the first (cacheline, holder) that another transaction holds."""
         locks = self.require_active(txid)
-        keys = range(addr // CACHELINE, (addr + length - 1) // CACHELINE + 1)
-        for k in keys:
-            holder = self._lock_owner.get(k, txid)
+        owner = self._lock_owner
+        first, last = addr // CACHELINE, (addr + length - 1) // CACHELINE
+        # the cachelines before the last are tested before any is taken;
+        # the last is tested and taken in one step
+        for k in range(first, last):
+            holder = owner.get(k, txid)
             if holder != txid:
                 return k, holder
-        self._lock_owner.update(dict.fromkeys(keys, txid))
-        locks.update(keys)
+        holder = owner.setdefault(last, txid)
+        if holder != txid:
+            return last, holder
+        locks.add(last)
+        if first < last:
+            owner.update(dict.fromkeys(range(first, last), txid))
+            locks.update(range(first, last))
 
     def _release(self, txid: int) -> None:
         """All a commit or an abort does to the table."""

@@ -5,6 +5,9 @@ slot has one sidecar record (`SIDECAR_DTYPE`): its page, cacheline,
 length, flags, traffic category, transaction id and append sequence.  The
 payload is a bytearray and the sidecar a numpy structured array; both grow
 as entries are appended, and the device image stores them as they are.
+Rows are packed into the sidecar's bytes with `struct`, and copied as
+bytes when it grows or a clean carries them: numpy copies a 20-byte row
+with an unaligned 8-byte field one field at a time.
 
 One visibility rule decides what reads, cleaning and recovery see.  An
 entry is visible unless a later block write superseded it
@@ -14,25 +17,27 @@ seq of an entry committed at write, the commit stamp of a transaction in
 the TxLog, and `ACTIVE_KEY`, above every stamp, for an active
 transaction: a writer reads its own writes, and a commit does not change
 what a read shows.  `WriteLog.visibility` states the rule for a whole
-generation and `WriteLog.page_entries` for one page.
+generation, searching the TxLog once per run of entries that share a
+txid, and `WriteLog.page_entries` for one page.
 
 The index, `WriteLog.index`, is a bare dict that maps each page to the
 slots of its valid entries, in append order; `index_pages` rebuilds it
 from the sidecar on first use after a clean or an image load.
 
-A piece's entries are appended in one step, which stops early for a
-clean.  The log cleans right after the entry that takes it from at or
-below `clean_threshold` to above it, not after every entry while it stays
-above (a clean that carries the entries of active transactions may leave
-it there), and before an entry when it is full (`BackPressure` if the
-entries of active transactions alone fill it).  A clean merges the
-visible entries below `ACTIVE_KEY` into their pages and writes the pages
-to flash in write-buffer batches (`merge_and_flush`); recovery is a clean
-of a device with no open transaction, so it carries nothing.  Double
-buffering: a clean drains the active generation while it is still the
-one the device image holds, and only then switches to a fresh generation
-that carries the entries of active transactions, so a power loss in the
-middle of a clean leaves the draining generation recoverable.
+A piece's entries are appended in one step, one index update and one
+`extend`, which stops early for a clean.  The log cleans right after the
+entry that takes it from at or below `clean_threshold` to above it, not
+after every entry while it stays above (a clean that carries the entries
+of active transactions may leave it there), and before an entry when it
+is full (`BackPressure` if the entries of active transactions alone fill
+it).  A clean merges the visible entries below `ACTIVE_KEY` into their
+pages and writes the pages to flash in write-buffer batches
+(`merge_and_flush`); recovery is a clean of a device with no open
+transaction, so it carries nothing.  Double buffering: a clean drains the
+active generation while it is still the one the device image holds, and
+only then switches to a fresh generation that carries the entries of
+active transactions, so a power loss in the middle of a clean leaves the
+draining generation recoverable.
 
 The log checks no host access, keeps no clock and counts no host
 traffic: `Mssd` checks and splits each access, so the log receives
@@ -66,6 +71,7 @@ SIDECAR_DTYPE = np.dtype([
 _CATEGORY_ID = {c: i for i, c in enumerate(CATEGORIES)}
 
 _ROW = struct.Struct("<IBBBBIQ")  # the bytes of one SIDECAR_DTYPE row
+_ROW_BYTES = _ROW.size
 
 _INITIAL_ROWS = 1024
 
@@ -143,24 +149,29 @@ class LogGeneration:
     def extend(self, lpa: int, first_cl: int, payload, flags: int, cat: int,
                txid: int, seq: int) -> None:
         """Store one entry per 64B of `payload` (the last may be short) for
-        the cachelines of page `lpa` from `first_cl`, seqs from `seq`."""
+        the cachelines of page `lpa` from `first_cl`, seqs from `seq`.  The
+        last entry is packed on its own, so a one-slot piece packs one
+        row."""
         slot, size = self.tail_slots, len(payload)
-        end = slot + (size + CACHELINE - 1) // CACHELINE
-        if end > len(self.side):
-            grown = np.zeros(min(max(2 * len(self.side), end, _INITIAL_ROWS),
-                                 self.capacity_slots), dtype=SIDECAR_DTYPE)
-            grown[:slot] = self.side[:slot]
-            self.side = grown
-            self._rows = memoryview(grown.view(np.uint8))
+        full = (size - 1) // CACHELINE  # the entries before the last
+        last = slot + full
+        if last >= len(self.side):
+            grown = np.zeros(min(max(2 * len(self.side), last + 1,
+                                     _INITIAL_ROWS), self.capacity_slots),
+                             dtype=SIDECAR_DTYPE)
+            rows = memoryview(grown.view(np.uint8))
+            rows[:slot * _ROW_BYTES] = self._rows[:slot * _ROW_BYTES]
+            self.side, self._rows = grown, rows
         pack, rows = _ROW.pack_into, self._rows
-        for i in range(end - slot):
-            pack(rows, (slot + i) * _ROW.size, lpa, first_cl + i,
-                 min(CACHELINE, size - i * CACHELINE), flags, cat, txid,
-                 seq + i)
+        for i in range(full):
+            pack(rows, (slot + i) * _ROW_BYTES, lpa, first_cl + i, CACHELINE,
+                 flags, cat, txid, seq + i)
+        pack(rows, last * _ROW_BYTES, lpa, first_cl + full,
+             size - full * CACHELINE, flags, cat, txid, seq + full)
         self.buf += payload
         if size % CACHELINE:  # the rest of the last slot
             self.buf += bytes(-size % CACHELINE)
-        self.tail_slots = end
+        self.tail_slots = last + 1
 
     def slot_view(self) -> np.ndarray:
         """The payload as a (slots, 64) uint8 array sharing `buf`."""
@@ -221,7 +232,8 @@ class WriteLog:
         buf = side = None
         if carry is not None and carry.size:
             buf = bytearray(old.slot_view()[carry].tobytes())
-            side = old.side[carry]
+            rows = old.side.view(np.uint8).reshape(-1, _ROW_BYTES)
+            side = rows[carry].view(SIDECAR_DTYPE).reshape(-1)  # as bytes
         self.install(LogGeneration(old.gen_id + 1, self.cfg.log_region_bytes,
                                    buf, side))
 
@@ -231,13 +243,15 @@ class WriteLog:
                    category: str) -> None:
         """Append a piece that `Mssd` checked and split, starting on a
         cacheline of page `lpa`: one entry per cacheline, the last one
-        possibly short, in one step unless the log cleans in between."""
+        possibly short.  A piece that ends below `clean_at` in a log with
+        room is one index update and one `extend`; one that reaches it, or
+        finds the log full, is appended in parts with a clean between."""
         cat = _CATEGORY_ID[category]
-        flags = FLAG_COMMITTED_AT_WRITE if txid == 0 else 0
-        first_cl, size = off // CACHELINE, len(data)
-        done = 0
-        while done < size:
-            gen, clean_at = self.active_gen, self.clean_at
+        flags = 0 if txid else FLAG_COMMITTED_AT_WRITE
+        first_cl = off // CACHELINE
+        n = (len(data) + CACHELINE - 1) // CACHELINE  # slots left to append
+        while True:
+            gen = self.active_gen
             tail, cap = gen.tail_slots, gen.capacity_slots
             if tail >= cap:
                 self.clean()
@@ -246,16 +260,28 @@ class WriteLog:
                 if tail >= cap:  # the active transactions' entries fill it
                     raise BackPressure("write log full")
             # up to the entry that crosses the threshold, or a full log
-            stop = clean_at if tail < clean_at <= cap else cap
-            piece = data[done:done + (stop - tail) * CACHELINE]
-            n = (len(piece) + CACHELINE - 1) // CACHELINE
+            clean_at = self.clean_at
+            take = (clean_at if tail < clean_at <= cap else cap) - tail
+            if take >= n:
+                take, piece = n, data
+            else:
+                piece, data = data[:take * CACHELINE], data[take * CACHELINE:]
             # the index is built, if it must be, before the generation grows
-            self.index.setdefault(lpa, []).extend(range(tail, tail + n))
-            gen.extend(lpa, first_cl, piece, flags, cat, txid, self.stamp(n))
-            first_cl += n
-            done += len(piece)
-            if tail + n == clean_at:
+            index = self._index
+            if index is None:
+                index = self.index
+            slots = index.get(lpa)
+            if slots is None:
+                index[lpa] = slots = []
+            slots += range(tail, tail + take)
+            gen.extend(lpa, first_cl, piece, flags, cat, txid,
+                       self.stamp(take))
+            if tail + take == clean_at:
                 self.clean()
+            if take == n:
+                return
+            first_cl += take
+            n -= take
 
     # -- read path ---------------------------------------------------------
 
@@ -367,12 +393,17 @@ class WriteLog:
 
     def visibility(self) -> tuple[np.ndarray, np.ndarray]:
         """Per entry of the active generation: whether it is visible, and
-        its key.  Entries of active transactions have `ACTIVE_KEY`."""
+        its key.  Entries of active transactions have `ACTIVE_KEY`.  The
+        TxLog and the active set are searched once per run of entries
+        that share a txid, and the answer repeated over the run."""
         entries = self.active_gen.entries
         flags = entries["flags"]
         txid = entries["txid"]
         visible = (flags & FLAG_COMMITTED_AT_WRITE) != 0
         key = entries["seq"].astype(np.int64)
+        first = _starts(txid) if txid.size else np.zeros(0, dtype=np.intp)
+        run_txid = txid[first]
+        run_len = np.diff(np.append(first, txid.size))
         txlog = self.txlog
         if txlog.txids:
             # the TxLog's arrays, sorted by txid if commits came out of order
@@ -380,13 +411,14 @@ class WriteLog:
             if (txids[1:] < txids[:-1]).any():
                 by_txid = np.argsort(txids)
                 txids, commit = txids[by_txid], commit[by_txid]
-            pos = np.searchsorted(txids, txid).clip(max=txids.size - 1)
-            in_txlog = ~visible & (txids[pos] == txid)
-            key[in_txlog] = commit[pos[in_txlog]]
+            pos = np.searchsorted(txids, run_txid).clip(max=txids.size - 1)
+            in_txlog = ~visible & np.repeat(txids[pos] == run_txid, run_len)
+            key[in_txlog] = np.repeat(commit[pos], run_len)[in_txlog]
             visible |= in_txlog
         active = self.active_txids()
         if active:
-            in_active = ~visible & np.isin(txid, list(active))
+            in_active = ~visible & np.repeat(
+                np.isin(run_txid, list(active)), run_len)
             key[in_active] = ACTIVE_KEY
             visible |= in_active
         visible &= (flags & FLAG_INVALID) == 0

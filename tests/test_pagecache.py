@@ -23,6 +23,9 @@ def assert_index_in_step(cache):
     assert sum(map(len, cache.by_ino.values())) == len(cache.pages)
     assert cache.duplicated == sum(p.duplicate is not None
                                    for p in cache.pages.values())
+    for ino in cache.by_ino.keys() | cache.dirty_count.keys():
+        assert cache.dirty_count.get(ino, 0) == len(full_walk_dirty(cache,
+                                                                    ino))
 
 
 def make_cache(written, pages=8):
@@ -68,7 +71,10 @@ def test_index_matches_pages_and_full_walk(ops):
             page.clear_dirty()
         assert_index_in_step(cache)
         for i in range(3):
+            # the walk from the most recently used end against a full scan
             assert cache.dirty_pages(i) == full_walk_dirty(cache, i)
+            assert cache.dirty_pages(i) == [
+                p for p in cache.by_ino.get(i, {}).values() if p.dirty]
 
 
 def test_dirty_pages_follow_lru_order_not_page_order():

@@ -71,9 +71,12 @@ def test_same_cacheline_conflict_aborts_at_once(mssd):
     clock = mssd.clock_ns
     traffic = mssd.traffic_snapshot().by_category
     shadow = {lpa: bytes(page) for lpa, page in mssd.shadow.items()}
+    assert mssd.txmgr._lock_owner == {0: t1, 1: t2}
     with pytest.raises(TxAborted, match=f"locked by tx {t1}"):
         mssd.tx_write(t2, 0, b"\x22" * 64)
-    # the conflicting write changed nothing
+    # the conflicting write changed nothing; the abort released t2's lock
+    assert mssd.txmgr._lock_owner == {0: t1}
+    assert mssd.txmgr.table == {t1: {0}}
     assert mssd.writelog.active_gen.tail_slots == entries
     assert mssd.clock_ns == clock
     assert mssd.traffic_snapshot().by_category == traffic

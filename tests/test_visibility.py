@@ -1,7 +1,7 @@
 """One visibility rule for the write log: reads, cleaning and recovery show
 the same entries in the same order, and the shadow oracle agrees."""
 
-from hypothesis import event, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine, invariant, precondition, rule,
 )
@@ -9,6 +9,7 @@ from hypothesis.stateful import (
 from bytefs.errors import BackPressure, TxAborted
 from bytefs.image import crash_clone
 from bytefs.mssd import Mssd
+from bytefs.writelog import ACTIVE_KEY, FLAG_COMMITTED_AT_WRITE, FLAG_INVALID
 
 from conftest import small_config
 from shadow import ShadowMssd
@@ -245,3 +246,90 @@ FullLogVisibilityMachine.TestCase.settings = settings(
     max_examples=150, stateful_step_count=100, deadline=None)
 test_visibility_rule_matches_shadow_on_a_full_log = (
     FullLogVisibilityMachine.TestCase)
+
+
+def reference_visibility(mssd: Mssd) -> list[tuple[bool, int | None]]:
+    """`WriteLog.visibility` entry by entry, from the TxLog's index and the
+    active set: (visible, key), with key None for a hidden entry."""
+    stamps, active = mssd.txlog.index, mssd.txmgr.active_txids()
+    entries = mssd.writelog.active_gen.entries.tolist()
+    out = []
+    for _, _, _, flags, _, txid, seq in entries:
+        if flags & FLAG_INVALID:
+            out.append((False, None))
+        elif flags & FLAG_COMMITTED_AT_WRITE:
+            out.append((True, seq))
+        elif txid in stamps:
+            out.append((True, stamps[txid]))
+        elif txid in active:
+            out.append((True, ACTIVE_KEY))
+        else:
+            out.append((False, None))
+    return out
+
+
+def assert_visibility_matches_reference(mssd: Mssd) -> None:
+    visible, key = mssd.writelog.visibility()
+    got = [(v, k if v else None)
+           for v, k in zip(visible.tolist(), key.tolist())]
+    assert got == reference_visibility(mssd)
+
+
+log_ops = st.lists(st.one_of(
+    st.tuples(st.just("begin")),
+    # a transaction's write: which open one, cacheline, cachelines
+    st.tuples(st.just("tx_write"), st.integers(0, 3), st.integers(0, 15),
+              st.integers(1, 3)),
+    # a run of plain writes: first cacheline, writes
+    st.tuples(st.just("plain"), st.integers(0, 15), st.integers(1, 4)),
+    st.tuples(st.just("commit"), st.integers(0, 3)),
+    st.tuples(st.just("abort"), st.integers(0, 3)),
+    st.tuples(st.just("block_write"), st.integers(0, 1)),
+), min_size=20, max_size=60)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=log_ops, slots=st.sampled_from((48, 512)))
+def test_visibility_matches_per_entry_reference(ops, slots):
+    """Interleaved transactions, commits out of begin order, aborts, runs
+    of plain writes and block writes that invalidate entries, on a log
+    that cleans by itself (48 slots) or never (512); and the same on a
+    crash clone, where no transaction is active and the TxLog's index is
+    built from its arrays."""
+    mssd = Mssd(small_config(log_region_bytes=slots * 64, txlog_bytes=32))
+    open_tx: list[int] = []
+
+    def pick(which):
+        return open_tx[which % len(open_tx)]
+
+    for op, *args in ops:
+        try:
+            if op == "begin":
+                open_tx.append(mssd.tx_begin())
+            elif op == "tx_write" and open_tx:
+                which, line, n = args
+                txid = pick(which)
+                mssd.tx_write(txid, line * 256, bytes([txid]) * (64 * n))
+            elif op == "plain":
+                line, n = args
+                for i in range(n):
+                    mssd.byte_write((line + i) * 256, b"\x01" * 64)
+            elif op == "commit" and open_tx:
+                txid = pick(args[0])
+                open_tx.remove(txid)
+                mssd.tx_commit(txid)
+            elif op == "abort" and open_tx:
+                txid = pick(args[0])
+                open_tx.remove(txid)
+                mssd.tx_abort(txid)
+            elif op == "block_write":
+                mssd.block_write(args[0], b"\x02" * 4096)
+        except (TxAborted, BackPressure):
+            open_tx = [t for t in open_tx if t in mssd.txmgr.table]
+        assert_visibility_matches_reference(mssd)
+    entries = mssd.writelog.active_gen.entries
+    event(f"{entries.size // 16 * 16}+ entries, "
+          f"{len(set(entries['txid'].tolist()))} txids")
+    clone = crash_clone(mssd)
+    assert clone.txmgr.active_txids() == set()
+    assert_visibility_matches_reference(clone)

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bytefs import bench, image
-from bytefs.device import CACHELINE
+from bytefs.device import CACHELINE, CATEGORIES, KiB
 from bytefs.errors import (
     AddressFault, BackPressure, StateError, TxAborted,
 )
 from bytefs.mssd import Mssd
-from bytefs.writelog import ACTIVE_KEY, merge_order
+from bytefs.writelog import (
+    ACTIVE_KEY, FLAG_COMMITTED_AT_WRITE, FLAG_INVALID, SIDECAR_DTYPE,
+    merge_order,
+)
 
 from conftest import small_config
 from shadow import ShadowMssd
@@ -603,3 +606,42 @@ def test_a_write_appends_charges_and_cleans_as_its_cachelines_one_by_one(
                 split.byte_write(a, piece, "inode")
         assert _state(whole) == _state(split)
         assert whole.txmgr._lock_owner == split.txmgr._lock_owner
+
+
+def test_sidecar_rows_survive_growth_and_carry():
+    """The sidecar's rows are copied as bytes when a generation grows and
+    when a clean carries an open transaction's entries: each field of each
+    row is what was appended, and the carried rows stay writable."""
+    mssd = Mssd(small_config(log_region_bytes=256 * KiB))  # 4096 slots
+    first_rows = len(mssd.writelog.active_gen.side)
+    t = mssd.tx_begin()
+    want = []
+    for i in range(first_rows + 200):  # grows once, at entry first_rows
+        lpa, cl, length = i % 2000, i % 64, 1 + i % 64
+        txid = t if i % 3 == 0 else 0
+        cat = CATEGORIES[i % len(CATEGORIES)]
+        data = bytes([i % 251]) * length
+        if txid:
+            mssd.tx_write(txid, lpa * 4096 + cl * 64, data, cat)
+        else:
+            mssd.byte_write(lpa * 4096 + cl * 64, data, cat)
+        want.append((lpa, cl, length, 0 if txid else FLAG_COMMITTED_AT_WRITE,
+                     i % len(CATEGORIES), txid, i + 1))
+    gen = mssd.writelog.active_gen
+    assert len(gen.side) > first_rows and gen.entries.tolist() == want
+
+    mssd.clean()  # carries t's entries into generation 1
+    carried = [row for row in want if row[5] == t]
+    gen = mssd.writelog.active_gen
+    assert gen.gen_id == 1 and gen.side.dtype == SIDECAR_DTYPE
+    assert gen.entries.tolist() == carried
+    assert gen.side.flags.writeable
+    # a block write marks a carried entry invalid in place, and the next
+    # append grows the carried array
+    mssd.block_write(0, bytes(4096))
+    mssd.byte_write(5 * 4096, b"\x07" * 64)
+    after = [(r[0], r[1], r[2], r[3] | (FLAG_INVALID if r[0] == 0 else 0),
+              *r[4:]) for r in carried]
+    after.append((5, 0, 64, FLAG_COMMITTED_AT_WRITE,
+                  CATEGORIES.index("untagged"), 0, len(want) + 1))
+    assert mssd.writelog.active_gen.entries.tolist() == after
