@@ -17,7 +17,6 @@ cache hits produce zero device traffic.
 from __future__ import annotations
 
 import re
-import struct
 
 import numpy as np
 
@@ -27,9 +26,9 @@ from .errors import (
     NotADirectory, NotFound, SpaceExhausted, StateError,
 )
 from .layout import (
-    INLINE_EXTENTS, INODE_SIZE, ITYPE_DIR, ITYPE_FILE, JOURNAL_COMMIT_MAGIC,
-    JOURNAL_DEAD_MAGIC, JOURNAL_DESC_MAGIC, MAX_NAME, ROOT_INO, ExtentLeaf,
-    Inode, Superblock, pack_dentry, unpack_dentry,
+    INLINE_EXTENTS, INODE_SIZE, ITYPE_DIR, ITYPE_FILE, MAX_NAME, ROOT_INO,
+    ExtentLeaf, Inode, Superblock, pack_dentry, pack_journal, pack_pad,
+    pack_tombstone, unpack_dentry, unpack_journal,
 )
 from .mssd import Mssd
 from .pagecache import CachedPage, PageCache
@@ -143,32 +142,14 @@ def mkfs(mssd: Mssd, inode_count: int | None = None,
     total_blocks = mssd.config.capacity_bytes // bs
     if inode_count is None:
         inode_count = max(1024, total_blocks // 8)
-    inode_count = (inode_count + 31) // 32 * 32
-    ibmp_blocks = (inode_count + 8 * bs - 1) // (8 * bs)
-    bbmp_blocks = (total_blocks + 8 * bs - 1) // (8 * bs)
-    itab_blocks = inode_count * INODE_SIZE // bs
-    ibmp_start = 1
-    bbmp_start = ibmp_start + ibmp_blocks
-    itab_start = bbmp_start + bbmp_blocks
-    journal_start = itab_start + itab_blocks
-    data_start = journal_start + journal_blocks
-    if data_start + 16 > total_blocks:
-        raise InvalidArgument("device too small for this layout")
-
-    sb = Superblock(
-        block_size=bs, total_blocks=total_blocks, inode_count=inode_count,
-        ibmp_start=ibmp_start, ibmp_blocks=ibmp_blocks,
-        bbmp_start=bbmp_start, bbmp_blocks=bbmp_blocks,
-        itab_start=itab_start, itab_blocks=itab_blocks,
-        journal_start=journal_start, journal_blocks=journal_blocks,
-        data_start=data_start,
-    )
+    sb = Superblock.plan(bs, total_blocks, inode_count, journal_blocks)
     mssd.block_write(0, sb.pack(), category="superblock")
 
     # inodes 0 and 1 are reserved and 2 is the root; the metadata region
     # is allocated.  Only the blocks that hold these bits are written:
     # erased flash reads back zeros.
-    for start, used in ((ibmp_start, ROOT_INO + 1), (bbmp_start, data_start)):
+    for start, used in ((sb.ibmp_start, ROOT_INO + 1),
+                        (sb.bbmp_start, sb.data_start)):
         bitmap = ((1 << used) - 1).to_bytes(
             (used + 8 * bs - 1) // (8 * bs) * bs, "little")
         for i in range(0, len(bitmap), bs):
@@ -176,10 +157,10 @@ def mkfs(mssd: Mssd, inode_count: int | None = None,
                              category="bitmap")
 
     root = Inode(ino=ROOT_INO, itype=ITYPE_DIR, links=2, mode=0o755)
-    itab_page0 = bytearray(bs)
-    off = (ROOT_INO % (bs // INODE_SIZE)) * INODE_SIZE
-    itab_page0[off:off + INODE_SIZE] = root.pack()
-    mssd.block_write(itab_start, bytes(itab_page0), category="inode")
+    blk, off = divmod(sb.inode_addr(ROOT_INO), bs)
+    itab_page = bytearray(bs)
+    itab_page[off:off + INODE_SIZE] = root.pack()
+    mssd.block_write(blk, bytes(itab_page), category="inode")
     return sb
 
 
@@ -309,8 +290,6 @@ class ByteFS:
         if mirror is not None:
             return mirror
         sb = self.sb
-        if blk == 0:
-            raise FsError("superblock is not byte-writable")
         if sb.ibmp_start <= blk < sb.ibmp_start + sb.ibmp_blocks:
             return self._ibmp.block(blk - sb.ibmp_start)
         if sb.bbmp_start <= blk < sb.bbmp_start + sb.bbmp_blocks:
@@ -366,47 +345,34 @@ class ByteFS:
     # ------------------------------------------------------------------
     # inodes
 
-    def _inode_addr(self, ino: int) -> int:
-        return self.sb.itab_start * self.sb.block_size + ino * INODE_SIZE
-
     def _load_inode(self, ino: int) -> Inode:
         inode = self._inodes.get(ino)
-        if inode is not None:
-            return inode
-        sb = self.sb
-        page_idx = ino * INODE_SIZE // sb.block_size
-        mirror = self._block_mirror(sb.itab_start + page_idx)
-        off = ino * INODE_SIZE % sb.block_size
-        inode, extent_count = Inode.unpack(bytes(mirror[off:off + INODE_SIZE]))
-        if extent_count > INLINE_EXTENTS:
-            spill = self._block_mirror(inode.spill_block)
-            for i in range(extent_count - INLINE_EXTENTS):
-                inode.extents.append(ExtentLeaf.unpack(bytes(spill), i * 16))
-        self._inodes[ino] = inode
+        if inode is None:
+            inode = self._inodes[ino] = Inode.unpack(self._block_mirror, ino,
+                                                     self.sb)
         return inode
 
     def _persist_inode_lower(self, inode: Inode) -> None:
         """Persist size, times, mode and links; nothing of them is pending
         after this."""
-        self._meta_write(self._inode_addr(inode.ino), inode.pack_lower(),
+        self._meta_write(self.sb.inode_addr(inode.ino), inode.pack_lower(),
                          "inode")
         self._meta_dirty.pop(inode.ino, None)
 
     def _persist_inode_full(self, inode: Inode) -> None:
-        self._meta_write(self._inode_addr(inode.ino), inode.pack(), "inode")
+        self._meta_write(self.sb.inode_addr(inode.ino), inode.pack(), "inode")
 
     def _persist_extents(self, inode: Inode) -> None:
         """Upper region (inline leaves + count) plus any spill leaves."""
+        if len(inode.extents) > self.sb.max_extents:
+            raise SpaceExhausted("file extent limit reached")
         if len(inode.extents) > INLINE_EXTENTS:
             if inode.spill_block == 0:
                 inode.spill_block = self._alloc_block()
             spill = self._blocks.setdefault(
                 inode.spill_block, bytearray(self.sb.block_size))
-            n_spill = len(inode.extents) - INLINE_EXTENTS
-            if n_spill > self.sb.block_size // 16:
-                raise SpaceExhausted("file extent limit reached")
             base = inode.spill_block * self.sb.block_size
-            blob = b"".join(l.pack() for l in inode.extents[INLINE_EXTENTS:])
+            blob = ExtentLeaf.pack_all(inode.extents[INLINE_EXTENTS:])
             # persist touched 64B groups of the spill block
             for group in range(0, len(blob), CACHELINE):
                 chunk = blob[group:group + CACHELINE]
@@ -415,7 +381,7 @@ class ByteFS:
                     padded[:len(chunk)] = chunk
                     self._meta_write(base + group, bytes(padded),
                                      "data_pointer")
-        self._meta_write(self._inode_addr(inode.ino) + 64,
+        self._meta_write(self.sb.inode_addr(inode.ino) + 64,
                          inode.pack_upper(), "data_pointer")
 
     def _ensure_block(self, inode: Inode, page_index: int) -> tuple[int, bool]:
@@ -451,9 +417,7 @@ class ByteFS:
         entries = self._dirs.get(ino)
         if entries is not None:
             return entries
-        inode = self._load_inode(ino)
-        if inode.itype != ITYPE_DIR:
-            raise NotADirectory(f"inode {ino} is not a directory")
+        inode = self._load_inode(ino)  # a directory: every caller checks
         entries = {}
         tombstones = []
         bs = self.sb.block_size
@@ -465,7 +429,7 @@ class ByteFS:
                               "its extents")
             mirror = self._block_mirror(blk)
             off = pos % bs
-            parsed = unpack_dentry(mirror, off)
+            parsed = unpack_dentry(mirror, off, self.sb, ino, blk)
             if parsed is None:
                 break
             child_ino, ftype, name, rec_size = parsed
@@ -477,9 +441,6 @@ class ByteFS:
         self._dirs[ino] = entries
         self._dir_tombstones[ino] = tombstones
         return entries
-
-    def _dentry_addr(self, blk: int, off: int) -> int:
-        return blk * self.sb.block_size + off
 
     def _dir_add(self, parent: Inode, name: bytes, child_ino: int,
                  ftype: int) -> None:
@@ -500,10 +461,7 @@ class ByteFS:
                 # pad the block tail with a tombstone so scans can skip it
                 pad = bs - pos % bs
                 blk = parent.block_for(pos // bs * bs, bs)
-                pad_rec = struct.pack("<IHH", 0, 0, pad - 8)
-                self._meta_write(self._dentry_addr(blk, pos % bs),
-                                 pad_rec + bytes(CACHELINE - len(pad_rec)),
-                                 "dentry")
+                self._meta_write(blk * bs + pos % bs, pack_pad(pad), "dentry")
                 pos += pad
             blk, new = self._ensure_block(parent, pos // bs)
             if new:
@@ -512,7 +470,7 @@ class ByteFS:
             slot = (blk, pos % bs)
             parent.size = pos + rec_size
         blk, off = slot
-        self._meta_write(self._dentry_addr(blk, off), rec, "dentry")
+        self._meta_write(blk * bs + off, rec, "dentry")
         entries[name] = (child_ino, ftype, blk, off, rec_size)
         self._touch(parent, size_changed=True)
         self._persist_inode_lower(parent)
@@ -520,11 +478,8 @@ class ByteFS:
     def _dir_remove(self, parent: Inode, name: bytes) -> None:
         entries = self._load_dir(parent.ino)
         child_ino, ftype, blk, off, rec_size = entries.pop(name)
-        name_len = len(name)
-        tombstone = struct.pack("<IHH", 0, 0, name_len) + name
-        tombstone = tombstone[:CACHELINE]
-        tombstone += bytes(min(rec_size, CACHELINE) - len(tombstone))
-        self._meta_write(self._dentry_addr(blk, off), tombstone, "dentry")
+        self._meta_write(blk * self.sb.block_size + off, pack_tombstone(name),
+                         "dentry")
         self._dir_tombstones[parent.ino].append((blk, off, rec_size))
         self._touch(parent)
         self._persist_inode_lower(parent)
@@ -536,7 +491,8 @@ class ByteFS:
     def _split_path(path: str) -> list[bytes]:
         if not path.startswith("/"):
             raise InvalidArgument("paths must be absolute")
-        parts = [p.encode() for p in path.split("/") if p]
+        parts = [p.encode(errors="surrogateescape")  # as readdir decodes
+                 for p in path.split("/") if p]
         for p in parts:
             if len(p) > MAX_NAME:
                 raise InvalidArgument("name too long")
@@ -586,7 +542,8 @@ class ByteFS:
         inode = self._resolve(path)
         if inode.itype != ITYPE_DIR:
             raise NotADirectory(path)
-        return sorted(n.decode() for n in self._load_dir(inode.ino))
+        return sorted(n.decode(errors="surrogateescape")
+                      for n in self._load_dir(inode.ino))
 
     def create(self, path: str) -> int:
         return self._create_common(path, ITYPE_FILE)
@@ -844,6 +801,8 @@ class ByteFS:
                                        bytes(run), category="data")
                     first = after
         elif self.journal_mode == "data":
+            if len(self._txn.journaled) == self.sb.max_journal_lbas:
+                raise SpaceExhausted("journal record larger than journal area")
             self._txn.journaled.append((lba, bytes(page.data)))
         else:
             self.mssd.block_write(lba, bytes(page.data), category="data")
@@ -900,23 +859,18 @@ class ByteFS:
         sb = self.sb
         bs = sb.block_size
         blocks = txn.journaled
-        if len(blocks) + 2 > sb.journal_blocks:
-            raise SpaceExhausted("journal record larger than journal area")
         if self._journal_pos + len(blocks) + 2 > sb.journal_blocks:
             self._journal_pos = 0  # previous records are checkpointed
         txid = txn.txid or 0
-        desc = struct.pack("<III", JOURNAL_DESC_MAGIC, txid, len(blocks))
-        desc += b"".join(struct.pack("<I", lba) for lba, _ in blocks)
-        desc += bytes(bs - len(desc))
+        desc = pack_journal("desc", txid, bs, len(blocks),
+                            [lba for lba, _ in blocks])
         base = sb.journal_start + self._journal_pos
         self.mssd.block_write(base, desc, category="journal")
         self._mirror_write(base * bs, desc)
         for i, (_, data) in enumerate(blocks):
             self.mssd.block_write(base + 1 + i, data, category="journal")
-        commit = struct.pack("<II", JOURNAL_COMMIT_MAGIC, txid)
-        commit += bytes(bs - len(commit))
-        self.mssd.block_write(base + 1 + len(blocks), commit,
-                              category="journal")
+        self.mssd.block_write(base + 1 + len(blocks), pack_journal(
+            "commit", txid, bs), category="journal")
         return base
 
     def _journal_checkpoint(self, txn: _Txn, base: int) -> None:
@@ -925,14 +879,13 @@ class ByteFS:
         for lba, data in txn.journaled:
             self.mssd.block_write(lba, data, category="data")
         bs = self.sb.block_size
-        dead = struct.pack("<III", JOURNAL_DEAD_MAGIC, txn.txid or 0,
-                           len(txn.journaled))
+        dead = pack_journal("dead", txn.txid or 0,
+                            CACHELINE if self.byte_metadata else bs,
+                            len(txn.journaled))
         if self.byte_metadata:
-            self.mssd.byte_write(base * bs, dead + bytes(CACHELINE - len(dead)),
-                                 category="journal")
+            self.mssd.byte_write(base * bs, dead, category="journal")
         else:
-            self.mssd.block_write(base, dead + bytes(bs - len(dead)),
-                                  category="journal")
+            self.mssd.block_write(base, dead, category="journal")
         self._mirror_write(base * bs, dead)
         self._journal_pos = (base - self.sb.journal_start) + len(txn.journaled) + 2
         txn.journaled = []
@@ -956,21 +909,22 @@ class ByteFS:
             if not self._ibmp.get(ino):
                 problems.append(f"inode {ino} in use but not allocated "
                                 f"({path})")
-            inode = self._load_inode(ino)
-            for blk in inode.all_blocks():
-                block_refs[blk] = block_refs.get(blk, 0) + 1
-                if not (sb.data_start <= blk < sb.total_blocks):
-                    problems.append(f"inode {ino} references block {blk} "
-                                    "outside the data region")
-            if inode.spill_block:
-                block_refs[inode.spill_block] = \
-                    block_refs.get(inode.spill_block, 0) + 1
-            if inode.itype == ITYPE_DIR:
-                try:
+            try:  # a record outside the geometry is a problem, not a crash
+                inode = self._load_inode(ino)
+                for blk in inode.all_blocks():
+                    block_refs[blk] = block_refs.get(blk, 0) + 1
+                    if not sb.in_data(blk):
+                        problems.append(f"inode {ino} references block "
+                                        f"{blk} outside the data region")
+                if inode.spill_block:
+                    block_refs[inode.spill_block] = \
+                        block_refs.get(inode.spill_block, 0) + 1
+                if inode.itype == ITYPE_DIR:
                     entries = self._load_dir(ino)
-                except FsError as exc:
-                    problems.append(f"{exc} ({path})")
-                    return
+            except FsError as exc:
+                problems.append(f"{exc} ({path})")
+                return
+            if inode.itype == ITYPE_DIR:
                 subdirs = 0
                 for name, entry in entries.items():
                     child_ino, ftype = entry[0], entry[1]
@@ -1020,31 +974,25 @@ def recover_fs(mssd: Mssd, mode: str = "full", journal: str = "ordered",
 
 def _replay_journal(fs: ByteFS, committed: set[int]) -> None:
     sb = fs.sb
-    bs = sb.block_size
     pos = 0
     records = []
     while pos < sb.journal_blocks:
         blob = fs.mssd.block_read(sb.journal_start + pos, category="journal")
-        magic, txid, count = struct.unpack_from("<III", blob, 0)
-        if magic == JOURNAL_DEAD_MAGIC and 0 <= count <= sb.journal_blocks:
+        kind, txid, count, lbas = unpack_journal(blob, sb, pos)
+        if kind == "dead":
             pos += count + 2
             continue
-        if magic != JOURNAL_DESC_MAGIC or count + 2 > sb.journal_blocks - pos:
+        if kind != "desc":
             break
-        lbas = [struct.unpack_from("<I", blob, 12 + 4 * i)[0]
-                for i in range(count)]
         *data, tail = fs.mssd.block_read_run(sb.journal_start + pos + 1,
                                              count + 1, category="journal")
-        cmagic, ctxid = struct.unpack_from("<II", tail, 0)
-        has_commit = cmagic == JOURNAL_COMMIT_MAGIC and ctxid == txid
+        has_commit = unpack_journal(tail, sb, 0)[:2] == ("commit", txid)
         replay = has_commit and (txid == 0 or txid in committed)
-        if replay and all(sb.data_start <= lba < sb.total_blocks
-                          for lba in lbas):
+        if replay and all(map(sb.in_data, lbas)):
             records.append((txid, lbas, data))
         # retire the record either way
-        dead = struct.pack("<III", JOURNAL_DEAD_MAGIC, txid, count)
-        fs.mssd.block_write(sb.journal_start + pos, dead + bytes(bs - len(dead)),
-                            category="journal")
+        fs.mssd.block_write(sb.journal_start + pos, pack_journal(
+            "dead", txid, sb.block_size, count), category="journal")
         pos += count + 2
     for txid, lbas, data in records:
         for lba, blob in zip(lbas, data):
