@@ -292,7 +292,8 @@ def test_journal_records_round_trip(kind, txid, lbas):
 @functools.cache
 def build(mode, journal):
     """A tree with a subdirectory, small files, a file with a spill block
-    and, with the data journal, retired journal records."""
+    and, with the data journal, retired journal records: its device and
+    the (block, lo, hi) byte ranges of that device which hold records."""
     fs = make_fs(mode, journal)
     fs.mkdir("/d")
     for path in ("/a", "/d/b", "/d/c", "/s"):
@@ -304,7 +305,7 @@ def build(mode, journal):
         fs.write(fd, page * 4096, b"s" * 4096)
         fs.fsync(fd)
     fs.close(fd)
-    sb, bs = fs.sb, fs.sb.block_size
+    sb = fs.sb
     spans = [(sb.itab_start, 0, 8 * INODE_SIZE)]
     for path in ("/", "/d"):
         spans += [(leaf.lba, 0, 512) for leaf in fs.lookup(path).extents]
@@ -312,7 +313,7 @@ def build(mode, journal):
     if journal == "data":
         spans += [(sb.journal_start + i, 0, 64) for i in range(8)]
     assert fs.lookup("/s").spill_block and len(spans) >= 4
-    return fs.mssd, spans, bs
+    return fs.mssd, spans
 
 
 def walk_and_unlink(fs):
@@ -346,7 +347,7 @@ def walk_and_unlink(fs):
 @given(data=st.data())
 def test_changed_metadata_bytes_raise_only_file_system_errors(mode, journal,
                                                               data):
-    base, spans, bs = build(mode, journal)
+    base, spans = build(mode, journal)
     blk, lo, hi = data.draw(st.sampled_from(spans))
     changes = data.draw(st.lists(st.tuples(st.integers(lo, hi - 1),
                                            st.integers(0, 255)),
