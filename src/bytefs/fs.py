@@ -801,7 +801,7 @@ class ByteFS:
                                        bytes(run), category="data")
                     first = after
         elif self.journal_mode == "data":
-            if len(self._txn.journaled) == self.sb.max_journal_lbas:
+            if len(self._txn.journaled) >= self.sb.max_journal_lbas:
                 raise SpaceExhausted("journal record larger than journal area")
             self._txn.journaled.append((lba, bytes(page.data)))
         else:

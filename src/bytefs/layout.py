@@ -20,7 +20,9 @@ file data, directory and spill blocks.  The records and their `Struct`s:
                count 0; a checkpoint makes the descriptor a dead record
 
 Each decoder checks its record against the superblock's geometry and
-raises `FsError` naming the record, its inode and its block.
+raises `FsError` naming the record, its inode and its block, except the
+journal's: a journal block past the log's end can hold any bytes, so
+`unpack_journal` reads a count out of bounds as no record.
 """
 
 from __future__ import annotations
@@ -252,13 +254,14 @@ def pack_journal(kind: str, txid: int, size: int, count: int = 0,
 
 def unpack_journal(blob, sb: Superblock, pos: int):
     """(kind, txid, count, a descriptor's LBAs) of the record at block
-    `pos` of the journal; kind is None for a block that is no record."""
+    `pos` of the journal.  kind is None for a block that is no record, or
+    a descriptor or dead one whose count runs past the journal or its
+    block: a journal block can hold a stale copy of a data page."""
     magic, txid, count = _JOURNAL.unpack_from(blob, 0)
     kind = _JOURNAL_KIND.get(magic)
     if kind in ("desc", "dead") and count > min(
             sb.max_journal_lbas, sb.journal_blocks - 2 - pos):
-        raise FsError(f"journal record at block {sb.journal_start + pos}: "
-                      f"count {count} runs past the journal or its block")
+        kind = None
     lbas = struct.unpack_from(_LBAS.format(count), blob, _JOURNAL.size) \
         if kind == "desc" else ()
     return kind, txid, count, lbas
