@@ -29,7 +29,10 @@ from .device import (
     CATEGORIES, DeviceConfig, GiB, KiB, MiB, TrafficCounters,
 )
 from .errors import InvalidArgument
-from .fs import JOURNAL_MODES, MODES, ByteFS, make_mssd, mkfs, recover_fs
+from .fs import (
+    DEFAULT_CACHE_BYTES, JOURNAL_MODES, MODES, ByteFS, make_mssd, mkfs,
+    recover_fs,
+)
 from .image import crash_clone
 from .layout import ITYPE_DIR
 
@@ -414,12 +417,12 @@ def run(spec: WorkloadSpec, config: DeviceConfig | None = None,
 
 def format_and_mount(config: DeviceConfig | None, mode: str, journal: str,
                      cache_bytes: int | None = None) -> ByteFS:
-    """A freshly formatted device, mounted; `cache_bytes` None keeps the
-    default page-cache size."""
+    """A freshly formatted device, mounted; `cache_bytes` None, as `run`
+    and `crash_run` pass it by default, is the default page-cache size."""
     mssd = make_mssd(config, mode)
     mkfs(mssd)
-    kwargs = {} if cache_bytes is None else {"cache_bytes": cache_bytes}
-    fs = ByteFS(mssd, mode=mode, journal=journal, **kwargs)
+    fs = ByteFS(mssd, mode=mode, journal=journal, cache_bytes=(
+        DEFAULT_CACHE_BYTES if cache_bytes is None else cache_bytes))
     fs.mount()
     return fs
 

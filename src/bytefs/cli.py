@@ -52,12 +52,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_options(p_sweep, "--config", "--seed", "--profile", "--out")
 
     p_fsck = sub.add_parser("fsck", help="check a device image")
-    _add_options(p_fsck, "--config")
     p_fsck.add_argument("--image", metavar="PATH", required=True,
                         help="device image file")
 
     p_recover = sub.add_parser("recover", help="recover a crashed image")
-    _add_options(p_recover, "--config")
     p_recover.add_argument("--out", metavar="PATH",
                            help="write the recovered image here")
     p_recover.add_argument("--image", metavar="PATH", required=True,
@@ -93,9 +91,7 @@ def _write_out(args, text: str) -> None:
 def cmd_run(args) -> int:
     config, fs_opts, workload = _load_options(args)
     spec = _spec(workload)
-    _fs, report, records = bench.run(
-        spec, config, mode=fs_opts["mode"], journal=fs_opts["journal"],
-        cache_bytes=fs_opts.get("cache_bytes"))
+    _fs, report, records = bench.run(spec, config, **fs_opts)
     print(report.table())
     _write_out(args, report.emit())
     if args.out:
@@ -106,8 +102,7 @@ def cmd_run(args) -> int:
 def cmd_replay(args) -> int:
     config, fs_opts, _workload = _load_options(args)
     records = bench.read_trace(args.trace)
-    fs = bench.format_and_mount(config, fs_opts["mode"], fs_opts["journal"],
-                                fs_opts.get("cache_bytes"))
+    fs = bench.format_and_mount(config, **fs_opts)
     report = bench.replay(fs, records)
     print(report.table())
     _write_out(args, report.emit())
@@ -117,9 +112,7 @@ def cmd_replay(args) -> int:
 def cmd_crash(args) -> int:
     config, fs_opts, workload = _load_options(args)
     spec = _spec(workload)
-    verdict = bench.crash_run(spec, args.crash_at, config,
-                              mode=fs_opts["mode"], journal=fs_opts["journal"],
-                              cache_bytes=fs_opts.get("cache_bytes"))
+    verdict = bench.crash_run(spec, args.crash_at, config, **fs_opts)
     print(f"crash after {verdict.crash_at} ops: "
           f"{'PASS' if verdict.ok else 'FAIL'}")
     for label, items in (("missing", verdict.missing),
@@ -143,11 +136,12 @@ def cmd_sweep(args) -> int:
 
 def _recover_image(args):
     """Load `--image` and recover it in the mode its write log allows:
-    full with a log, dual without."""
-    _config, fs_opts, _workload = _load_options(args)
+    full with a log, dual without.  A data-journal record replays: the
+    walk of a journal that no record was written to stops at its first
+    block."""
     mssd = image.load(args.image)
     fs, report = recover_fs(mssd, mode="full" if mssd.log_enabled else "dual",
-                            journal=fs_opts["journal"])
+                            journal="data")
     return mssd, fs, report
 
 

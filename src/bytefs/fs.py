@@ -17,6 +17,7 @@ cache hits produce zero device traffic.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 
 import numpy as np
 
@@ -41,6 +42,7 @@ WRITEBACK_BYTE_NUM = 1           # byte path iff dirty/total < 1/8
 WRITEBACK_BYTE_DEN = 8
 
 DEFAULT_CACHE_BYTES = 8 * GiB
+_TIMES, _SIZE = 1, 2  # an inode's pending lower-half fields
 
 _NOT_FULL = re.compile(rb"[^\xff]")
 
@@ -257,9 +259,8 @@ class ByteFS:
         # mirrors of inode-table, directory, spill and journal blocks
         self._blocks: dict[int, bytearray] = {}
         self._inodes: dict[int, Inode] = {}
-        self._dirs: dict[int, dict[bytes, tuple]] = {}  # ino -> name -> entry
-        self._dir_tombstones: dict[int, list[tuple]] = {}
-        self._meta_dirty: dict[int, set] = {}  # ino -> {"time", "size"}
+        self._dirs: dict[int, tuple] = {}  # ino -> (name -> entry, free slots)
+        self._meta_dirty = defaultdict(int)  # ino -> pending _TIMES | _SIZE
         self._fds: dict[int, _OpenFile] = {}
         self._next_fd = 3
         self._alloc_hint = sb.data_start
@@ -273,42 +274,35 @@ class ByteFS:
 
     def _meta_write(self, addr: int, data: bytes, category: str) -> None:
         """Update the host mirror and persist per the mount mode."""
-        self._mirror_write(addr, data)
+        blk = self._mirror_write(addr, data, category)
         if self.byte_metadata:
             txid = self._txn.device_txid()
             self.mssd.tx_write(txid, addr, data, category=category)
         else:
-            for blk, _, _, _ in spans(addr, len(data), self.sb.block_size):
-                self._txn.blocks[blk] = category
+            self._txn.blocks[blk] = category
 
-    def _mirror_write(self, addr: int, data: bytes) -> None:
-        for blk, off, take, pos in spans(addr, len(data), self.sb.block_size):
-            self._block_mirror(blk)[off:off + take] = data[pos:pos + take]
+    def _mirror_write(self, addr: int, data: bytes, category: str) -> int:
+        """Write a record into the mirror of its one block; returns it."""
+        blk, off = divmod(addr, self.sb.block_size)
+        self._block_mirror(blk, category)[off:off + len(data)] = data
+        return blk
 
-    def _block_mirror(self, blk: int) -> bytearray:
-        mirror = self._blocks.get(blk)  # never a bitmap or the superblock
-        if mirror is not None:
-            return mirror
-        sb = self.sb
-        if sb.ibmp_start <= blk < sb.ibmp_start + sb.ibmp_blocks:
-            return self._ibmp.block(blk - sb.ibmp_start)
-        if sb.bbmp_start <= blk < sb.bbmp_start + sb.bbmp_blocks:
-            return self._bbmp.block(blk - sb.bbmp_start)
-        if sb.itab_start <= blk < sb.itab_start + sb.itab_blocks:
-            category = "inode"
-        elif sb.journal_start <= blk < sb.journal_start + sb.journal_blocks:
-            category = "journal"
-        else:
-            category = "dentry"
-        mirror = self._blocks[blk] = bytearray(
-            self.mssd.block_read(blk, category=category))
+    def _block_mirror(self, blk: int, category: str) -> bytearray:
+        """The mirror of metadata block `blk`, read as `category` the
+        first time; a bitmap's is its `Bitmap` block."""
+        if category == "bitmap":
+            bitmap = self._ibmp if blk < self.sb.bbmp_start else self._bbmp
+            return bitmap.block(blk - bitmap.start)
+        mirror = self._blocks.get(blk)
+        if mirror is None:
+            mirror = self._blocks[blk] = bytearray(
+                self.mssd.block_read(blk, category=category))
         return mirror
 
     def _flush_block_txn(self, txn: _Txn) -> None:
-        for blk in sorted(txn.blocks):
-            category = txn.blocks[blk]
-            self.mssd.block_write(blk, bytes(self._block_mirror(blk)),
-                                  category=category)
+        for blk, category in sorted(txn.blocks.items()):
+            mirror = self._block_mirror(blk, category)
+            self.mssd.block_write(blk, bytes(mirror), category=category)
 
     # ------------------------------------------------------------------
     # allocation
@@ -348,8 +342,11 @@ class ByteFS:
     def _load_inode(self, ino: int) -> Inode:
         inode = self._inodes.get(ino)
         if inode is None:
-            inode = self._inodes[ino] = Inode.unpack(self._block_mirror, ino,
-                                                     self.sb)
+            itab = self.sb.inode_addr(ino) // self.sb.block_size
+            inode = self._inodes[ino] = Inode.unpack(
+                lambda blk: self._block_mirror(
+                    blk, "inode" if blk == itab else "data_pointer"),
+                ino, self.sb)
         return inode
 
     def _persist_inode_lower(self, inode: Inode) -> None:
@@ -405,18 +402,15 @@ class ByteFS:
 
     def _touch(self, inode: Inode, size_changed: bool = False) -> None:
         inode.mtime_ns = self.mssd.clock_ns
-        flags = self._meta_dirty.setdefault(inode.ino, set())
-        flags.add("time")
-        if size_changed:
-            flags.add("size")
+        self._meta_dirty[inode.ino] |= _TIMES | _SIZE * size_changed
 
     # ------------------------------------------------------------------
     # directories
 
     def _load_dir(self, ino: int) -> dict[bytes, tuple]:
-        entries = self._dirs.get(ino)
-        if entries is not None:
-            return entries
+        cached = self._dirs.get(ino)
+        if cached is not None:
+            return cached[0]
         inode = self._load_inode(ino)  # a directory: every caller checks
         entries = {}
         tombstones = []
@@ -427,7 +421,7 @@ class ByteFS:
             if blk is None:  # a directory has no holes
                 raise FsError(f"dir inode {ino} size {inode.size} runs past "
                               "its extents")
-            mirror = self._block_mirror(blk)
+            mirror = self._block_mirror(blk, "dentry")
             off = pos % bs
             parsed = unpack_dentry(mirror, off, self.sb, ino, blk)
             if parsed is None:
@@ -438,8 +432,7 @@ class ByteFS:
             else:
                 entries[name] = (child_ino, ftype, blk, off, rec_size)
             pos += rec_size
-        self._dirs[ino] = entries
-        self._dir_tombstones[ino] = tombstones
+        self._dirs[ino] = entries, tombstones
         return entries
 
     def _dir_add(self, parent: Inode, name: bytes, child_ino: int,
@@ -447,7 +440,7 @@ class ByteFS:
         entries = self._load_dir(parent.ino)
         rec = pack_dentry(child_ino, ftype, name)
         rec_size = len(rec)
-        tombstones = self._dir_tombstones[parent.ino]
+        tombstones = self._dirs[parent.ino][1]
         slot = None
         for i, (blk, off, size) in enumerate(tombstones):
             if size == rec_size:
@@ -480,7 +473,7 @@ class ByteFS:
         child_ino, ftype, blk, off, rec_size = entries.pop(name)
         self._meta_write(blk * self.sb.block_size + off, pack_tombstone(name),
                          "dentry")
-        self._dir_tombstones[parent.ino].append((blk, off, rec_size))
+        self._dirs[parent.ino][1].append((blk, off, rec_size))
         self._touch(parent)
         self._persist_inode_lower(parent)
 
@@ -602,7 +595,6 @@ class ByteFS:
         self._mark(self._ibmp, target.ino, False)
         self._inodes.pop(target.ino, None)
         self._dirs.pop(target.ino, None)
-        self._dir_tombstones.pop(target.ino, None)
         self._meta_dirty.pop(target.ino, None)
         self.cache.drop_inode(target.ino)
         # an fd left open must not reach an inode that reuses the number
@@ -787,7 +779,7 @@ class ByteFS:
         lba, new = self._ensure_block(inode, page.index)
         if new:
             self._persist_extents(inode)
-            self._meta_dirty.setdefault(inode.ino, set()).add("size")
+            self._meta_dirty[inode.ino] |= _SIZE
         total_cl = bs // CACHELINE
         use_byte = (self.mode == "full" and len(dirty) * WRITEBACK_BYTE_DEN
                     < total_cl * WRITEBACK_BYTE_NUM)
@@ -812,9 +804,8 @@ class ByteFS:
 
     def _metadata_pending(self, ino: int, data_only: bool) -> bool:
         """Whether the inode has changes a flush must persist: fdatasync
-        leaves a change of times alone."""
-        flags = self._meta_dirty.get(ino)
-        return bool(flags) and not (data_only and flags == {"time"})
+        leaves a change of times alone, so only `_SIZE`, the high bit."""
+        return self._meta_dirty.get(ino, 0) > (_TIMES if data_only else 0)
 
     def _flush_inode(self, inode: Inode, pages, data_only: bool) -> None:
         """Write back `pages` of `inode`, then its pending metadata, in one
@@ -866,7 +857,7 @@ class ByteFS:
                             [lba for lba, _ in blocks])
         base = sb.journal_start + self._journal_pos
         self.mssd.block_write(base, desc, category="journal")
-        self._mirror_write(base * bs, desc)
+        self._mirror_write(base * bs, desc, "journal")
         for i, (_, data) in enumerate(blocks):
             self.mssd.block_write(base + 1 + i, data, category="journal")
         self.mssd.block_write(base + 1 + len(blocks), pack_journal(
@@ -886,7 +877,7 @@ class ByteFS:
             self.mssd.byte_write(base * bs, dead, category="journal")
         else:
             self.mssd.block_write(base, dead, category="journal")
-        self._mirror_write(base * bs, dead)
+        self._mirror_write(base * bs, dead, "journal")
         self._journal_pos = (base - self.sb.journal_start) + len(txn.journaled) + 2
         txn.journaled = []
 

@@ -47,7 +47,7 @@ _JOURNAL_MAGIC = {"desc": 0x4A424431, "dead": 0x4A424400,
 _JOURNAL_KIND = {magic: kind for kind, magic in _JOURNAL_MAGIC.items()}
 
 _SB = struct.Struct("<4sIIQI" + "II" * 4 + "I")
-_LOWER = struct.Struct("<QQQQII")  # size, mtime, atime, ctime, mode, links
+_LOWER = struct.Struct("<QQQQII24x")  # size, times, mode, links; pad
 _UPPER = struct.Struct("<IHHII")   # ino, itype, extent_count, spill, 0
 _LEAF = struct.Struct("<QII")      # file offset, lba, length
 _DENTRY = struct.Struct("<IHH")    # ino, ftype, name length
@@ -75,7 +75,10 @@ class Superblock:
              journal_blocks: int) -> "Superblock":
         """The regions in block order after the superblock: inode and
         block bitmaps, inode table (inodes rounded up to 32), journal and,
-        from the last start on, data."""
+        from the last start on, data.  Every record lies in one block."""
+        if block_size % INODE_SIZE or block_size < dentry_record_size(MAX_NAME):
+            raise InvalidArgument(f"block size {block_size} B holds no whole "
+                                  "number of inodes or no largest dentry")
         bits = 8 * block_size
         inode_count = (inode_count + 31) // 32 * 32
         regions, start = [], 1
@@ -145,9 +148,8 @@ class Inode:
     extents: list[ExtentLeaf] = field(default_factory=list)
 
     def pack_lower(self) -> bytes:
-        blob = _LOWER.pack(self.size, self.mtime_ns, self.atime_ns,
+        return _LOWER.pack(self.size, self.mtime_ns, self.atime_ns,
                            self.ctime_ns, self.mode, self.links)
-        return blob + bytes(64 - len(blob))
 
     def pack_upper(self) -> bytes:
         blob = _UPPER.pack(self.ino, self.itype, len(self.extents),

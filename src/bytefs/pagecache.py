@@ -5,18 +5,18 @@ first write after load/writeback; the writeback interface choice XORs
 current against duplicate at 64B granularity, over the cachelines written
 since the duplicate was taken (the other bytes equal the duplicate's).
 Eviction is LRU and writes back dirty victims through a callback, which
-cleans them.  Each inode's pages are also kept in their own LRU-ordered
-map, so fsync and unlink touch only that inode's pages.  Duplicates are
-capped at a fraction of cache capacity; exceeding the cap forces
-writeback of the least recently used duplicated pages.  The cache counts
-its duplicated pages, in all and per inode, so it looks for them only
-when the count is over the cap, and an fsync stops looking once it has
-found its inode's.
+cleans them.  Each inode's dirty pages are kept in their own map, in LRU
+order, so an fsync takes them without a search: a page that becomes dirty
+becomes the most recently used page, and a hit on a dirty page moves it
+in both orders.  Each inode's pages are also kept in a plain map, so
+unlink touches only that inode's pages.  Duplicates are capped at a
+fraction of cache capacity; exceeding the cap forces writeback of the
+least recently used duplicated pages.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from itertools import islice
 
 from .device import CACHELINE
@@ -26,9 +26,9 @@ DUPLICATE_CAP_FRACTION = 0.25
 
 class CachedPage:
     """A cached page; `cache` is the PageCache holding it, if any, whose
-    count of duplicated pages `set_duplicate` keeps.  A page holds a
-    duplicate exactly while it is dirty, and cachelines [lo, hi) hold
-    every byte written since the duplicate was taken."""
+    index of dirty pages `set_duplicate` keeps.  A page holds a duplicate
+    exactly while it is dirty, and cachelines [lo, hi) hold every byte
+    written since the duplicate was taken."""
 
     __slots__ = ("ino", "index", "data", "duplicate", "cache", "lo", "hi")
 
@@ -46,14 +46,17 @@ class CachedPage:
         return self.duplicate is not None
 
     def set_duplicate(self, duplicate: bytes | None) -> None:
-        cache = self.cache
-        if cache is not None:
-            change = (duplicate is not None) - (self.duplicate is not None)
-            if change:
-                cache.duplicated += change
-                dirty = cache.dirty_count
-                dirty[self.ino] = dirty.get(self.ino, 0) + change
+        cache, was_dirty = self.cache, self.duplicate is not None
         self.duplicate = duplicate
+        if cache is None or was_dirty == (duplicate is not None):
+            return
+        if was_dirty:
+            del cache.dirty[self.ino][self.index]
+            cache.duplicated -= 1
+        else:  # the page becomes the most recently used
+            cache.pages.move_to_end((self.ino, self.index))
+            cache.dirty[self.ino][self.index] = self
+            cache.duplicated += 1
 
     def note_modify(self, off: int = 0, length: int | None = None) -> None:
         """Take the duplicate, if the page has none, before a write of
@@ -82,14 +85,14 @@ class CachedPage:
 
 class PageCache:
     def __init__(self, capacity_bytes: int, page_size: int, writeback_cb):
-        self.page_size = page_size
         self.capacity_pages = max(8, capacity_bytes // page_size)
         self.writeback_cb = writeback_cb
         self.pages: OrderedDict[tuple[int, int], CachedPage] = OrderedDict()
-        # ino -> page index -> page, in the order of `pages`
-        self.by_ino: dict[int, OrderedDict[int, CachedPage]] = {}
+        self.by_ino: dict[int, dict[int, CachedPage]] = {}  # ino -> index
+        # ino -> index -> dirty page, in the order of `pages`, while the
+        # cache holds a page of the inode
+        self.dirty = defaultdict(OrderedDict)
         self.duplicated = 0  # cached pages that hold a duplicate
-        self.dirty_count: dict[int, int] = {}  # ino -> those of its pages
         self.duplicate_cap = max(
             2, int(self.capacity_pages * DUPLICATE_CAP_FRACTION))
 
@@ -97,44 +100,27 @@ class PageCache:
         page = self.pages.get((ino, index))
         if page is not None:
             self.pages.move_to_end((ino, index))
-            self.by_ino[ino].move_to_end(index)
+            if page.duplicate is not None:
+                self.dirty[ino].move_to_end(index)
         return page
 
     def insert(self, ino: int, index: int, data: bytearray) -> CachedPage:
         page = CachedPage(ino, index, data, self)
         self.pages[(ino, index)] = page
-        self.by_ino.setdefault(ino, OrderedDict())[index] = page
+        self.by_ino.setdefault(ino, {})[index] = page
         self._enforce_limits()
         return page
 
     def drop_inode(self, ino: int) -> None:
-        for index in self.by_ino.pop(ino, ()):
-            self._forget(self.pages.pop((ino, index)))
-        self.dirty_count.pop(ino, None)
-
-    def _forget(self, page: CachedPage) -> None:
-        """Stop counting a page that has left the cache."""
-        if page.duplicate is not None:
-            self.duplicated -= 1
-            self.dirty_count[page.ino] -= 1
-        page.cache = None
+        for index, page in self.by_ino.pop(ino, {}).items():
+            del self.pages[(ino, index)]
+            page.clear_dirty()
+            page.cache = None
+        self.dirty.pop(ino, None)
 
     def dirty_pages(self, ino: int) -> list[CachedPage]:
-        """The inode's dirty pages, least recently used first.  They are
-        looked for from the most recently used end, where a written page
-        is, until the inode's dirty count is found."""
-        left = self.dirty_count.get(ino)
-        if not left:
-            return []
-        out = []
-        for page in reversed(self.by_ino[ino].values()):
-            if page.duplicate is not None:
-                out.append(page)
-                left -= 1
-                if not left:
-                    break
-        out.reverse()
-        return out
+        """The inode's dirty pages, least recently used first."""
+        return list(self.dirty.get(ino, {}).values())
 
     def _enforce_limits(self) -> None:
         while len(self.pages) > self.capacity_pages:
@@ -142,11 +128,12 @@ class PageCache:
             if victim.dirty:
                 self.writeback_cb(victim)
             del self.pages[key]
-            self._forget(victim)
+            victim.cache = None  # written back: clean
             pages = self.by_ino[victim.ino]
             del pages[victim.index]
             if not pages:
                 del self.by_ino[victim.ino]
+                self.dirty.pop(victim.ino, None)
         excess = self.duplicated - self.duplicate_cap
         if excess > 0:
             dups = (p for p in self.pages.values() if p.duplicate is not None)

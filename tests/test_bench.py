@@ -3,6 +3,8 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import runpy
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,7 @@ from bytefs import bench, cli, image
 from bytefs.bench import TraceRecord, WorkloadSpec
 from bytefs.device import DeviceConfig, KiB, MiB
 from bytefs.errors import InvalidArgument
-from bytefs.fs import MODES, _Txn, recover_fs
+from bytefs.fs import MODES, ByteFS, _Txn, recover_fs
 from bytefs.layout import ITYPE_DIR
 
 from conftest import small_config
@@ -564,6 +566,19 @@ def test_cli_crash(cfg_file, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_cli_crash_prints_each_fault_of_a_failing_verdict(monkeypatch,
+                                                         capsys):
+    verdict = bench.CrashVerdict(7, False, missing=["/a"], corrupt=["/b"],
+                                 unexpected=["/c"],
+                                 fsck_problems=["block 9 allocated but "
+                                                "unreferenced"])
+    monkeypatch.setattr(bench, "crash_run", lambda *args, **kw: verdict)
+    assert cli.main(["crash", "--profile", "oltp", "--crash-at", "7"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "crash after 7 ops: FAIL", "  missing: /a", "  corrupt: /b",
+        "  unexpected: /c", "  fsck: block 9 allocated but unreferenced"]
+
+
 def test_cli_sweep(cfg_file, capsys):
     rc = cli.main(["sweep", "--config", cfg_file, "--profile", "oltp",
                    "--seed", "1"])
@@ -609,6 +624,39 @@ def test_cli_fsck_and_recover_report_the_problems_of_an_image(tmp_path,
     assert capsys.readouterr().out.splitlines()[-1] == "fsck: 65 problem(s)"
 
 
+class PowerCut(Exception):
+    pass
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_cli_fsck_and_recover_replay_a_data_journal(mode, tmp_path,
+                                                    monkeypatch, capsys):
+    """Power is cut after a data-journal record commits and before its
+    checkpoint.  The journaled page survives `fsck` and `recover`, which
+    used to recover with the ordered journal and drop it."""
+    fs = bench.format_and_mount(small_config(), mode, "data")
+    fs.create("/f")
+    fd = fs.open("/f")
+    fs.write(fd, 0, b"\x07" * 4096)
+    img = str(tmp_path / "cut.img")
+
+    def cut(fs, txn, base):
+        image.save(fs.mssd, img)
+        raise PowerCut
+
+    monkeypatch.setattr(ByteFS, "_journal_checkpoint", cut)
+    with pytest.raises(PowerCut):
+        fs.fsync(fd)
+    assert cli.main(["fsck", "--image", img]) == 0
+    out_img = str(tmp_path / "recovered.img")
+    assert cli.main(["recover", "--image", img, "--out", out_img]) == 0
+    assert "fsck: clean" in capsys.readouterr().out
+    mssd = image.load(out_img)
+    after = ByteFS(mssd, "full" if mssd.log_enabled else "dual")
+    after.mount()
+    assert after.read(after.open("/f"), 0, 8192) == b"\x07" * 4096
+
+
 def test_cli_fsck_takes_the_mode_from_the_image(tmp_path, capsys):
     spec = small_spec("varmail", seed=9, ops=120)
     fs, _report, _records = bench.run(spec, small_config(), mode="dual")
@@ -616,6 +664,19 @@ def test_cli_fsck_takes_the_mode_from_the_image(tmp_path, capsys):
     image.save(fs.mssd, img)
     assert cli.main(["fsck", "--image", img]) == 0
     assert "clean" in capsys.readouterr().out
+
+
+def test_cli_module_runs_as_a_script(tmp_path, monkeypatch, capsys):
+    """`python -m bytefs.cli` exits with the command's status."""
+    fs = bench.format_and_mount(small_config(), "full", "ordered")
+    img = str(tmp_path / "dev.img")
+    image.save(fs.mssd, img)
+    monkeypatch.delitem(sys.modules, "bytefs.cli")  # run a fresh copy
+    monkeypatch.setattr(sys, "argv", ["bytefs-bench", "fsck", "--image", img])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("bytefs.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "clean\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -629,6 +690,8 @@ def test_cli_fsck_takes_the_mode_from_the_image(tmp_path, capsys):
     ["recover", "--image", "x", "--seed", "9"],
     ["recover", "--image", "x", "--profile", "oltp"],
     ["recover", "--image", "x", "--mode", "full"],
+    ["fsck", "--image", "x", "--config", "c"],
+    ["recover", "--image", "x", "--config", "c"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_cli_refuses_an_option_its_command_does_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:

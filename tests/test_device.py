@@ -24,6 +24,14 @@ def test_flash_read_advances_clock_by_read_latency():
     assert dev.clock.now_ns == 40_000
 
 
+def test_clock_refuses_to_go_backward():
+    dev = make_device()
+    dev.clock.advance(5)
+    with pytest.raises(InvalidArgument, match="backward"):
+        dev.clock.advance(-1)
+    assert dev.clock.now_ns == 5
+
+
 def test_freshly_formatted_page_reads_zero():
     dev = make_device()
     assert dev.flash_read_page(0) == bytes(4096)

@@ -487,6 +487,77 @@ def test_fragmented_file_spills_extents():
     assert fs2.fsck() == []
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_first_read_of_a_spill_block_is_charged_as_data_pointer(mode):
+    fs = make_fs(mode)
+    fs.create("/a")
+    fs.create("/b")
+    for i in range(6):  # interleaved: six one-block extents each
+        for path in ("/a", "/b"):
+            write_file(fs, path, i * 4096, bytes([i + 1]) * 4096)
+            fsync_file(fs, path)
+    assert len(fs.lookup("/a").extents) == 6
+    after, _ = recover_fs(crash_clone(fs.mssd), mode=mode)
+    before = after.mssd.traffic_snapshot()
+    after.lookup("/a")  # the root's dentry block, then /a's spill block
+    read = after.mssd.traffic_snapshot().delta(before).by_category[
+        "ssd_to_host"]
+    assert {c: n for c, n in read.items() if n} == {"dentry": 4096,
+                                                    "data_pointer": 4096}
+
+
+@pytest.mark.parametrize("page_size", [512, 4096])
+@pytest.mark.parametrize("mode", MODES)
+def test_every_metadata_write_lies_in_one_block(mode, page_size,
+                                                monkeypatch):
+    """A random run against the reference model, with names of 1 to 250
+    bytes and files of up to 8 blocks; a spy on `_meta_write` checks that
+    no record it writes crosses a block."""
+    categories = set()
+    meta_write = ByteFS._meta_write
+
+    def spy(fs, addr, data, category):
+        bs = fs.sb.block_size
+        assert addr // bs == (addr + len(data) - 1) // bs, (addr, category)
+        categories.add(category)
+        meta_write(fs, addr, data, category)
+
+    monkeypatch.setattr(ByteFS, "_meta_write", spy)
+    fs, ref = make_fs(mode, page_size=page_size), RefFS()
+    rng = random.Random(page_size)
+    names = [c * n for c, n in zip("abcdefgh", (1, 9, 57, 120, 190, 240,
+                                                249, 250))]
+    spilled = 0
+    for _ in range(600):
+        path = rng.choice(("", "/d")) + "/" + rng.choice(names)
+        op = rng.randrange(10)
+        if op == 0:
+            expect_op(fs.mkdir, ref.mkdir, "/d")
+        elif op in (1, 2):
+            expect_op(fs.create, ref.create, path)
+        elif op == 3:
+            expect_op(fs.unlink, ref.unlink, path)
+        elif op == 4 and rng.random() < 0.2:
+            expect_op(fs.rmdir, ref.rmdir, "/d")
+        elif op == 5:
+            new = rng.choice(("", "/d")) + "/" + rng.choice(names)
+            expect_op(fs.rename, ref.rename, path, new)
+        elif fs.exists(path) and fs.lookup(path).itype == ITYPE_FILE:
+            data = rng.randbytes(rng.randrange(1, page_size))
+            offset = rng.randrange(8) * page_size
+            write_file(fs, path, offset, data)
+            fsync_file(fs, path)
+            ref.write(path, offset, data)
+            spilled += fs.lookup(path).spill_block != 0
+    assert spilled
+    assert categories == {"bitmap", "inode", "data_pointer", "dentry"}
+    after, _ = recover_fs(crash_clone(fs.mssd), mode=mode)
+    for path in ref.walk_files():
+        size = ref.size(path)
+        assert read_file(after, path, 0, size) == ref.read(path, 0, size)
+    assert fs.fsck() == after.fsck() == []
+
+
 def test_sparse_file_reads_zeros_in_holes():
     fs = make_fs()
     fs.create("/f")

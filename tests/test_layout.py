@@ -259,6 +259,25 @@ def test_data_journal_refuses_a_record_past_its_descriptor_block():
     assert after.fsck() == [] and after.lookup("/f").size == 0
 
 
+@pytest.mark.parametrize("block_size", [256, 320, 576])
+def test_plan_refuses_a_block_that_would_split_a_record(block_size):
+    """A block holds whole inodes (128 B) and the largest dentry (320 B,
+    a 256-byte name)."""
+    with pytest.raises(InvalidArgument, match=f"block size {block_size} B"):
+        Superblock.plan(block_size, 1 << 15, 1024, 64)
+    assert Superblock.plan(384, 1 << 15, 1024, 64).block_size == 384
+
+
+@pytest.mark.parametrize("mode", ["full", "block_only"])
+def test_mkfs_refuses_a_device_of_256_byte_pages(mode):
+    """Such a device used to format; then the second create of a 250-byte
+    name in one directory failed with `TypeError`, since the first
+    record had run past its block."""
+    mssd = make_mssd(small_config(page_size=256), mode)
+    with pytest.raises(InvalidArgument, match="block size 256 B"):
+        mkfs(mssd)
+
+
 # ---------------------------------------------------------------------------
 # round trips
 

@@ -16,16 +16,18 @@ def full_walk_dirty(cache, ino):
 
 def assert_index_in_step(cache):
     assert all(cache.by_ino.values())  # no empty per-inode maps
+    assert cache.dirty.keys() <= cache.by_ino.keys()
     for ino, pages in cache.by_ino.items():
-        assert list(pages) == [i for (j, i) in cache.pages if j == ino]
+        assert sorted(pages) == sorted(i for (j, i) in cache.pages if j == ino)
         for index, page in pages.items():
             assert cache.pages[(ino, index)] is page
     assert sum(map(len, cache.by_ino.values())) == len(cache.pages)
     assert cache.duplicated == sum(p.duplicate is not None
                                    for p in cache.pages.values())
-    for ino in cache.by_ino.keys() | cache.dirty_count.keys():
-        assert cache.dirty_count.get(ino, 0) == len(full_walk_dirty(cache,
-                                                                    ino))
+    for ino in cache.by_ino.keys() | cache.dirty.keys():
+        dirty = cache.dirty.get(ino, {})
+        assert list(dirty.values()) == full_walk_dirty(cache, ino)
+        assert all(index == p.index for index, p in dirty.items())
 
 
 def make_cache(written, pages=8):
@@ -71,10 +73,11 @@ def test_index_matches_pages_and_full_walk(ops):
             page.clear_dirty()
         assert_index_in_step(cache)
         for i in range(3):
-            # the walk from the most recently used end against a full scan
+            # the inode's dirty map against a full scan in LRU order
             assert cache.dirty_pages(i) == full_walk_dirty(cache, i)
-            assert cache.dirty_pages(i) == [
-                p for p in cache.by_ino.get(i, {}).values() if p.dirty]
+            assert {p.index for p in cache.dirty_pages(i)} == {
+                index for index, p in cache.by_ino.get(i, {}).items()
+                if p.dirty}
 
 
 def test_dirty_pages_follow_lru_order_not_page_order():

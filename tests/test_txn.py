@@ -30,6 +30,15 @@ def test_thousand_begins_unique(mssd):
     assert len(ids) == 1000
 
 
+def test_txid_space_ends_below_two_to_the_32(mssd):
+    """A TxId is a u32 in the TxLog and in the image."""
+    mssd.txmgr.next_txid = 2 ** 32 - 1
+    assert mssd.tx_begin() == 2 ** 32 - 1
+    with pytest.raises(SpaceExhausted, match="TxId"):
+        mssd.tx_begin()
+    assert list(mssd.txmgr.table) == [2 ** 32 - 1]
+
+
 def test_commit_appends_one_txlog_entry(mssd):
     txid = mssd.tx_begin()
     mssd.tx_write(txid, 0, b"\x01" * 64)
